@@ -2,12 +2,14 @@
 
 `member` is the exact membership predicate for each of the sixteen cases:
 it agrees with `identity.check` returning HOLDS on every triple (the
-bounded-search oracle certifies this empirically). The family registry
-holds every known parametric sub-family of each solution set, with a
-generator and a shape test per family; `family_union_member` measures how
-much of a solution set the families cover. `solve_r2` gives the closed
-form of the middle component for the three polynomial cases, where the
-defining equation is linear in r2.
+bounded-search oracle certifies this empirically). It takes Fraction
+triples and evaluates the polynomials of cases 12, 13 and 14 on their
+integer numerators and denominators; nothing uses floating point. The
+family registry holds every known parametric sub-family of each solution
+set, with a generator and a shape test per family; `family_union_member`
+measures how much of a solution set the families cover. `solve_r2` gives
+the closed form of the middle component for the three polynomial cases,
+where the defining equation is linear in r2.
 
 Two formula corrections are baked in, both confirmed by direct
 substitution (see the test suite and README):
@@ -50,20 +52,61 @@ __all__ = [
 # Membership predicates
 
 
-def _poly_case12(t: Triple) -> Rational:
+# The polynomials of cases 12, 13 and 14 are evaluated on the integer
+# numerators and denominators of the triple. Each returns the rational
+# polynomial times a positive product of denominators, so it is zero exactly
+# when the polynomial is.
+
+
+def _poly_case12(t: Triple) -> int:
+    # r1^2 - r1*r3 - r1*r2 + 2*r2*r3 - r1, times d1^2*d2*d3.
     r1, r2, r3 = t
-    return r1 * r1 - r1 * r3 - r1 * r2 + 2 * r2 * r3 - r1
+    n1, d1 = r1.numerator, r1.denominator
+    n2, d2 = r2.numerator, r2.denominator
+    n3, d3 = r3.numerator, r3.denominator
+    return (
+        n1 * (n1 * d2 * d3 - n3 * d1 * d2 - n2 * d1 * d3 - d1 * d2 * d3)
+        + 2 * n2 * n3 * d1 * d1
+    )
 
 
-def _poly_case13(t: Triple) -> Rational:
-    # The r1 != 0 factor of the cleared equation.
+def _poly_case13(t: Triple) -> int:
+    # The r1 != 0 factor of the cleared equation, r1*r3 + r3^2 + r2 - r3,
+    # times d1*d2*d3^2.
     r1, r2, r3 = t
-    return r1 * r3 + r3 * r3 + r2 - r3
+    n1, d1 = r1.numerator, r1.denominator
+    n2, d2 = r2.numerator, r2.denominator
+    n3, d3 = r3.numerator, r3.denominator
+    return n3 * d2 * (n1 * d3 + n3 * d1 - d1 * d3) + n2 * d1 * d3 * d3
 
 
-def _poly_case14(t: Triple) -> Rational:
+def _poly_case14(t: Triple) -> int:
+    # r1*r3^2 + r1*r2 - 2*r2*r3 + r1*r3 - r3*r1^2, times d1^2*d2*d3^2.
     r1, r2, r3 = t
-    return r1 * r3 * r3 + r1 * r2 - 2 * r2 * r3 + r1 * r3 - r3 * r1 * r1
+    n1, d1 = r1.numerator, r1.denominator
+    n2, d2 = r2.numerator, r2.denominator
+    n3, d3 = r3.numerator, r3.denominator
+    return (
+        n1 * n3 * d2 * (n3 * d1 + d1 * d3 - n1 * d3)
+        + n2 * d1 * d3 * (n1 * d3 - 2 * n3 * d1)
+    )
+
+
+def _member_13(t: Triple) -> bool:
+    # r3 != 0, r1 != -r3, and r1 = 0 or the polynomial vanishes.
+    r1, _, r3 = t
+    n1, n3 = r1.numerator, r3.numerator
+    return (
+        n3 != 0
+        and (n1 != -n3 or r1.denominator != r3.denominator)
+        and (n1 == 0 or _poly_case13(t) == 0)
+    )
+
+
+def _member_14(t: Triple) -> bool:
+    # r3 != 0, r1 != r3, and the polynomial vanishes.
+    r1, _, r3 = t
+    return r3.numerator != 0 and r1 != r3 and _poly_case14(t) == 0
 
 
 _MEMBER: dict[str, Callable[[Triple], bool]] = {
@@ -79,10 +122,8 @@ _MEMBER: dict[str, Callable[[Triple], bool]] = {
     "10": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 != t.r3,
     "11": lambda t: t.r1 == 0 or t.r1 + t.r2 + t.r3 == 1,
     "12": lambda t: _poly_case12(t) == 0,
-    "13": lambda t: t.r3 != 0
-    and t.r1 != -t.r3
-    and (t.r1 == 0 or _poly_case13(t) == 0),
-    "14": lambda t: t.r3 != 0 and t.r1 != t.r3 and _poly_case14(t) == 0,
+    "13": _member_13,
+    "14": _member_14,
     "L1": lambda t: True,
     "L2": lambda t: True,
 }

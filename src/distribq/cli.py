@@ -54,11 +54,13 @@ def parse_rational(text: str) -> Rational:
     if not _RATIONAL_RE.match(text):
         raise _UsageError(f"malformed rational {text!r}; expected n or n/d")
     num, _, den = text.partition("/")
-    if den == "":
-        return Fraction(int(num))
-    if int(den) == 0:
+    try:
+        n, d = int(num), int(den or 1)
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise _UsageError(f"rational of {len(text)} characters is too long") from None
+    if d == 0:
         raise _UsageError(f"zero denominator in {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(n, d)
 
 
 def parse_triple(text: str) -> Triple:
@@ -191,8 +193,11 @@ def _emit(args, doc: dict, header: list[str], rows: list[list], plain: list[str]
     else:
         text = "\n".join(plain) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -5,9 +5,12 @@ For an ordered pair of binary operations (outer, inner) and a triple
 
     r1 outer (r2 inner r3)  ==  (r1 outer r2) inner (r1 outer r3)
 
-Divisions by zero never raise out of this module: `apply` returns None for
-an undefined result and `check` turns that into an UNDEFINED verdict that
-records which sub-operation failed.
+Values are `Fraction` at every interface. `check` computes on their
+integer numerators and denominators and builds Fractions only for the two
+side values it reports; nothing uses floating point. Divisions by zero never
+raise out of this module: `apply` returns None for an undefined result and
+`check` reports an UNDEFINED verdict that records which sub-operation
+failed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .rational import Rational, add, div, mul, sub
+from .rational import Rational
 
 __all__ = [
     "ALL_CASES",
@@ -139,12 +142,36 @@ def apply(op: BinOp, x: Rational, y: Rational) -> Rational | None:
     if op is BinOp.DIV:
         if y == 0:
             return None
-        return div(x, y)
+        return x / y
     if op is BinOp.ADD:
-        return add(x, y)
+        return x + y
     if op is BinOp.SUB:
-        return sub(x, y)
-    return mul(x, y)
+        return x - y
+    return x * y
+
+
+# Module-level aliases: looking a member up on an Enum class costs more than
+# the integer arithmetic it selects.
+_ADD, _SUB, _MUL = BinOp.ADD, BinOp.SUB, BinOp.MUL
+
+
+def _apply_int(op: BinOp, xn: int, xd: int, yn: int, yd: int) -> tuple[int, int] | None:
+    """x op y on numerator/denominator pairs, x = xn/xd and y = yn/yd.
+
+    Denominators are nonzero on the way in and on the way out, but neither
+    reduced to lowest terms nor kept positive: cross-multiplication compares
+    such pairs exactly, and Fraction() normalises them. None means op
+    divides by zero.
+    """
+    if op is _MUL:
+        return xn * yn, xd * yd
+    if op is _ADD:
+        return xn * yd + yn * xd, xd * yd
+    if op is _SUB:
+        return xn * yd - yn * xd, xd * yd
+    if yn == 0:
+        return None
+    return xn * yd, xd * yn
 
 
 # Fixed evaluation order used to pick the reported undefined site.
@@ -157,6 +184,10 @@ _SITES = (
 )
 
 
+def _fraction(pair: tuple[int, int] | None) -> Rational | None:
+    return None if pair is None else Fraction(*pair)
+
+
 def check(case: CaseId, t: Triple) -> CheckResult:
     """Evaluate r1 outer (r2 inner r3) against (r1 outer r2) inner (r1 outer r3).
 
@@ -164,25 +195,37 @@ def check(case: CaseId, t: Triple) -> CheckResult:
     the verdict is UNDEFINED and the first failing site (in the fixed order
     lhs-inner, lhs-outer, rhs-outer-left, rhs-outer-right, rhs-inner) is
     reported.
+
+    The five sub-operations run on the integer numerators and denominators
+    of the triple, and the sides are compared by cross-multiplication; only
+    the two reported side values are built as Fractions.
     """
-    site: str | None = None
+    outer, inner = case
+    r1, r2, r3 = t
+    n1, d1 = r1.numerator, r1.denominator
+    n2, d2 = r2.numerator, r2.denominator
+    n3, d3 = r3.numerator, r3.denominator
 
-    def ev(name: str, op: BinOp, x: Rational | None, y: Rational | None) -> Rational | None:
-        nonlocal site
-        if x is None or y is None:
-            return None
-        out = apply(op, x, y)
-        if out is None and site is None:
-            site = name
-        return out
+    bc = _apply_int(inner, n2, d2, n3, d3)
+    lhs = None if bc is None else _apply_int(outer, n1, d1, *bc)
+    ab = _apply_int(outer, n1, d1, n2, d2)
+    ac = _apply_int(outer, n1, d1, n3, d3)
+    rhs = None if ab is None or ac is None else _apply_int(inner, *ab, *ac)
 
-    bc = ev(_SITES[0], case.inner, t.r2, t.r3)
-    lhs = ev(_SITES[1], case.outer, t.r1, bc)
-    ab = ev(_SITES[2], case.outer, t.r1, t.r2)
-    ac = ev(_SITES[3], case.outer, t.r1, t.r3)
-    rhs = ev(_SITES[4], case.inner, ab, ac)
-
-    if site is not None:
-        return CheckResult(Verdict.UNDEFINED, lhs, rhs, site)
-    verdict = Verdict.HOLDS if lhs == rhs else Verdict.FAILS
-    return CheckResult(verdict, lhs, rhs, None)
+    if lhs is None or rhs is None:
+        if bc is None:
+            site = _SITES[0]
+        elif lhs is None:
+            site = _SITES[1]
+        elif ab is None:
+            site = _SITES[2]
+        elif ac is None:
+            site = _SITES[3]
+        else:
+            site = _SITES[4]
+        return CheckResult(Verdict.UNDEFINED, _fraction(lhs), _fraction(rhs), site)
+    (ln, ld), (rn, rd) = lhs, rhs
+    if ln * rd == rn * ld:
+        value = Fraction(ln, ld)
+        return CheckResult(Verdict.HOLDS, value, value, None)
+    return CheckResult(Verdict.FAILS, Fraction(ln, ld), Fraction(rn, rd), None)

@@ -11,11 +11,13 @@ was produced by one worker or many.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .catalog import family_union_member, member
 from .identity import CaseId, Triple, Verdict, check
@@ -67,19 +69,37 @@ def _search_partition(task: tuple[CaseId, Rational, list[Rational]]) -> list[Tri
     return found
 
 
+class _Listing:
+    """Counts every triple added and keeps the first `limit` of them."""
+
+    __slots__ = ("count", "limit", "triples")
+
+    def __init__(self, limit: int | None) -> None:
+        self.count = 0
+        self.limit = limit
+        self.triples: list[Triple] = []
+
+    def add(self, t: Triple) -> None:
+        self.count += 1
+        if self.limit is None or len(self.triples) < self.limit:
+            self.triples.append(t)
+
+
 class _VerifyPartial(NamedTuple):
     holds: int
-    missing: list[Triple]
-    spurious: list[Triple]
-    coverage_gap: list[Triple]
+    missing: _Listing
+    spurious: _Listing
+    coverage_gap: _Listing
 
 
-def _verify_partition(task: tuple[CaseId, Rational, list[Rational]]) -> _VerifyPartial:
+def _verify_partition(
+    task: tuple[CaseId, Rational, list[Rational]], list_limit: int | None = None
+) -> _VerifyPartial:
     case, r1, values = task
     holds = 0
-    missing: list[Triple] = []
-    spurious: list[Triple] = []
-    gap: list[Triple] = []
+    missing = _Listing(list_limit)
+    spurious = _Listing(list_limit)
+    gap = _Listing(list_limit)
     for r2 in values:
         for r3 in values:
             t = Triple(r1, r2, r3)
@@ -88,20 +108,21 @@ def _verify_partition(task: tuple[CaseId, Rational, list[Rational]]) -> _VerifyP
             if holds_here:
                 holds += 1
                 if not is_member:
-                    missing.append(t)
+                    missing.add(t)
                 if not family_union_member(case, t):
-                    gap.append(t)
+                    gap.add(t)
             elif is_member:
-                spurious.append(t)
+                spurious.add(t)
     return _VerifyPartial(holds, missing, spurious, gap)
 
 
 def _run_partitions(worker, case: CaseId, bounds: SearchBounds, jobs: int) -> list:
     values = enumerate_rationals(bounds)
     tasks = [(case, r1, values) for r1 in values]
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -148,26 +169,30 @@ def verify_characterization(
     """Exhaustively compare check, member, and family_union_member on the grid."""
     values = enumerate_rationals(bounds)
     partials: list[_VerifyPartial] = _run_partitions(
-        _verify_partition, case, bounds, jobs
+        partial(_verify_partition, list_limit=list_limit), case, bounds, jobs
     )
 
-    def merge(lists: Iterable[list[Triple]]) -> list[Triple]:
-        return [t for sub in lists for t in sub]
+    def merge(listings: list[_Listing]) -> tuple[int, tuple[Triple, ...]]:
+        # Each partition kept its first list_limit triples in grid order, so
+        # the first list_limit of their concatenation are the grid's first.
+        triples = [t for listing in listings for t in listing.triples]
+        if list_limit is not None:
+            del triples[list_limit:]
+        return sum(listing.count for listing in listings), tuple(triples)
 
-    missing = merge(p.missing for p in partials)
-    spurious = merge(p.spurious for p in partials)
-    gap = merge(p.coverage_gap for p in partials)
-    cap = slice(None) if list_limit is None else slice(list_limit)
+    missing_count, missing = merge([p.missing for p in partials])
+    spurious_count, spurious = merge([p.spurious for p in partials])
+    gap_count, gap = merge([p.coverage_gap for p in partials])
     return VerificationReport(
         case=case,
         bounds=bounds,
         total_triples=len(values) ** 3,
         holds=sum(p.holds for p in partials),
-        missing_count=len(missing),
-        spurious_count=len(spurious),
-        coverage_gap_count=len(gap),
-        missing=tuple(missing[cap]),
-        spurious=tuple(spurious[cap]),
-        coverage_gap=tuple(gap[cap]),
+        missing_count=missing_count,
+        spurious_count=spurious_count,
+        coverage_gap_count=gap_count,
+        missing=missing,
+        spurious=spurious,
+        coverage_gap=gap,
         list_limit=list_limit,
     )

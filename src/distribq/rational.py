@@ -16,12 +16,8 @@ from math import gcd
 __all__ = [
     "DomainError",
     "Rational",
-    "add",
-    "div",
     "gcd",
     "make",
-    "mul",
-    "sub",
 ]
 
 Rational = Fraction
@@ -47,20 +43,3 @@ def make(num: int, den: int = 1) -> Rational:
     if den == 0:
         raise DomainError("denominator must be nonzero")
     return Fraction(num, den)
-
-
-def add(x: Rational, y: Rational) -> Rational:
-    return x + y
-
-
-def sub(x: Rational, y: Rational) -> Rational:
-    return x - y
-
-
-def mul(x: Rational, y: Rational) -> Rational:
-    return x * y
-
-
-def div(x: Rational, y: Rational) -> Rational:
-    """Exact quotient; raises ZeroDivisionError when y is zero."""
-    return x / y

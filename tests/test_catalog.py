@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distribq.catalog import (
     FamilyId,
@@ -63,6 +65,49 @@ def test_member_matches_check_everywhere_on_a_small_grid():
                     t = Triple(r1, r2, r3)
                     holds = check(case, t).verdict is Verdict.HOLDS
                     assert member(case, t) == holds, (case.label, t)
+
+
+# The defining polynomials of the hard cases, on Fractions, as the README
+# states them. Each is linear in r2.
+_REFERENCE_POLY = {
+    "12": lambda r1, r2, r3: r1 * r1 - r1 * r3 - r1 * r2 + 2 * r2 * r3 - r1,
+    "13": lambda r1, r2, r3: r1 * r3 + r3 * r3 + r2 - r3,
+    "14": lambda r1, r2, r3: r1 * r3 * r3 + r1 * r2 - 2 * r2 * r3 + r1 * r3 - r3 * r1 * r1,
+}
+
+
+def _reference_member(label, r1, r2, r3):
+    vanishes = _REFERENCE_POLY[label](r1, r2, r3) == 0
+    if label == "12":
+        return vanishes
+    if label == "13":
+        return r3 != 0 and r1 != -r3 and (r1 == 0 or vanishes)
+    return r3 != 0 and r1 != r3 and vanishes
+
+
+_components = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["12", "13", "14"]), _components, _components, _components,
+       st.booleans())
+def test_hard_case_member_matches_the_rational_polynomials(label, r1, r2, r3, on_curve):
+    if on_curve:
+        # Move r2 onto the zero set of the polynomial when its slope allows.
+        p0 = _REFERENCE_POLY[label](r1, Fraction(0), r3)
+        slope = _REFERENCE_POLY[label](r1, Fraction(1), r3) - p0
+        if slope != 0:
+            r2 = -p0 / slope
+    t = Triple(r1, r2, r3)
+    assert member(case_from_label(label), t) == _reference_member(label, r1, r2, r3)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,25 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert doc["verdict"] == "HOLDS"
 
 
+def test_overlong_triple_component_is_a_usage_error(capsys):
+    # int() refuses strings longer than sys.get_int_max_str_digits() (4300).
+    code, out, err = run_cli(capsys, "check", "--outer", "add", "--inner", "add",
+                             "--triple", "1,2," + "7" * 4301)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "too long" in err
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "no-such-directory" / "out.json"
+    code, out, err = run_cli(capsys, "check", "--outer", "mul", "--inner", "add",
+                             "--triple", "1,2,3", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write") and str(target) in err
+    assert not target.exists()
+
+
 def test_every_printed_rational_reparses(capsys):
     _, out, _ = run_cli(capsys, "search", "--case", "12", "--num-bound", "3",
                         "--den-bound", "2", "--format", "json")

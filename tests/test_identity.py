@@ -1,7 +1,10 @@
 """The identity checker: operation pairings, verdicts, and undefinedness."""
 
+import operator
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distribq.identity import (
@@ -17,6 +20,18 @@ from distribq.identity import (
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 triples = st.builds(Triple, rationals, rationals, rationals)
+
+# Zeros and units trigger every undefined site; components of about 40
+# digits exercise the integer kernel far past machine-word sizes.
+components = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    rationals,
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+    ),
+)
 
 EXPECTED_LABELS = {
     ("add", "add"): "1",
@@ -132,3 +147,66 @@ def test_verdicts_carry_the_right_payload(t):
         else:
             assert result.lhs is not None and result.rhs is not None
             assert (result.verdict is Verdict.HOLDS) == (result.lhs == result.rhs)
+
+
+_FRACTION_OPS = {
+    BinOp.ADD: operator.add,
+    BinOp.SUB: operator.sub,
+    BinOp.MUL: operator.mul,
+    BinOp.DIV: operator.truediv,
+}
+
+
+def _reference_check(case, t):
+    """The identity as stated, evaluated step by step on Fractions.
+
+    Returns (verdict, lhs, rhs, site) with each side as a (numerator,
+    denominator) pair, or None where it is undefined.
+    """
+
+    def ev(op, x, y):
+        if x is None or y is None or (op is BinOp.DIV and y == 0):
+            return None
+        return _FRACTION_OPS[op](x, y)
+
+    bc = ev(case.inner, t.r2, t.r3)
+    lhs = ev(case.outer, t.r1, bc)
+    ab = ev(case.outer, t.r1, t.r2)
+    ac = ev(case.outer, t.r1, t.r3)
+    rhs = ev(case.inner, ab, ac)
+    steps = [
+        ("inner of lhs", t.r2, t.r3, bc),
+        ("outer of lhs", t.r1, bc, lhs),
+        ("first outer of rhs", t.r1, t.r2, ab),
+        ("second outer of rhs", t.r1, t.r3, ac),
+        ("inner of rhs", ab, ac, rhs),
+    ]
+    site = next(
+        (name for name, x, y, out in steps
+         if x is not None and y is not None and out is None),
+        None,
+    )
+    if site is not None:
+        verdict = Verdict.UNDEFINED
+    else:
+        verdict = Verdict.HOLDS if lhs == rhs else Verdict.FAILS
+
+    def pair(q):
+        return None if q is None else (q.numerator, q.denominator)
+
+    return verdict, pair(lhs), pair(rhs), site
+
+
+@settings(max_examples=300)
+@given(components, components, components)
+def test_check_matches_the_fraction_reference_on_every_case(r1, r2, r3):
+    t = Triple(r1, r2, r3)
+    for case in ALL_CASES:
+        result = check(case, t)
+        got = (
+            result.verdict,
+            None if result.lhs is None else (result.lhs.numerator, result.lhs.denominator),
+            None if result.rhs is None else (result.rhs.numerator, result.rhs.denominator),
+            result.undefined_site,
+        )
+        assert got == _reference_check(case, t), case.label

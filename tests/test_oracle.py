@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from distribq import oracle
 from distribq.identity import ALL_CASES, Triple, case_from_label
 from distribq.oracle import (
     SearchBounds,
@@ -111,3 +112,83 @@ def test_parallel_runs_match_single_threaded_exactly():
     assert verify_characterization(case, bounds, jobs=1) == verify_characterization(
         case, bounds, jobs=4
     )
+
+
+def test_verify_calls_check_and_member_once_per_triple(monkeypatch):
+    calls = {"check": 0, "member": 0}
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(oracle, "check", counting("check"))
+    monkeypatch.setattr(oracle, "member", counting("member"))
+    bounds = SearchBounds(3, 2)
+    report = verify_characterization(case_from_label(13), bounds)
+    volume = len(enumerate_rationals(bounds)) ** 3
+    assert report.total_triples == volume
+    assert calls == {"check": volume, "member": volume}
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in-process, so no worker is ever started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    ("jobs", "cpus", "bounds", "workers"),
+    [
+        (64, 4, SearchBounds(1, 1), 3),  # three partitions
+        (64, 4, SearchBounds(2, 2), 4),  # four cores
+        (3, 8, SearchBounds(2, 2), 3),  # as asked
+        (8, 1, SearchBounds(2, 2), None),  # one core: no pool
+        (8, None, SearchBounds(2, 2), None),  # core count unknown: no pool
+        (1, 8, SearchBounds(2, 2), None),
+    ],
+)
+def test_worker_count_is_clamped_to_cores_and_partitions(
+    monkeypatch, jobs, cpus, bounds, workers
+):
+    case = case_from_label(12)
+    serial_search = search_solutions(case, bounds)
+    serial_verify = verify_characterization(case, bounds)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    assert search_solutions(case, bounds, jobs=jobs) == serial_search
+    assert verify_characterization(case, bounds, jobs=jobs) == serial_verify
+    assert _RecordingPool.created == ([] if workers is None else [workers, workers])
+
+
+def test_partitions_keep_exact_counts_but_at_most_list_limit_triples():
+    case = case_from_label(12)
+    values = enumerate_rationals(SearchBounds(6, 1))
+    longest = 0
+    for r1 in values:
+        full = oracle._verify_partition((case, r1, values))
+        capped = oracle._verify_partition((case, r1, values), list_limit=2)
+        assert capped.holds == full.holds
+        for kept, every in zip(capped[1:], full[1:]):
+            assert kept.count == every.count == len(every.triples)
+            assert kept.triples == every.triples[:2]
+            longest = max(longest, every.count)
+    assert longest > 2
