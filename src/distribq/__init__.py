@@ -26,9 +26,9 @@ from .identity import (
     BinOp,
     CaseId,
     CheckResult,
+    DomainError,
     Triple,
     Verdict,
-    apply,
     case_from_label,
     check,
 )
@@ -49,7 +49,6 @@ from .oracle import (
     search_solutions,
     verify_characterization,
 )
-from .rational import DomainError, Rational, make
 
 __version__ = "0.1.0"
 
@@ -63,13 +62,11 @@ __all__ = [
     "ExtGcdResult",
     "FamilyId",
     "FamilySpec",
-    "Rational",
     "SearchBounds",
     "SolveOutcome",
     "Triple",
     "Verdict",
     "VerificationReport",
-    "apply",
     "case12_construct",
     "case12_enumerate",
     "case13_family5",
@@ -82,7 +79,6 @@ __all__ = [
     "family_union_member",
     "generate",
     "is_perfect_square",
-    "make",
     "member",
     "search_solutions",
     "solve_linear_diophantine",

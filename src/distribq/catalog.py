@@ -2,14 +2,18 @@
 
 `member` is the exact membership predicate for each of the sixteen cases:
 it agrees with `identity.check` returning HOLDS on every triple (the
-bounded-search oracle certifies this empirically). It takes Fraction
-triples and evaluates the polynomials of cases 12, 13 and 14 on their
-integer numerators and denominators; nothing uses floating point. The
-family registry holds every known parametric sub-family of each solution
-set, with a generator and a shape test per family; `family_union_member`
-measures how much of a solution set the families cover. `solve_r2` gives
-the closed form of the middle component for the three polynomial cases,
-where the defining equation is linear in r2.
+bounded-search oracle certifies this empirically). The family registry
+holds every known parametric sub-family of each solution set, with a
+generator and a shape test per family; `family_union_member` measures how
+much of a solution set the families cover.
+
+Cases 12, 13 and 14 reduce to one polynomial equation each, linear in r2.
+Each equation is stated once, as an integer pair (coef, const) computed
+from the numerators and denominators of r1 and r3, next to one shared
+definedness check. `member` tests coef*r2 + const = 0 on r2's numerator and
+denominator, `solve_r2` returns -const/coef (or ALL or NONE when coef
+vanishes), and the shape tests of case-13 family 5 and case-14 family 3
+call the case's membership predicate. Nothing uses floating point.
 
 Two formula corrections are baked in, both confirmed by direct
 substitution (see the test suite and README):
@@ -32,8 +36,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from . import number_theory
-from .identity import CaseId, Triple
-from .rational import DomainError, Rational
+from .identity import CaseId, DomainError, Triple
 
 __all__ = [
     "FamilyId",
@@ -52,61 +55,61 @@ __all__ = [
 # Membership predicates
 
 
-# The polynomials of cases 12, 13 and 14 are evaluated on the integer
-# numerators and denominators of the triple. Each returns the rational
-# polynomial times a positive product of denominators, so it is zero exactly
-# when the polynomial is.
+# Cases 12, 13 and 14 each reduce to one equation coef*r2 + const = 0 that
+# is linear in r2. Each function below returns the integer pair (coef,
+# const) from the numerators and denominators of r1 = n1/d1 and r3 = n3/d3,
+# scaled by one positive factor, so with r2 = n2/d2 the triple solves the
+# equation exactly when coef*n2 + const*d2 == 0.
 
 
-def _poly_case12(t: Triple) -> int:
-    # r1^2 - r1*r3 - r1*r2 + 2*r2*r3 - r1, times d1^2*d2*d3.
-    r1, r2, r3 = t
-    n1, d1 = r1.numerator, r1.denominator
-    n2, d2 = r2.numerator, r2.denominator
-    n3, d3 = r3.numerator, r3.denominator
-    return (
-        n1 * (n1 * d2 * d3 - n3 * d1 * d2 - n2 * d1 * d3 - d1 * d2 * d3)
-        + 2 * n2 * n3 * d1 * d1
-    )
+def _linear_12(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
+    # r2*(2r3 - r1) + r1*(r1 - r3 - 1), times d1^2*d3.
+    return d1 * (2 * n3 * d1 - n1 * d3), n1 * (n1 * d3 - n3 * d1 - d1 * d3)
 
 
-def _poly_case13(t: Triple) -> int:
-    # The r1 != 0 factor of the cleared equation, r1*r3 + r3^2 + r2 - r3,
-    # times d1*d2*d3^2.
-    r1, r2, r3 = t
-    n1, d1 = r1.numerator, r1.denominator
-    n2, d2 = r2.numerator, r2.denominator
-    n3, d3 = r3.numerator, r3.denominator
-    return n3 * d2 * (n1 * d3 + n3 * d1 - d1 * d3) + n2 * d1 * d3 * d3
+def _linear_13(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
+    # r1*r2 + r1*r3*(r1 + r3 - 1), times d1^2*d3^2. The r1 factor makes
+    # both coefficients vanish at r1 = 0, where every r2 solves the case.
+    return n1 * d1 * d3 * d3, n1 * n3 * (n1 * d3 + n3 * d1 - d1 * d3)
 
 
-def _poly_case14(t: Triple) -> int:
-    # r1*r3^2 + r1*r2 - 2*r2*r3 + r1*r3 - r3*r1^2, times d1^2*d2*d3^2.
-    r1, r2, r3 = t
-    n1, d1 = r1.numerator, r1.denominator
-    n2, d2 = r2.numerator, r2.denominator
-    n3, d3 = r3.numerator, r3.denominator
-    return (
-        n1 * n3 * d2 * (n3 * d1 + d1 * d3 - n1 * d3)
-        + n2 * d1 * d3 * (n1 * d3 - 2 * n3 * d1)
-    )
+def _linear_14(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
+    # r2*(r1 - 2r3) + r1*r3*(r3 + 1 - r1), times d1^2*d3^2.
+    return d1 * d3 * (n1 * d3 - 2 * n3 * d1), n1 * n3 * (n3 * d1 + d1 * d3 - n1 * d3)
 
 
-def _member_13(t: Triple) -> bool:
-    # r3 != 0, r1 != -r3, and r1 = 0 or the polynomial vanishes.
-    r1, _, r3 = t
-    n1, n3 = r1.numerator, r3.numerator
-    return (
-        n3 != 0
-        and (n1 != -n3 or r1.denominator != r3.denominator)
-        and (n1 == 0 or _poly_case13(t) == 0)
-    )
+_LINEAR = {"12": _linear_12, "13": _linear_13, "14": _linear_14}
 
 
-def _member_14(t: Triple) -> bool:
-    # r3 != 0, r1 != r3, and the polynomial vanishes.
-    r1, _, r3 = t
-    return r3.numerator != 0 and r1 != r3 and _poly_case14(t) == 0
+def _undefined(label: str, n1: int, d1: int, n3: int, d3: int) -> str | None:
+    """Why a side of the hard case divides by zero for every r2, or None.
+
+    Fractions are in lowest terms, so r1 = -r3 and r1 = r3 compare their
+    numerators and denominators.
+    """
+    if label == "12":
+        return None
+    if n3 == 0:
+        return "r3 must be nonzero"
+    if label == "13" and d1 == d3 and n1 == -n3:
+        return "r1 + r3 must be nonzero"
+    if label == "14" and d1 == d3 and n1 == n3:
+        return "r1 - r3 must be nonzero"
+    return None
+
+
+def _hard_member(label: str) -> Callable[[Triple], bool]:
+    linear = _LINEAR[label]
+
+    def is_member(t: Triple) -> bool:
+        r1, r2, r3 = t
+        n1, d1, n3, d3 = r1.numerator, r1.denominator, r3.numerator, r3.denominator
+        if _undefined(label, n1, d1, n3, d3) is not None:
+            return False
+        coef, const = linear(n1, d1, n3, d3)
+        return coef * r2.numerator + const * r2.denominator == 0
+
+    return is_member
 
 
 _MEMBER: dict[str, Callable[[Triple], bool]] = {
@@ -121,9 +124,9 @@ _MEMBER: dict[str, Callable[[Triple], bool]] = {
     "9": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 + t.r3 != 0,
     "10": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 != t.r3,
     "11": lambda t: t.r1 == 0 or t.r1 + t.r2 + t.r3 == 1,
-    "12": lambda t: _poly_case12(t) == 0,
-    "13": _member_13,
-    "14": _member_14,
+    "12": _hard_member("12"),
+    "13": _hard_member("13"),
+    "14": _hard_member("14"),
     "L1": lambda t: True,
     "L2": lambda t: True,
 }
@@ -170,41 +173,37 @@ def _as_int(value, name: str) -> int:
     raise DomainError(f"{name} must be an integer")
 
 
-def _q(value) -> Fraction:
-    return Fraction(value)
-
-
 def _build_zero_first(r2, r3) -> Triple:
-    return Triple(Fraction(0), _q(r2), _q(r3))
+    return Triple.of(0, r2, r3)
 
 
 def _build_one_first(r2, r3) -> Triple:
-    return Triple(Fraction(1), _q(r2), _q(r3))
+    return Triple.of(1, r2, r3)
 
 
 def _build_3_1(r1, r2, r3) -> Triple:
-    t = Triple(_q(r1), _q(r2), _q(r3))
+    t = Triple.of(r1, r2, r3)
     if t.r1 * t.r2 * t.r3 != 0:
         raise DomainError("r1*r2*r3 must be zero")
     return t
 
 
 def _build_4_1(r1, r3) -> Triple:
-    t = Triple(_q(r1), Fraction(0), _q(r3))
+    t = Triple.of(r1, 0, r3)
     if t.r1 == 0 or t.r3 == 0:
         raise DomainError("r1*r3 must be nonzero")
     return t
 
 
 def _build_4_2(r2, r3) -> Triple:
-    r3 = _q(r3)
+    r3 = Fraction(r3)
     if r3 == 0:
         raise DomainError("r3 must be nonzero")
-    return Triple(Fraction(1), _q(r2), r3)
+    return Triple.of(1, r2, r3)
 
 
 def _require_nonzero_pair(r2, r3) -> tuple[Fraction, Fraction]:
-    r2, r3 = _q(r2), _q(r3)
+    r2, r3 = Fraction(r2), Fraction(r3)
     if r2 == 0 or r3 == 0:
         raise DomainError("r2*r3 must be nonzero")
     return r2, r3
@@ -235,7 +234,7 @@ def _build_10_1(r2, r3) -> Triple:
 
 
 def _build_11_2(r2, r3) -> Triple:
-    r2, r3 = _q(r2), _q(r3)
+    r2, r3 = Fraction(r2), Fraction(r3)
     return Triple(1 - (r2 + r3), r2, r3)
 
 
@@ -244,19 +243,19 @@ def _build_12_1(r2=None, r3=None) -> Triple:
     if (r2 is None) == (r3 is None):
         raise DomainError("provide exactly one of r2, r3 to pick the branch")
     if r2 is not None:
-        return Triple(Fraction(0), _q(r2), Fraction(0))
-    return Triple(Fraction(0), Fraction(0), _q(r3))
+        return Triple.of(0, r2, 0)
+    return Triple.of(0, 0, r3)
 
 
 def _build_12_2(r3) -> Triple:
-    r3 = _q(r3)
+    r3 = Fraction(r3)
     if r3 == -1:
         raise DomainError("r3 must differ from -1")
     return Triple(r3 + 1, Fraction(0), r3)
 
 
 def _build_12_3(r2) -> Triple:
-    r2 = _q(r2)
+    r2 = Fraction(r2)
     if r2 == -1:
         raise DomainError("r2 must differ from -1")
     return Triple(r2 + 1, r2, Fraction(0))
@@ -280,14 +279,14 @@ def _match_12_4(t: Triple) -> bool:
 
 
 def _build_13_1(r2, r3) -> Triple:
-    r3 = _q(r3)
+    r3 = Fraction(r3)
     if r3 == 0:
         raise DomainError("r3 must be nonzero")
-    return Triple(Fraction(0), _q(r2), r3)
+    return Triple.of(0, r2, r3)
 
 
 def _build_13_2(r3) -> Triple:
-    r3 = _q(r3)
+    r3 = Fraction(r3)
     if r3 == 0 or r3 == 1:
         raise DomainError("r3 must differ from 0 and 1")
     return Triple(1 - r3, Fraction(0), r3)
@@ -327,22 +326,20 @@ def _match_13_5(t: Triple) -> bool:
         and t.r1 != 0
         and t.r2.denominator == 1
         and t.r2 != 0
-        and t.r3 != 0
-        and t.r1 != -t.r3
-        and _poly_case13(t) == 0
+        and _MEMBER["13"](t)
     )
 
 
 def _build_14_1(r3) -> Triple:
     # Corrected slice: with r1 = 0 the identity forces r2 = 0.
-    r3 = _q(r3)
+    r3 = Fraction(r3)
     if r3 == 0:
         raise DomainError("r3 must be nonzero")
     return Triple(Fraction(0), Fraction(0), r3)
 
 
 def _build_14_2(r3) -> Triple:
-    r3 = _q(r3)
+    r3 = Fraction(r3)
     if r3 == 0 or r3 == -1:
         raise DomainError("r3 must differ from 0 and -1")
     return Triple(r3 + 1, Fraction(0), r3)
@@ -369,17 +366,8 @@ def _build_14_3(e, f, printed_form=False) -> Triple:
 
 
 def _match_14_3(t: Triple) -> bool:
-    return (
-        t.r1 == 1
-        and t.r3 != 0
-        and t.r3 != 1
-        and 2 * t.r3 != 1
-        and t.r2 == t.r3 * t.r3 / (2 * t.r3 - 1)
-    )
-
-
-def _build_universal(r1, r2, r3) -> Triple:
-    return Triple(_q(r1), _q(r2), _q(r3))
+    # Every case-14 solution with r1 = 1 has this shape.
+    return t.r1 == 1 and _MEMBER["14"](t)
 
 
 _RR = {"r2": "rational", "r3": "rational"}
@@ -518,13 +506,13 @@ _register(
 _register(
     "L1",
     dict(params={"r1": "rational", "r2": "rational", "r3": "rational"},
-         summary="(r1, r2, r3): the law is universal", build=_build_universal,
+         summary="(r1, r2, r3): the law is universal", build=Triple.of,
          matches=lambda t: True),
 )
 _register(
     "L2",
     dict(params={"r1": "rational", "r2": "rational", "r3": "rational"},
-         summary="(r1, r2, r3): the law is universal", build=_build_universal,
+         summary="(r1, r2, r3): the law is universal", build=Triple.of,
          matches=lambda t: True),
 )
 
@@ -583,7 +571,7 @@ def _solve_label(case) -> str:
     return label
 
 
-def solve_r2(case, r1, r3) -> Rational | SolveOutcome:
+def solve_r2(case, r1, r3) -> Fraction | SolveOutcome:
     """Solve the case's defining equation for r2 given (r1, r3).
 
     Each defining equation is linear in r2, so the answer is a unique
@@ -593,23 +581,11 @@ def solve_r2(case, r1, r3) -> Rational | SolveOutcome:
     """
     label = _solve_label(case)
     r1, r3 = Fraction(r1), Fraction(r3)
-    if label == "13":
-        if r3 == 0:
-            raise DomainError("r3 must be nonzero")
-        if r1 == -r3:
-            raise DomainError("r1 + r3 must be nonzero")
-        if r1 == 0:
-            return SolveOutcome.ALL
-        return r3 * (1 - r1 - r3)
-    if label == "14":
-        if r3 == 0:
-            raise DomainError("r3 must be nonzero")
-        if r1 == r3:
-            raise DomainError("r1 - r3 must be nonzero")
-        numerator = r1 * r3 * (r3 + 1 - r1)
-    else:
-        numerator = r1 * (r3 + 1 - r1)
-    denom = 2 * r3 - r1
-    if denom != 0:
-        return numerator / denom
-    return SolveOutcome.ALL if numerator == 0 else SolveOutcome.NONE
+    n1, d1, n3, d3 = r1.numerator, r1.denominator, r3.numerator, r3.denominator
+    error = _undefined(label, n1, d1, n3, d3)
+    if error is not None:
+        raise DomainError(error)
+    coef, const = _LINEAR[label](n1, d1, n3, d3)
+    if coef != 0:
+        return Fraction(-const, coef)
+    return SolveOutcome.ALL if const == 0 else SolveOutcome.NONE

@@ -7,8 +7,9 @@ invocation), or CSV (fixed header row); diagnostics go to stderr.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
-3 domain or constraint error. Computational answers such as NONE, ALL, or
-an empty solution set are successes, not negative verdicts.
+3 domain or constraint error (also a result with more digits than str()
+converts, in which case nothing is printed). Computational answers such as
+NONE, ALL, or an empty solution set are successes, not negative verdicts.
 
 Rationals are always serialized as "n/d" (including "/1") so every printed
 value re-parses exactly.
@@ -32,24 +33,23 @@ from .identity import (
     BinOp,
     CaseId,
     CheckResult,
+    DomainError,
     Triple,
     Verdict,
     case_from_label,
     check,
 )
-from .rational import DomainError, Rational
 
 __all__ = ["format_rational", "main", "parse_case", "parse_rational", "parse_triple", "run"]
 
 _RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
-_OPS = {op.value: op for op in BinOp}
 
 
 class _UsageError(Exception):
     pass
 
 
-def parse_rational(text: str) -> Rational:
+def parse_rational(text: str) -> Fraction:
     """Parse "n/d" or "n" (optional leading minus, no whitespace)."""
     if not _RATIONAL_RE.match(text):
         raise _UsageError(f"malformed rational {text!r}; expected n or n/d")
@@ -72,8 +72,8 @@ def parse_triple(text: str) -> Triple:
 
 def _parse_op(text: str) -> BinOp:
     try:
-        return _OPS[text.strip().lower()]
-    except KeyError:
+        return BinOp(text.strip().lower())
+    except ValueError:
         raise _UsageError(
             f"unknown operation {text!r}; use add, sub, mul, or div"
         ) from None
@@ -81,9 +81,6 @@ def _parse_op(text: str) -> BinOp:
 
 def parse_case(text: str) -> CaseId:
     """Accept a case label ("12", "L1") or op-pair syntax ("sub/mul")."""
-    if "/" in text:
-        outer, _, inner = text.partition("/")
-        return CaseId(_parse_op(outer), _parse_op(inner))
     try:
         return case_from_label(text)
     except KeyError:
@@ -92,11 +89,17 @@ def parse_case(text: str) -> CaseId:
         ) from None
 
 
-def format_rational(q: Rational) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def format_rational(q: Fraction) -> str:
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
+        raise DomainError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits"
+            " and cannot be printed"
+        ) from None
 
 
-def _fmt_opt(q: Rational | None) -> str | None:
+def _fmt_opt(q: Fraction | None) -> str | None:
     return None if q is None else format_rational(q)
 
 

@@ -5,12 +5,13 @@ For an ordered pair of binary operations (outer, inner) and a triple
 
     r1 outer (r2 inner r3)  ==  (r1 outer r2) inner (r1 outer r3)
 
-Values are `Fraction` at every interface. `check` computes on their
-integer numerators and denominators and builds Fractions only for the two
-side values it reports; nothing uses floating point. Divisions by zero never
-raise out of this module: `apply` returns None for an undefined result and
-`check` reports an UNDEFINED verdict that records which sub-operation
-failed.
+Values are `fractions.Fraction` at every interface. `check` computes on
+their integer numerators and denominators and builds Fractions only for the
+two side values it reports; nothing uses floating point. Divisions by zero
+never raise out of this module: `check` reports an UNDEFINED verdict that
+records which sub-operation failed. `DomainError`, the package's error for
+a caller's request outside an operation's contract, is defined here because
+every other module imports this one.
 """
 
 from __future__ import annotations
@@ -20,19 +21,28 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .rational import Rational
-
 __all__ = [
     "ALL_CASES",
     "BinOp",
     "CaseId",
     "CheckResult",
+    "DomainError",
     "Triple",
     "Verdict",
-    "apply",
     "case_from_label",
     "check",
 ]
+
+
+class DomainError(ValueError):
+    """A precondition or constructive constraint was violated.
+
+    Deliberately distinct from ZeroDivisionError: dividing by zero is an
+    undefined operation that the identity checker converts into an
+    UNDEFINED verdict, while a DomainError means the caller asked for
+    something outside an operation's contract (rejected family parameters,
+    an undefined configuration passed to solve_r2, and so on).
+    """
 
 
 class BinOp(Enum):
@@ -47,9 +57,9 @@ class BinOp(Enum):
 
 
 class Triple(NamedTuple):
-    r1: Rational
-    r2: Rational
-    r3: Rational
+    r1: Fraction
+    r2: Fraction
+    r3: Fraction
 
     @classmethod
     def of(cls, r1, r2, r3) -> "Triple":
@@ -106,10 +116,16 @@ ALL_CASES: tuple[CaseId, ...] = tuple(
     _LABEL_TO_CASE[label] for label in [str(n) for n in range(1, 15)] + ["L1", "L2"]
 )
 
+# Operation-pair names ("SUB/MUL") resolve through the same table.
+_LABEL_TO_CASE.update(
+    {f"{case.outer.value}/{case.inner.value}".upper(): case for case in ALL_CASES}
+)
+
 
 def case_from_label(label: str | int) -> CaseId:
-    """Look up a case by label ("12", 12, "L1"; case-insensitive)."""
-    key = str(label).strip().upper()
+    """Look up a case by label ("12", 12, "L1") or operation pair
+    ("sub/mul"); case and surrounding whitespace are ignored."""
+    key = "/".join(part.strip() for part in str(label).upper().split("/"))
     try:
         return _LABEL_TO_CASE[key]
     except KeyError:
@@ -132,22 +148,9 @@ class CheckResult:
     """
 
     verdict: Verdict
-    lhs: Rational | None = None
-    rhs: Rational | None = None
+    lhs: Fraction | None = None
+    rhs: Fraction | None = None
     undefined_site: str | None = None
-
-
-def apply(op: BinOp, x: Rational, y: Rational) -> Rational | None:
-    """Apply one operation; None means the result is undefined (x / 0)."""
-    if op is BinOp.DIV:
-        if y == 0:
-            return None
-        return x / y
-    if op is BinOp.ADD:
-        return x + y
-    if op is BinOp.SUB:
-        return x - y
-    return x * y
 
 
 # Module-level aliases: looking a member up on an Enum class costs more than
@@ -184,7 +187,7 @@ _SITES = (
 )
 
 
-def _fraction(pair: tuple[int, int] | None) -> Rational | None:
+def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
     return None if pair is None else Fraction(*pair)
 
 

@@ -13,8 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .identity import Triple
-from .rational import DomainError
+from .identity import DomainError, Triple
 
 __all__ = [
     "DiophantineSolutionSet",

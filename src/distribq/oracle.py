@@ -20,8 +20,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .catalog import family_union_member, member
-from .identity import CaseId, Triple, Verdict, check
-from .rational import DomainError, Rational
+from .identity import CaseId, DomainError, Triple, Verdict, check
 
 __all__ = [
     "SearchBounds",
@@ -45,7 +44,7 @@ def _validate(bounds: SearchBounds) -> SearchBounds:
     return bounds
 
 
-def enumerate_rationals(bounds: SearchBounds) -> list[Rational]:
+def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
     """All canonical n/d with |n| <= num_bound, d <= den_bound, ascending."""
     _validate(bounds)
     values = [
@@ -58,7 +57,7 @@ def enumerate_rationals(bounds: SearchBounds) -> list[Rational]:
     return values
 
 
-def _search_partition(task: tuple[CaseId, Rational, list[Rational]]) -> list[Triple]:
+def _search_partition(task: tuple[CaseId, Fraction, list[Fraction]]) -> list[Triple]:
     case, r1, values = task
     found = []
     for r2 in values:
@@ -93,7 +92,7 @@ class _VerifyPartial(NamedTuple):
 
 
 def _verify_partition(
-    task: tuple[CaseId, Rational, list[Rational]], list_limit: int | None = None
+    task: tuple[CaseId, Fraction, list[Fraction]], list_limit: int | None = None
 ) -> _VerifyPartial:
     case, r1, values = task
     holds = 0

@@ -22,7 +22,7 @@ from distribq.oracle import (
     search_solutions,
     verify_characterization,
 )
-from distribq.rational import DomainError
+from distribq import DomainError
 
 T = Triple.of
 FULL_GRID = SearchBounds(6, 3)

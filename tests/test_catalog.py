@@ -19,7 +19,7 @@ from distribq.catalog import (
 )
 from distribq.identity import ALL_CASES, Triple, Verdict, case_from_label, check
 from distribq.oracle import SearchBounds, enumerate_rationals
-from distribq.rational import DomainError
+from distribq import DomainError
 
 T = Triple.of
 
@@ -301,3 +301,54 @@ def test_solve_r2_agrees_with_membership():
                 else:
                     assert member(case, Triple(r1, outcome, r3))
                     assert check(case, Triple(r1, outcome, r3)).verdict is Verdict.HOLDS
+
+
+# The closed forms as the README states them, on Fractions, with the
+# definedness preconditions of cases 13 and 14 in the order solve_r2 checks
+# them. An error is returned as its message.
+def _readme_solve(label, r1, r3):
+    if label in ("13", "14") and r3 == 0:
+        return "r3 must be nonzero"
+    if label == "13":
+        if r1 == -r3:
+            return "r1 + r3 must be nonzero"
+        return SolveOutcome.ALL if r1 == 0 else r3 * (1 - r1 - r3)
+    if label == "14":
+        if r1 == r3:
+            return "r1 - r3 must be nonzero"
+        numerator = r1 * r3 * (r3 + 1 - r1)
+    else:
+        numerator = r1 * (r3 + 1 - r1)
+    if 2 * r3 != r1:
+        return numerator / (2 * r3 - r1)
+    return SolveOutcome.ALL if numerator == 0 else SolveOutcome.NONE
+
+
+# The shape tests of the case-14 families, family 3 as r2 = r3^2/(2r3 - 1).
+def _case14_family_union(t):
+    r1, r2, r3 = t
+    return (
+        (r1 == 0 and r2 == 0 and r3 != 0)
+        or (r2 == 0 and r3 not in (0, -1) and r1 == r3 + 1)
+        or (r1 == 1 and r3 not in (0, 1) and 2 * r3 != 1
+            and r2 == r3 * r3 / (2 * r3 - 1))
+    )
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(["12", "13", "14"]), _components, _components, _components,
+       st.sampled_from(["free", "r1 = 2r3", "r1 = 0", "r1 = 1"]), st.booleans())
+def test_solve_r2_matches_the_readme_closed_forms(label, r1, r2, r3, line, solved_r2):
+    # Pull (r1, r3) onto the lines where the r2 coefficient vanishes (case 13
+    # at r1 = 0) or onto the r1 = 1 slice that holds family 3 of case 14.
+    r1 = {"free": r1, "r1 = 2r3": 2 * r3, "r1 = 0": Fraction(0), "r1 = 1": Fraction(1)}[line]
+    try:
+        outcome = solve_r2(label, r1, r3)
+    except DomainError as exc:
+        outcome = str(exc)
+    assert outcome == _readme_solve(label, r1, r3)
+
+    if solved_r2 and isinstance(outcome, Fraction):
+        r2 = outcome
+    t = Triple(r1, r2, r3)
+    assert family_union_member(case_from_label(14), t) == _case14_family_union(t)

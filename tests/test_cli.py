@@ -222,6 +222,18 @@ def test_overlong_triple_component_is_a_usage_error(capsys):
     assert err.startswith("usage error:") and "too long" in err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_unprintable_result_is_a_domain_error(capsys, fmt):
+    # The components print, but lhs = rhs = A*A has 6,000 digits, more than
+    # str() converts (sys.get_int_max_str_digits() is 4300).
+    a = "7" * 3000
+    code, out, err = run_cli(capsys, "check", "--outer", "mul", "--inner", "mul",
+                             "--triple", f"1,{a},{a}", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "digits" in err
+
+
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no-such-directory" / "out.json"
     code, out, err = run_cli(capsys, "check", "--outer", "mul", "--inner", "add",
@@ -249,6 +261,7 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "check", "--outer", "add", "--inner", "add",
                    "--triple", "1,2")[0] == 2
     assert run_cli(capsys, "member", "--case", "99", "--triple", "1,2,3")[0] == 2
+    assert run_cli(capsys, "member", "--case", "pow/add", "--triple", "1,2,3")[0] == 2
     assert run_cli(capsys, "check", "--outer", "add", "--inner", "add",
                    "--triple", "1,2,1/0")[0] == 2
     assert run_cli(capsys, "search", "--case", "1", "--num-bound", "0",

@@ -13,7 +13,6 @@ from distribq.identity import (
     CaseId,
     Triple,
     Verdict,
-    apply,
     case_from_label,
     check,
 )
@@ -72,15 +71,16 @@ def test_case_number_is_none_for_base_laws():
 
 
 def test_unknown_label_raises():
-    with pytest.raises(KeyError):
-        case_from_label("15")
+    for label in ("15", "pow/add", "sub/mul/add", "sub/", "12/13", ""):
+        with pytest.raises(KeyError):
+            case_from_label(label)
 
 
-def test_apply_examples():
-    assert apply(BinOp.DIV, Triple.of(1, 0, 0).r1, Triple.of(0, 0, 0).r1) is None
-    assert apply(BinOp.SUB, Triple.of(3, 0, 0).r1, Triple.of(5, 0, 0).r1) == -2
-    two_thirds = Triple.of("2/3", "3/4", 0)
-    assert apply(BinOp.MUL, two_thirds.r1, two_thirds.r2) == Triple.of("1/2", 0, 0).r1
+def test_case_from_label_accepts_operation_pairs():
+    assert case_from_label("sub/mul") == case_from_label(12)
+    assert case_from_label(" SUB / Mul ") == CaseId(BinOp.SUB, BinOp.MUL)
+    for case in ALL_CASES:
+        assert case_from_label(f"{case.outer.value}/{case.inner.value}") == case
 
 
 def test_base_law_example_holds():

@@ -15,7 +15,7 @@ from distribq.number_theory import (
     is_perfect_square,
     solve_linear_diophantine,
 )
-from distribq.rational import DomainError
+from distribq import DomainError
 
 
 def test_ext_gcd_examples():
