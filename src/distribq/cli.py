@@ -5,6 +5,13 @@ generate, solve, diophantine, construct12, family5, search, verify.
 Output goes to stdout (or --output) as plain text, JSON (one document per
 invocation), or CSV (fixed header row); diagnostics go to stderr.
 
+Each subcommand handler returns one `_Record` of raw values (`Fraction`,
+`Triple`, `CaseId`, enums, `bool`, `int`, `None`): its exit code, the JSON
+document, the CSV header and rows, and the plain lines. `_render` turns the
+record into the text of the chosen format, through `_json` for documents and
+`_text` for every CSV cell and plain line, so each value is formatted in
+one place. The whole text is built before anything is written.
+
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
 3 domain or constraint error (also a result with more digits than str()
@@ -23,8 +30,9 @@ import io
 import json
 import re
 import sys
+from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import catalog, number_theory, oracle
 from .catalog import FamilyId, SolveOutcome
@@ -89,45 +97,6 @@ def parse_case(text: str) -> CaseId:
         ) from None
 
 
-def format_rational(q: Fraction) -> str:
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
-        raise DomainError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits"
-            " and cannot be printed"
-        ) from None
-
-
-def _fmt_opt(q: Fraction | None) -> str | None:
-    return None if q is None else format_rational(q)
-
-
-def _triple_str(t: Triple) -> str:
-    return ",".join(format_rational(q) for q in t)
-
-
-def _triple_doc(t: Triple) -> dict:
-    return {
-        "r1": format_rational(t.r1),
-        "r2": format_rational(t.r2),
-        "r3": format_rational(t.r3),
-    }
-
-
-def _case_doc(case: CaseId) -> dict:
-    return {
-        "label": case.label,
-        "number": case.case_number,
-        "outer": case.outer.value,
-        "inner": case.inner.value,
-    }
-
-
-def _case_plain(case: CaseId) -> str:
-    return f"case {case.label} ({case.describe()})"
-
-
 def _parse_sign(text: str) -> int:
     if text in ("+", "+1"):
         return 1
@@ -137,7 +106,7 @@ def _parse_sign(text: str) -> int:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("1", "true", "yes"):
         return True
     if lowered in ("0", "false", "no"):
@@ -145,31 +114,32 @@ def _parse_bool(text: str) -> bool:
     raise _UsageError(f"expected a boolean (0/1/true/false), got {text!r}")
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"expected an integer, got {text!r}") from None
+
+
+_PARAM_PARSERS = {"rational": parse_rational, "int": _parse_int,
+                  "sign": _parse_sign, "bool": _parse_bool}
+
+
 def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
-    raw: dict[str, str] = {}
+    out: dict[str, object] = {}
     for item in (text.split(",") if text else []):
         if "=" not in item:
             raise _UsageError(f"bad parameter {item!r}; expected key=value")
-        key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
-    out: dict[str, object] = {}
-    for key, value in raw.items():
+        key, _, value = (part.strip() for part in item.partition("="))
         kind = spec.params.get(key)
         if kind is None:
             raise _UsageError(
                 f"unknown parameter {key!r}; family takes {', '.join(spec.params)}"
             )
-        if kind == "rational":
-            out[key] = parse_rational(value)
-        elif kind == "int":
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise _UsageError(f"parameter {key} must be an integer") from None
-        elif kind == "sign":
-            out[key] = _parse_sign(value)
-        else:
-            out[key] = _parse_bool(value)
+        try:
+            out[key] = _PARAM_PARSERS[kind](value)
+        except _UsageError as exc:
+            raise _UsageError(f"parameter {key}: {exc}") from None
     return out
 
 
@@ -181,37 +151,88 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Output assembly
+# Rendering
 
 
-def _emit(args, doc: dict, header: list[str], rows: list[list], plain: list[str]) -> None:
-    if args.format == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    elif args.format == "csv":
+class _Record(NamedTuple):
+    """One subcommand's answer in raw values, ready for any format."""
+
+    exit: int
+    doc: dict  # the JSON document, without its leading "command" key
+    header: list[str]  # CSV header row
+    rows: list  # CSV rows; each a sequence of values, one per cell
+    plain: list  # plain lines; a list line is the concatenation of its parts
+
+
+def _text(value) -> str:
+    """The one value-to-text conversion, and the one guard on digit count."""
+    try:
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, int) and not isinstance(value, bool):
+            return str(value)
+    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
+        raise DomainError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits"
+            " and cannot be printed"
+        ) from None
+    if isinstance(value, Triple):
+        return ",".join(map(_text, value))
+    if isinstance(value, list):
+        return "".join(map(_text, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return "" if value is None else value
+
+
+def format_rational(q: Fraction) -> str:
+    return _text(q)
+
+
+def _json(value):
+    """Map a raw value onto JSON types: rationals become "n/d" strings."""
+    if isinstance(value, (Fraction, Enum)):
+        return _text(value)
+    if isinstance(value, list):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, Triple):
+        return {"r1": _text(value.r1), "r2": _text(value.r2), "r3": _text(value.r3)}
+    if isinstance(value, CaseId):
+        return {"label": value.label, "number": value.case_number,
+                "outer": value.outer.value, "inner": value.inner.value}
+    if isinstance(value, int) and not isinstance(value, bool):
+        _text(value)  # json.dumps would raise the same unguarded ValueError
+    return value
+
+
+def _render(fmt: str, command: str, record: _Record) -> str:
+    if fmt == "json":
+        return json.dumps({"command": command, **_json(record.doc)}, indent=2) + "\n"
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = "\n".join(plain) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        writer.writerow(record.header)
+        writer.writerows(map(_text, row) for row in record.rows)
+        return buf.getvalue()
+    return "\n".join(map(_text, record.plain)) + "\n"
 
 
-def _verdict_cells(result: CheckResult) -> list:
-    return [
-        result.verdict.value,
-        _fmt_opt(result.lhs) or "",
-        _fmt_opt(result.rhs) or "",
-        result.undefined_site or "",
-    ]
+def _case_plain(case: CaseId) -> str:
+    return f"case {case.label} ({case.describe()})"
+
+
+def _grid_plain(case: CaseId, bounds: oracle.SearchBounds) -> str:
+    return f"{_case_plain(case)}  grid |num|<={bounds.num_bound} den<={bounds.den_bound}"
+
+
+def _verdict_plain(result: CheckResult) -> list:
+    if result.verdict is Verdict.UNDEFINED:
+        return ["UNDEFINED  site: ", result.undefined_site]
+    return [result.verdict, "  lhs=", result.lhs, "  rhs=", result.rhs]
 
 
 _CHECK_HEADER = ["case", "outer", "inner", "r1", "r2", "r3",
@@ -219,152 +240,106 @@ _CHECK_HEADER = ["case", "outer", "inner", "r1", "r2", "r3",
 
 
 def _check_row(case: CaseId, t: Triple, result: CheckResult) -> list:
-    return [case.label, case.outer.value, case.inner.value,
-            *(format_rational(q) for q in t), *_verdict_cells(result)]
-
-
-def _result_doc(result: CheckResult) -> dict:
-    return {
-        "verdict": result.verdict.value,
-        "lhs": _fmt_opt(result.lhs),
-        "rhs": _fmt_opt(result.rhs),
-        "undefined_site": result.undefined_site,
-    }
-
-
-def _verdict_plain(result: CheckResult) -> str:
-    if result.verdict is Verdict.UNDEFINED:
-        return f"UNDEFINED  site: {result.undefined_site}"
-    return (
-        f"{result.verdict.value}  lhs={_fmt_opt(result.lhs)}"
-        f"  rhs={_fmt_opt(result.rhs)}"
-    )
+    return [case.label, case.outer, case.inner, *t, *vars(result).values()]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> _Record:
     case = CaseId(_parse_op(args.outer), _parse_op(args.inner))
     t = parse_triple(args.triple)
     result = check(case, t)
-    doc = {
-        "command": "check",
-        "case": _case_doc(case),
-        "triple": _triple_doc(t),
-        **_result_doc(result),
-    }
-    plain = [f"{_case_plain(case)}  triple {_triple_str(t)}", _verdict_plain(result)]
-    _emit(args, doc, _CHECK_HEADER, [_check_row(case, t, result)], plain)
-    return 0 if result.verdict is Verdict.HOLDS else 1
+    return _Record(
+        0 if result.verdict is Verdict.HOLDS else 1,
+        {"case": case, "triple": t, **vars(result)},
+        _CHECK_HEADER,
+        [_check_row(case, t, result)],
+        [[_case_plain(case), "  triple ", t], _verdict_plain(result)],
+    )
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> _Record:
     t = parse_triple(args.triple)
     results = [(case, check(case, t)) for case in ALL_CASES]
-    doc = {
-        "command": "classify",
-        "triple": _triple_doc(t),
-        "results": [
-            {"case": _case_doc(case), **_result_doc(result)}
+    return _Record(
+        0,
+        {"triple": t,
+         "results": [{"case": case, **vars(result)} for case, result in results]},
+        _CHECK_HEADER,
+        [_check_row(case, t, result) for case, result in results],
+        [["triple ", t]] + [
+            [f"{case.label:>3} {case.outer.value}/{case.inner.value}: ",
+             *_verdict_plain(result)]
             for case, result in results
         ],
-    }
-    rows = [_check_row(case, t, result) for case, result in results]
-    plain = [f"triple {_triple_str(t)}"] + [
-        f"{case.label:>3} {case.outer.value}/{case.inner.value}: {_verdict_plain(result)}"
-        for case, result in results
-    ]
-    _emit(args, doc, _CHECK_HEADER, rows, plain)
-    return 0
+    )
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> _Record:
     case = parse_case(args.case)
     t = parse_triple(args.triple)
     verdict = catalog.member(case, t)
-    doc = {
-        "command": "member",
-        "case": _case_doc(case),
-        "triple": _triple_doc(t),
-        "member": verdict,
-    }
-    header = ["case", "outer", "inner", "r1", "r2", "r3", "member"]
-    row = [case.label, case.outer.value, case.inner.value,
-           *(format_rational(q) for q in t), str(verdict).lower()]
-    plain = [f"{_case_plain(case)}  triple {_triple_str(t)}",
-             f"member {str(verdict).lower()}"]
-    _emit(args, doc, header, [row], plain)
-    return 0 if verdict else 1
+    return _Record(
+        0 if verdict else 1,
+        {"case": case, "triple": t, "member": verdict},
+        ["case", "outer", "inner", "r1", "r2", "r3", "member"],
+        [[case.label, case.outer, case.inner, *t, verdict]],
+        [[_case_plain(case), "  triple ", t], ["member ", verdict]],
+    )
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> _Record:
     case = parse_case(args.case)
-    spec = catalog.family_spec(case, args.family)
-    params = _parse_params(spec, args.params)
+    params = _parse_params(catalog.family_spec(case, args.family), args.params)
     t = catalog.generate(FamilyId(case, args.family), params)
-    doc = {
-        "command": "generate",
-        "case": _case_doc(case),
-        "family": args.family,
-        "params": {k: (format_rational(v) if isinstance(v, Fraction) else v)
-                   for k, v in params.items()},
-        "triple": _triple_doc(t),
-    }
-    header = ["case", "family", "r1", "r2", "r3"]
-    row = [case.label, args.family, *(format_rational(q) for q in t)]
-    plain = [_triple_str(t)]
-    _emit(args, doc, header, [row], plain)
-    return 0
+    return _Record(
+        0,
+        {"case": case, "family": args.family, "params": params, "triple": t},
+        ["case", "family", "r1", "r2", "r3"],
+        [[case.label, args.family, *t]],
+        [t],
+    )
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> _Record:
     case = parse_case(args.case)
-    r1 = parse_rational(args.r1)
-    r3 = parse_rational(args.r3)
+    r1, r3 = parse_rational(args.r1), parse_rational(args.r3)
     outcome = catalog.solve_r2(case, r1, r3)
-    unique = not isinstance(outcome, SolveOutcome)
-    doc = {
-        "command": "solve",
-        "case": _case_doc(case),
-        "r1": format_rational(r1),
-        "r3": format_rational(r3),
-        "result": "unique" if unique else outcome.value,
-        "r2": format_rational(outcome) if unique else None,
-    }
-    header = ["case", "r1", "r3", "result", "r2"]
-    row = [case.label, format_rational(r1), format_rational(r3),
-           doc["result"], doc["r2"] or ""]
-    plain = [f"r2 = {format_rational(outcome)}" if unique else outcome.value]
-    _emit(args, doc, header, [row], plain)
-    return 0
-
-
-def _cmd_diophantine(args) -> int:
-    sols = number_theory.solve_linear_diophantine(args.p, args.q, args.t)
-    doc = {
-        "command": "diophantine",
-        "p": args.p,
-        "q": args.q,
-        "t": args.t,
-        "empty": sols.empty,
-        "base": None if sols.empty else list(sols.base),
-        "step": None if sols.empty else list(sols.step),
-    }
-    header = ["p", "q", "t", "empty", "x0", "y0", "dx", "dy"]
-    if sols.empty:
-        row = [args.p, args.q, args.t, "true", "", "", "", ""]
-        plain = ["empty"]
+    if isinstance(outcome, SolveOutcome):
+        result, r2, plain = outcome, None, outcome
     else:
-        (x0, y0), (dx, dy) = sols.base, sols.step
-        row = [args.p, args.q, args.t, "false", x0, y0, dx, dy]
-        plain = [f"base=({x0}, {y0}) step=({dx}, {dy})"]
-    _emit(args, doc, header, [row], plain)
-    return 0
+        result, r2, plain = "unique", outcome, ["r2 = ", outcome]
+    return _Record(
+        0,
+        {"case": case, "r1": r1, "r3": r3, "result": result, "r2": r2},
+        ["case", "r1", "r3", "result", "r2"],
+        [[case.label, r1, r3, result, r2]],
+        [plain],
+    )
 
 
-def _cmd_construct12(args) -> int:
+def _cmd_diophantine(args) -> _Record:
+    sols = number_theory.solve_linear_diophantine(args.p, args.q, args.t)
+    if sols.empty:
+        base = step = None
+        cells, plain = [None] * 4, "empty"
+    else:
+        base, step = list(sols.base), list(sols.step)
+        cells = base + step
+        plain = ["base=(", base[0], ", ", base[1], ") step=(", step[0], ", ", step[1], ")"]
+    return _Record(
+        0,
+        {"p": args.p, "q": args.q, "t": args.t, "empty": sols.empty,
+         "base": base, "step": step},
+        ["p", "q", "t", "empty", "x0", "y0", "dx", "dy"],
+        [[args.p, args.q, args.t, sols.empty, *cells]],
+        [plain],
+    )
+
+
+def _cmd_construct12(args) -> _Record:
     if (args.delta is None) == (args.list is None):
         raise _UsageError("provide exactly one of --delta and --list")
     header = ["n1", "n2", "delta", "r1", "r2", "r3"]
@@ -372,133 +347,130 @@ def _cmd_construct12(args) -> int:
         t = number_theory.case12_construct(
             args.n1, args.n2, args.delta, allow_degenerate=args.allow_degenerate
         )
-        doc = {
-            "command": "construct12",
-            "n1": args.n1,
-            "n2": args.n2,
-            "delta": args.delta,
-            "triple": None if t is None else _triple_doc(t),
-        }
-        if t is None:
-            rows = [[args.n1, args.n2, args.delta, "", "", ""]]
-            plain = ["NONE"]
-        else:
-            rows = [[args.n1, args.n2, args.delta, *(format_rational(q) for q in t)]]
-            plain = [_triple_str(t)]
-        _emit(args, doc, header, rows, plain)
-        return 0
-    results = list(
-        number_theory.case12_enumerate(
-            args.n1, args.n2, args.list, allow_degenerate=args.allow_degenerate
+        return _Record(
+            0,
+            {"n1": args.n1, "n2": args.n2, "delta": args.delta, "triple": t},
+            header,
+            [[args.n1, args.n2, args.delta, *(t or [None] * 3)]],
+            ["NONE" if t is None else t],
         )
+    results = list(number_theory.case12_enumerate(
+        args.n1, args.n2, args.list, allow_degenerate=args.allow_degenerate))
+    return _Record(
+        0,
+        {"n1": args.n1, "n2": args.n2,
+         "results": [{"delta": delta, "triple": t} for delta, t in results]},
+        header,
+        [[args.n1, args.n2, delta, *t] for delta, t in results],
+        [["delta=", delta, " -> ", t] for delta, t in results],
     )
-    doc = {
-        "command": "construct12",
-        "n1": args.n1,
-        "n2": args.n2,
-        "results": [
-            {"delta": delta, "triple": _triple_doc(t)} for delta, t in results
-        ],
-    }
-    rows = [[args.n1, args.n2, delta, *(format_rational(q) for q in t)]
-            for delta, t in results]
-    plain = [f"delta={delta} -> {_triple_str(t)}" for delta, t in results]
-    _emit(args, doc, header, rows, plain)
-    return 0
 
 
-def _cmd_family5(args) -> int:
+def _cmd_family5(args) -> _Record:
     sign = _parse_sign(args.sign)
     t = number_theory.case13_family5(args.a, args.f, args.k, sign)
-    doc = {
-        "command": "family5",
-        "a": args.a,
-        "f": args.f,
-        "k": args.k,
-        "sign": "+" if sign == 1 else "-",
-        "triple": _triple_doc(t),
-    }
-    header = ["a", "f", "k", "sign", "r1", "r2", "r3"]
-    row = [args.a, args.f, args.k, doc["sign"], *(format_rational(q) for q in t)]
-    _emit(args, doc, header, [row], [_triple_str(t)])
-    return 0
+    sign_text = "+" if sign == 1 else "-"
+    return _Record(
+        0,
+        {"a": args.a, "f": args.f, "k": args.k, "sign": sign_text, "triple": t},
+        ["a", "f", "k", "sign", "r1", "r2", "r3"],
+        [[args.a, args.f, args.k, sign_text, *t]],
+        [t],
+    )
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Record:
     case = parse_case(args.case)
     bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
     triples = oracle.search_solutions(case, bounds, jobs=args.jobs)
     # The jobs count is deliberately not echoed: output must be identical
     # for any worker count.
-    doc = {
-        "command": "search",
-        "case": _case_doc(case),
-        "bounds": {"num_bound": bounds.num_bound, "den_bound": bounds.den_bound},
-        "count": len(triples),
-        "triples": [[format_rational(q) for q in t] for t in triples],
-    }
-    header = ["r1", "r2", "r3"]
-    rows = [[format_rational(q) for q in t] for t in triples]
-    plain = (
-        [f"{_case_plain(case)}  grid |num|<={bounds.num_bound} den<={bounds.den_bound}"]
-        + [_triple_str(t) for t in triples]
-        + [f"count {len(triples)}"]
+    return _Record(
+        0,
+        {"case": case, "bounds": bounds._asdict(), "count": len(triples),
+         "triples": [list(t) for t in triples]},
+        ["r1", "r2", "r3"],
+        triples,
+        [_grid_plain(case, bounds), *triples, f"count {len(triples)}"],
     )
-    _emit(args, doc, header, rows, plain)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Record:
     case = parse_case(args.case)
     bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
     report = oracle.verify_characterization(
         case, bounds, jobs=args.jobs, list_limit=args.limit
     )
-    doc = {
-        "command": "verify",
-        "case": _case_doc(case),
-        "bounds": {"num_bound": bounds.num_bound, "den_bound": bounds.den_bound},
-        "total_triples": report.total_triples,
-        "holds": report.holds,
-        "missing_count": report.missing_count,
-        "spurious_count": report.spurious_count,
-        "coverage_gap_count": report.coverage_gap_count,
-        "exact": report.exact,
-        "list_limit": report.list_limit,
-        "missing": [[format_rational(q) for q in t] for t in report.missing],
-        "spurious": [[format_rational(q) for q in t] for t in report.spurious],
-        "coverage_gap": [[format_rational(q) for q in t] for t in report.coverage_gap],
-    }
-    header = ["category", "r1", "r2", "r3"]
-    rows = [
-        [category, *(format_rational(q) for q in t)]
-        for category, triples in (
-            ("missing", report.missing),
-            ("spurious", report.spurious),
-            ("coverage_gap", report.coverage_gap),
-        )
-        for t in triples
-    ]
+    lists = {"missing": report.missing, "spurious": report.spurious,
+             "coverage_gap": report.coverage_gap}
     plain = [
-        f"{_case_plain(case)}  grid |num|<={bounds.num_bound} den<={bounds.den_bound}",
+        _grid_plain(case, bounds),
         f"total {report.total_triples}  holds {report.holds}",
         f"missing {report.missing_count}  spurious {report.spurious_count}"
         f"  coverage_gap {report.coverage_gap_count}",
     ]
-    for category, triples in (
-        ("missing", report.missing),
-        ("spurious", report.spurious),
-        ("coverage_gap", report.coverage_gap),
-    ):
+    for category, triples in lists.items():
         if triples:
-            plain.append(f"{category}:")
-            plain.extend(f"  {_triple_str(t)}" for t in triples)
-    _emit(args, doc, header, rows, plain)
-    return 0 if report.exact else 1
+            plain += [f"{category}:", *(["  ", t] for t in triples)]
+    return _Record(
+        0 if report.exact else 1,
+        {"case": case, "bounds": bounds._asdict(),
+         "total_triples": report.total_triples, "holds": report.holds,
+         "missing_count": report.missing_count,
+         "spurious_count": report.spurious_count,
+         "coverage_gap_count": report.coverage_gap_count,
+         "exact": report.exact, "list_limit": report.list_limit,
+         **{category: [list(t) for t in triples] for category, triples in lists.items()}},
+        ["category", "r1", "r2", "r3"],
+        [[category, *t] for category, triples in lists.items() for t in triples],
+        plain,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Parser
+
+
+def _required(*names: str, **kwargs) -> tuple:
+    return tuple((f"--{name}", dict(required=True, **kwargs)) for name in names)
+
+
+_CASE = _required("case", help="1..14, L1, L2, or outer/inner")
+_TRIPLE = _required("triple", metavar="r1,r2,r3")
+_GRID = (*_CASE, *_required("num-bound", "den-bound", type=_positive_int),
+         ("--jobs", dict(type=_positive_int, default=1)))
+
+# name -> (help, handler, arguments); each argument is (flag, add_argument kwargs)
+_COMMANDS = {
+    "check": ("evaluate one case on one triple", _cmd_check,
+              (*_required("outer", "inner", help="add|sub|mul|div"), *_TRIPLE)),
+    "classify": ("evaluate all 16 cases on one triple", _cmd_classify, _TRIPLE),
+    "member": ("test the case's exact characterization", _cmd_member, _CASE + _TRIPLE),
+    "generate": ("instantiate a parametric family", _cmd_generate, (
+        *_CASE, *_required("family", type=int, metavar="K"),
+        ("--params", dict(metavar="key=val[,key=val...]")),
+    )),
+    "solve": ("solve case 12/13/14 for r2 given r1 and r3", _cmd_solve,
+              _CASE + _required("r1", "r3")),
+    "diophantine": ("solve p*x + q*y = t over the integers", _cmd_diophantine,
+                    _required("p", "q", "t", type=int)),
+    "construct12": (
+        "build a case-12 integer triple from (N1, N2, delta), or list the "
+        "first N constructible deltas with --list", _cmd_construct12, (
+            *_required("n1", "n2", type=int),
+            ("--delta", dict(type=int)),
+            ("--list", dict(type=_positive_int, metavar="N")),
+            ("--allow-degenerate", dict(action="store_true",
+                                        help="permit a zero third component")),
+        )),
+    "family5": ("build a case-13 family-5 triple", _cmd_family5,
+                _required("a", "f", "k", type=int) + _required("sign", help="+ or -")),
+    "search": ("list all solutions on a bounded grid", _cmd_search, _GRID),
+    "verify": ("compare checker, characterization, and families over a grid", _cmd_verify, (
+        *_GRID, ("--limit", dict(type=_positive_int, default=oracle.DEFAULT_LIST_LIMIT,
+                                 help="cap on listed triples per category")),
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -508,95 +480,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "satisfying r1 op (r2 op' r3) = (r1 op r2) op' (r1 op r3).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # No option starts with -<digit>, so "-5/2" after an option is its value.
+        p._negative_number_matcher = re.compile(r"^-\d")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
         p.add_argument("--output", metavar="PATH",
                        help="write output to PATH instead of stdout")
-
-    p = sub.add_parser("check", help="evaluate one case on one triple")
-    p.add_argument("--outer", required=True, help="add|sub|mul|div")
-    p.add_argument("--inner", required=True, help="add|sub|mul|div")
-    p.add_argument("--triple", required=True, metavar="r1,r2,r3")
-    common(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("classify", help="evaluate all 16 cases on one triple")
-    p.add_argument("--triple", required=True, metavar="r1,r2,r3")
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("member", help="test the case's exact characterization")
-    p.add_argument("--case", required=True, help="1..14, L1, L2, or outer/inner")
-    p.add_argument("--triple", required=True, metavar="r1,r2,r3")
-    common(p)
-    p.set_defaults(handler=_cmd_member)
-
-    p = sub.add_parser("generate", help="instantiate a parametric family")
-    p.add_argument("--case", required=True)
-    p.add_argument("--family", required=True, type=int, metavar="K")
-    p.add_argument("--params", metavar="key=val[,key=val...]")
-    common(p)
-    p.set_defaults(handler=_cmd_generate)
-
-    p = sub.add_parser("solve", help="solve case 12/13/14 for r2 given r1 and r3")
-    p.add_argument("--case", required=True, help="12, 13, or 14")
-    p.add_argument("--r1", required=True)
-    p.add_argument("--r3", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_solve)
-
-    p = sub.add_parser("diophantine", help="solve p*x + q*y = t over the integers")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--q", required=True, type=int)
-    p.add_argument("--t", required=True, type=int)
-    common(p)
-    p.set_defaults(handler=_cmd_diophantine)
-
-    p = sub.add_parser(
-        "construct12",
-        help="build a case-12 integer triple from (N1, N2, delta), or list the "
-        "first N constructible deltas with --list",
-    )
-    p.add_argument("--n1", required=True, type=int)
-    p.add_argument("--n2", required=True, type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--list", type=_positive_int, metavar="N")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="permit a zero third component")
-    common(p)
-    p.set_defaults(handler=_cmd_construct12)
-
-    p = sub.add_parser("family5", help="build a case-13 family-5 triple")
-    p.add_argument("--a", required=True, type=int)
-    p.add_argument("--f", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--sign", required=True,
-                   help="+ or - (use --sign=- for the minus root)")
-    common(p)
-    p.set_defaults(handler=_cmd_family5)
-
-    p = sub.add_parser("search", help="list all solutions on a bounded grid")
-    p.add_argument("--case", required=True)
-    p.add_argument("--num-bound", required=True, type=_positive_int)
-    p.add_argument("--den-bound", required=True, type=_positive_int)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    common(p)
-    p.set_defaults(handler=_cmd_search)
-
-    p = sub.add_parser(
-        "verify",
-        help="compare checker, characterization, and families over a grid",
-    )
-    p.add_argument("--case", required=True)
-    p.add_argument("--num-bound", required=True, type=_positive_int)
-    p.add_argument("--den-bound", required=True, type=_positive_int)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--limit", type=_positive_int, default=oracle.DEFAULT_LIST_LIMIT,
-                   help="cap on listed triples per category")
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
-
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -608,7 +501,17 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        record = args.handler(args)
+        text = _render(args.format, args.command, record)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
+        else:
+            sys.stdout.write(text)
+        return record.exit
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

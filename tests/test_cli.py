@@ -234,6 +234,35 @@ def test_unprintable_result_is_a_domain_error(capsys, fmt):
     assert err.startswith("error:") and "digits" in err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_unprintable_integer_result_is_a_domain_error(capsys, fmt):
+    # p and t have 4,300 digits, the most int() parses, but y0 = t - p*x0
+    # has 4,301, more than str() converts.
+    n = "9" * 4300
+    code, out, err = run_cli(capsys, "diophantine", "--p", n, "--q", "1",
+                             f"--t=-{n}", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "digits" in err
+
+
+@pytest.mark.parametrize("words, joined", [
+    (["solve", "--case", "12", "--r1", "7/3", "--r3", "-5/2"],
+     ["solve", "--case", "12", "--r1", "7/3", "--r3=-5/2"]),
+    (["solve", "--case", "add/div", "--r1", "-3/4", "--r3", "2/5"],
+     ["solve", "--case", "add/div", "--r1=-3/4", "--r3", "2/5"]),
+    (["check", "--outer", "add", "--inner", "add", "--triple", "-1,2,3"],
+     ["check", "--outer", "add", "--inner", "add", "--triple=-1,2,3"]),
+    (["family5", "--a", "4", "--f", "1", "--k", "1", "--sign", "-"],
+     ["family5", "--a", "4", "--f", "1", "--k", "1", "--sign=-"]),
+])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_negative_value_may_follow_its_option_as_a_separate_word(capsys, words, joined, fmt):
+    spaced = run_cli(capsys, *words, "--format", fmt)
+    assert spaced == run_cli(capsys, *joined, "--format", fmt)
+    assert spaced[0] in (0, 1) and spaced[2] == ""
+
+
 def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "no-such-directory" / "out.json"
     code, out, err = run_cli(capsys, "check", "--outer", "mul", "--inner", "add",
@@ -266,6 +295,18 @@ def test_usage_errors_exit_two(capsys):
                    "--triple", "1,2,1/0")[0] == 2
     assert run_cli(capsys, "search", "--case", "1", "--num-bound", "0",
                    "--den-bound", "1")[0] == 2
+    assert run_cli(capsys, "search", "--case", "1", "--num-bound", "-1",
+                   "--den-bound", "1")[0] == 2
+    for case, family, params, names in [
+        ("12", "4", "delta=x", "parameter delta:"),
+        ("14", "3", "e=1,f=3,printed_form=maybe", "parameter printed_form:"),
+        ("13", "5", "a=4,f=1,k=1,sign=0", "parameter sign:"),
+        ("12", "4", "delta", "parameter 'delta'"),
+    ]:
+        code, out, err = run_cli(capsys, "generate", "--case", case, "--family", family,
+                                 "--params", params)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and names in err
 
 
 def test_search_output_is_identical_across_job_counts(capsys):
