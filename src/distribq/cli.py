@@ -20,12 +20,22 @@ NONE, ALL, or an empty solution set are successes, not negative verdicts.
 
 Rationals are always serialized as "n/d" (including "/1") so every printed
 value re-parses exactly.
+
+The parser is built once per process, on the first `run`, and every later
+`run` reuses it. `parse_args` returns a fresh namespace on each call and
+writes help and errors, wrapped to the terminal width, to the
+`sys.stdout`/`sys.stderr` current at that call, so the handlers and the
+argument tables must hold no per-call state either: no argument takes a
+mutable default or an `append` action. Handlers look up `check`,
+`catalog.*` and `number_theory.*` as module attributes at call time, so a
+replacement installed after the first `run` is still called.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -144,7 +154,12 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -473,6 +488,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distribq",

@@ -1,12 +1,18 @@
 """Command-line contracts: parsing, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import distribq
 from distribq.cli import format_rational, main, parse_case, parse_rational, parse_triple
 from distribq.identity import BinOp, CaseId, Triple
 
@@ -293,8 +299,18 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "member", "--case", "pow/add", "--triple", "1,2,3")[0] == 2
     assert run_cli(capsys, "check", "--outer", "add", "--inner", "add",
                    "--triple", "1,2,1/0")[0] == 2
-    assert run_cli(capsys, "search", "--case", "1", "--num-bound", "0",
-                   "--den-bound", "1")[0] == 2
+    code, _, err = run_cli(capsys, "search", "--case", "1", "--num-bound", "0",
+                           "--den-bound", "1")
+    assert code == 2 and "--num-bound: must be >= 1" in err
+    for argv, option in [
+        (["search", "--case", "1", "--num-bound", "x", "--den-bound", "1"], "--num-bound"),
+        (["verify", "--case", "1", "--num-bound", "1", "--den-bound", "1",
+          "--limit", "1.5"], "--limit"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"argument {option}: expected a positive integer" in err
+        assert "_positive_int" not in err
     assert run_cli(capsys, "search", "--case", "1", "--num-bound", "-1",
                    "--den-bound", "1")[0] == 2
     for case, family, params, names in [
@@ -316,3 +332,92 @@ def test_search_output_is_identical_across_job_counts(capsys):
                             "--den-bound", "2", "--jobs", jobs)
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run_cli(capsys, "solve", "--case", "13", "--r1", "3", "--r3", "-1")
+    first = len(built)
+    every_subcommand = [
+        ["check", "--outer", "sub", "--inner", "mul", "--triple", "6,4,-3"],
+        ["classify", "--triple", "0,2,3"],
+        ["member", "--case", "12", "--triple", "2,5,1"],
+        ["generate", "--case", "12", "--family", "4", "--params", "delta=2"],
+        ["solve", "--case", "13", "--r1", "3", "--r3", "-1"],
+        ["diophantine", "--p", "1", "--q", "1", "--t", "1"],
+        ["construct12", "--n1", "3", "--n2", "2", "--list", "3"],
+        ["family5", "--a", "4", "--f", "1", "--k", "1", "--sign", "-"],
+        ["search", "--case", "12", "--num-bound", "1", "--den-bound", "1"],
+        ["verify", "--case", "13", "--num-bound", "1", "--den-bound", "1"],
+    ]
+    for argv in every_subcommand:
+        for fmt in ("plain", "json", "csv"):
+            assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+    assert len(built) == first
+
+
+def test_runs_in_one_process_match_fresh_module_runs(monkeypatch, capsys, tmp_path):
+    """Each step of one interleaved in-process sequence gives the same stdout,
+    stderr, exit code and --output file as `python -m distribq` run afresh."""
+    target = str(tmp_path / "out.json")
+    steps = [
+        ["check", "--outer", "sub", "--inner", "mul"],  # no --triple: exit 2
+        ["solve", "--case", "13", "--r1", "3", "--r3", "-1"],
+        ["--help"],
+        ["member", "--case", "12", "--triple", "2,5,1", "--format", "json"],
+        ["verify", "-h"],
+        ["generate", "--case", "12", "--family", "4", "--params", "delta=2",
+         "--format", "csv"],
+        ["classify", "--triple", "0,2,3", "--format", "xml"],
+        ["classify", "--triple", "0,2,3"],
+        ["generate", "--case", "12", "--family", "4", "--params", "bogus=1"],
+        ["diophantine", "--p", "1", "--q", "1", "--t", "1", "--format", "json"],
+        ["search", "--case", "1", "--num-bound", "x", "--den-bound", "1"],
+        ["search", "--case", "12", "--num-bound", "2", "--den-bound", "1",
+         "--format", "csv"],
+        ["family5", "--a", "2", "--f", "1", "--k", "1", "--sign=+"],
+        ["construct12", "--n1", "3", "--n2", "2", "--list", "3"],
+        ["check", "--outer", "mul", "--inner", "add", "--triple", "1,2,3",
+         "--format", "json", "--output", target],
+        ["check", "--outer", "mul", "--inner", "add", "--triple", "1,2,3",
+         "--format", "json"],
+        ["solve", "--case", "12", "--r1", "7/3", "--r3", "-5/2"],
+        ["verify", "--case", "12", "--num-bound", "6", "--den-bound", "1",
+         "--limit", "1"],
+    ]
+
+    def written():
+        if not os.path.exists(target):
+            return None
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+        os.remove(target)
+        return text
+
+    # The parser may be built under another width; help must wrap at 80.
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run_cli(capsys, "member", "--case", "12", "--triple", "2,5,1")[0] == 0
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = []
+    for argv in steps:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, written()))
+
+    src = str(Path(distribq.__file__).resolve().parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv, seen in zip(steps, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "distribq", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert seen == (fresh.returncode, fresh.stdout, fresh.stderr, written()), argv
+    assert [seen[0] for seen in in_process] == [
+        2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 3, 0, 0, 0, 0, 0]
+    assert in_process[14][1] == "" and in_process[14][3] == in_process[15][1]

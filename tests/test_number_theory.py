@@ -5,6 +5,8 @@ import re
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distribq.identity import Triple, Verdict, case_from_label, check
 from distribq.number_theory import (
@@ -204,3 +206,18 @@ def test_family5_accepted_outputs_hold():
                     assert check(case13, t).verdict is Verdict.HOLDS
                     assert t.r3.denominator == f
     assert accepted > 30
+
+
+@settings(max_examples=500)
+@given(st.integers(-10**6, 10**6), st.integers(2, 10**4), st.integers(0, 10**6),
+       st.sampled_from([1, -1]), st.integers(-10**6, 10**6), st.booleans())
+def test_family5_rejects_every_f_above_one(a, f, k, sign, e, e_is_root):
+    # r3 = e/f is a root of the monic x^2 + (a-1)x + c, so by the rational
+    # root theorem it is an integer, and e/f in lowest terms needs f = 1.
+    if e_is_root:
+        # The K and sign that give this e, so parity holds and the call
+        # gets as far as the integrality of c.
+        signed_k = 2 * e + f * (a - 1)
+        k, sign = abs(signed_k), 1 if signed_k >= 0 else -1
+    with pytest.raises(DomainError):
+        case13_family5(a, f, k, sign)
