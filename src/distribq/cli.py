@@ -146,6 +146,8 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
             raise _UsageError(
                 f"unknown parameter {key!r}; family takes {', '.join(spec.params)}"
             )
+        if key in out:
+            raise _UsageError(f"parameter {key}: given more than once")
         try:
             out[key] = _PARAM_PARSERS[kind](value)
         except _UsageError as exc:

@@ -9,7 +9,6 @@ subtraction-over-multiplication (case 12) and addition-over-division
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
@@ -178,33 +177,33 @@ def case13_family5(a: int, f: int, k: int, sign: int = 1) -> Triple:
 
     The components come from the quadratic e^2 + f*(a-1)*e + c*f^2 = 0 with
     discriminant K^2: c = ((f*(a-1))^2 - K^2) / (4*f^2) and
-    e = (-f*(a-1) + sign*K) / 2. Parameters are rejected (DomainError naming
-    the first violated constraint) unless e and c are nonzero integers, e/f
-    is in lowest terms, and r1 + r3 is nonzero so the identity is defined.
+    e = (-f*(a-1) + sign*K) / 2. Only f = 1 can succeed: r3 = e/f is a root
+    of the monic x^2 + (a-1)*x + c, so by the rational root theorem it is an
+    integer. Parameters are rejected (DomainError naming the first violated
+    constraint) unless f = 1, e is an integer, e and c are nonzero, and
+    r1 + r3 is nonzero so the identity is defined. With f = 1 an integer e
+    makes c an integer too: (a-1) - K and (a-1) + K are both even.
     """
     if a == 0:
         raise DomainError("a must be nonzero")
-    if f < 1:
-        raise DomainError("f must be a positive integer")
+    if f != 1:
+        raise DomainError(
+            "f must be 1 (r3 = e/f is a root of the monic x^2 + (a-1)x + c, "
+            "so by the rational root theorem it is an integer)"
+        )
     if k < 0:
         raise DomainError("K must be nonnegative")
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    w = f * (a - 1)
+    w = a - 1
     if (w - k) % 2:
-        raise DomainError("e is not an integer (f*(a-1) and K have opposite parity)")
-    c_num = w * w - k * k
-    if c_num % (4 * f * f):
-        raise DomainError("c is not an integer (4*f^2 does not divide (f*(a-1))^2 - K^2)")
-    c = c_num // (4 * f * f)
+        raise DomainError("e is not an integer (a-1 and K have opposite parity)")
+    c = (w * w - k * k) // 4
     e = (-w + sign * k) // 2
     if c == 0:
         raise DomainError("c must be nonzero")
     if e == 0:
         raise DomainError("e must be nonzero")
-    if gcd(abs(e), f) != 1:
-        raise DomainError("e and f must be coprime")
-    r3 = Fraction(e, f)
-    if a == -r3:
+    if a == -e:
         raise DomainError("r1 + r3 must be nonzero")
-    return Triple(Fraction(a), Fraction(c), r3)
+    return Triple.of(a, c, e)

@@ -115,8 +115,7 @@ def _verify_partition(
     return _VerifyPartial(holds, missing, spurious, gap)
 
 
-def _run_partitions(worker, case: CaseId, bounds: SearchBounds, jobs: int) -> list:
-    values = enumerate_rationals(bounds)
+def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int) -> list:
     tasks = [(case, r1, values) for r1 in values]
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
@@ -127,7 +126,8 @@ def _run_partitions(worker, case: CaseId, bounds: SearchBounds, jobs: int) -> li
 
 def search_solutions(case: CaseId, bounds: SearchBounds, jobs: int = 1) -> list[Triple]:
     """All triples on the grid whose identity check HOLDS, in grid order."""
-    partials = _run_partitions(_search_partition, case, bounds, jobs)
+    values = enumerate_rationals(bounds)
+    partials = _run_partitions(_search_partition, case, values, jobs)
     return [t for partial in partials for t in partial]
 
 
@@ -168,7 +168,7 @@ def verify_characterization(
     """Exhaustively compare check, member, and family_union_member on the grid."""
     values = enumerate_rationals(bounds)
     partials: list[_VerifyPartial] = _run_partitions(
-        partial(_verify_partition, list_limit=list_limit), case, bounds, jobs
+        partial(_verify_partition, list_limit=list_limit), case, values, jobs
     )
 
     def merge(listings: list[_Listing]) -> tuple[int, tuple[Triple, ...]]:

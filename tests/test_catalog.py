@@ -166,6 +166,15 @@ def test_generate_rejects_constraint_violations(label, index, params):
         _gen(label, index, **params)
 
 
+def test_generate_error_names_the_parameters_triple_and_family():
+    with pytest.raises(DomainError) as error:
+        _gen(12, 4, delta=1)
+    assert str(error.value) == (
+        "delta=1 gives 3, 2, 0, outside case 12 family 4: "
+        "(3d, 2d, 3(1 - d)) for an integer d >= 2"
+    )
+
+
 def test_generate_rejects_unknown_and_missing_params():
     with pytest.raises(DomainError, match="unknown parameter"):
         _gen(12, 4, delta=2, gamma=1)

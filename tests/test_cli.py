@@ -318,6 +318,7 @@ def test_usage_errors_exit_two(capsys):
         ("14", "3", "e=1,f=3,printed_form=maybe", "parameter printed_form:"),
         ("13", "5", "a=4,f=1,k=1,sign=0", "parameter sign:"),
         ("12", "4", "delta", "parameter 'delta'"),
+        ("13", "3", "a=2,a=5", "parameter a: given more than once"),
     ]:
         code, out, err = run_cli(capsys, "generate", "--case", case, "--family", family,
                                  "--params", params)

@@ -21,7 +21,7 @@ import pytest
 
 from distribq import DomainError
 from distribq.catalog import FamilyId, families_for, generate
-from distribq.identity import ALL_CASES, Triple
+from distribq.identity import ALL_CASES, Triple, case_from_label
 
 RECORDED = Path(__file__).with_name("generate_outcomes.json")
 
@@ -81,8 +81,8 @@ def test_generate_outcomes_match_the_recording(recorded, case, spec):
 
 
 def test_none_counts_as_an_absent_optional_key():
-    case12 = next(case for case in ALL_CASES if case.label == "12")
-    assert generate(FamilyId(case12, 1), {"r2": None, "r3": 2}) == Triple.of(0, 0, 2)
+    family = FamilyId(case_from_label(12), 1)
+    assert generate(family, {"r2": None, "r3": 2}) == Triple.of(0, 0, 2)
 
 
 if __name__ == "__main__":

@@ -174,12 +174,13 @@ def test_family5_worked_instances():
     "a,f,k,sign,fragment",
     [
         (2, 1, 1, 1, "c must be nonzero"),
-        (2, 2, 1, 1, "e is not an integer"),
-        (2, 2, 0, 1, "c is not an integer"),
-        (3, 2, 0, 1, "coprime"),
+        (2, 2, 1, 1, "f must be 1"),
+        (2, 2, 0, 1, "f must be 1"),
+        (3, 2, 0, 1, "f must be 1"),
+        (3, 1, 1, 1, "e is not an integer"),
         (3, 1, 4, -1, "r1 + r3"),
         (0, 1, 0, 1, "a must be nonzero"),
-        (3, 0, 0, 1, "f must be a positive integer"),
+        (3, 0, 0, 1, "f must be 1"),
         (3, 1, -1, 1, "K must be nonnegative"),
         (3, 1, 0, 2, "sign"),
     ],
@@ -215,8 +216,8 @@ def test_family5_rejects_every_f_above_one(a, f, k, sign, e, e_is_root):
     # r3 = e/f is a root of the monic x^2 + (a-1)x + c, so by the rational
     # root theorem it is an integer, and e/f in lowest terms needs f = 1.
     if e_is_root:
-        # The K and sign that give this e, so parity holds and the call
-        # gets as far as the integrality of c.
+        # The K and sign that give this e, so the parity of e cannot be
+        # what rejects the call.
         signed_k = 2 * e + f * (a - 1)
         k, sign = abs(signed_k), 1 if signed_k >= 0 else -1
     with pytest.raises(DomainError):

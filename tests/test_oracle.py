@@ -135,6 +135,22 @@ def test_verify_calls_check_and_member_once_per_triple(monkeypatch):
     assert calls == {"check": volume, "member": volume}
 
 
+def test_each_scan_enumerates_the_grid_once(monkeypatch):
+    calls = []
+    original = oracle.enumerate_rationals
+
+    def counting(bounds):
+        calls.append(bounds)
+        return original(bounds)
+
+    monkeypatch.setattr(oracle, "enumerate_rationals", counting)
+    bounds = SearchBounds(2, 2)
+    verify_characterization(case_from_label(12), bounds)
+    assert calls == [bounds]
+    search_solutions(case_from_label(12), bounds)
+    assert calls == [bounds, bounds]
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count and maps
     in-process, so no worker is ever started."""
