@@ -40,7 +40,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from . import number_theory
-from .identity import CaseId, DomainError, Triple
+from .identity import ALL_CASES, CaseId, DomainError, Triple
 
 __all__ = [
     "FamilyId",
@@ -136,13 +136,18 @@ _MEMBER: dict[str, Callable[[Triple], bool]] = {
 }
 
 
+# Keyed by case, so a call hashes the CaseId it is given instead of building
+# and hashing the label's (outer, inner) key.
+_MEMBER_BY_CASE = {case: _MEMBER[case.label] for case in ALL_CASES}
+
+
 def member(case: CaseId, t: Triple) -> bool:
     """True iff t satisfies the case's complete characterization.
 
     Definedness constraints are part of membership: a triple for which
     either side of the identity is undefined is never a member.
     """
-    return _MEMBER[case.label](t)
+    return _MEMBER_BY_CASE[case](t)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +189,16 @@ def _as_int(value, name: str) -> int:
     raise DomainError(f"{name} must be an integer")
 
 
+def _as_fraction(value, name: str) -> Fraction:
+    # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
+    if isinstance(value, float):
+        raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
+    return Fraction(value)
+
+
 def _coerce(kind: str, value, name: str):
     if kind == "rational":
-        return Fraction(value)
+        return _as_fraction(value, name)
     if kind == "int":
         return _as_int(value, name)
     return value
@@ -393,11 +405,13 @@ def generate(family: FamilyId, params: Mapping[str, object]) -> Triple:
     """Produce the family's triple from a parameter record.
 
     Each value is coerced once by its declared kind (rational to Fraction,
-    int to int), and a None value counts as absent. Unknown or missing keys,
-    a builder's own check, and a triple outside the family's constraint
-    (`matches`) raise DomainError naming the problem. One documented triple
-    skips the `matches` check: case 14 family 3 with printed_form set fails
-    the identity on purpose, so the printed formula stays demonstrable.
+    int to int), and a None value counts as absent. A float for a rational
+    raises DomainError: its binary expansion is rarely the rational meant.
+    Unknown or missing keys, a builder's own check, and a triple outside the
+    family's constraint (`matches`) raise DomainError naming the problem.
+    One documented triple skips the `matches` check: case 14 family 3 with
+    printed_form set fails the identity on purpose, so the printed formula
+    stays demonstrable.
     """
     spec = family_spec(family.case, family.index)
     supplied = {name: value for name, value in params.items() if value is not None}
@@ -448,10 +462,11 @@ def solve_r2(case, r1, r3) -> Fraction | SolveOutcome:
     Each defining equation is linear in r2, so the answer is a unique
     rational, ALL (the r2 coefficient and the constant both vanish), or
     NONE (only the coefficient vanishes). For cases 13 and 14 the
-    definedness constraints on (r1, r3) are preconditions.
+    definedness constraints on (r1, r3) are preconditions. r1 and r3 may be
+    ints, Fractions or strings; a float raises DomainError.
     """
     label = _solve_label(case)
-    r1, r3 = Fraction(r1), Fraction(r3)
+    r1, r3 = _as_fraction(r1, "r1"), _as_fraction(r3, "r3")
     n1, d1, n3, d3 = r1.numerator, r1.denominator, r3.numerator, r3.denominator
     error = _undefined(label, n1, d1, n3, d3)
     if error is not None:

@@ -246,18 +246,25 @@ def _grid_plain(case: CaseId, bounds: oracle.SearchBounds) -> str:
     return f"{_case_plain(case)}  grid |num|<={bounds.num_bound} den<={bounds.den_bound}"
 
 
-def _verdict_plain(result: CheckResult) -> list:
-    if result.verdict is Verdict.UNDEFINED:
-        return ["UNDEFINED  site: ", result.undefined_site]
-    return [result.verdict, "  lhs=", result.lhs, "  rhs=", result.rhs]
-
-
 _CHECK_HEADER = ["case", "outer", "inner", "r1", "r2", "r3",
                  "verdict", "lhs", "rhs", "undefined_site"]
 
 
-def _check_row(case: CaseId, t: Triple, result: CheckResult) -> list:
-    return [case.label, case.outer, case.inner, *t, *vars(result).values()]
+def _result_fields(result: CheckResult) -> dict:
+    """The result's values by name, in the order of `_CHECK_HEADER`'s last
+    four columns. Each side's Fraction is built here, once per result."""
+    return {"verdict": result.verdict, "lhs": result.lhs, "rhs": result.rhs,
+            "undefined_site": result.undefined_site}
+
+
+def _verdict_plain(fields: dict) -> list:
+    if fields["verdict"] is Verdict.UNDEFINED:
+        return ["UNDEFINED  site: ", fields["undefined_site"]]
+    return [fields["verdict"], "  lhs=", fields["lhs"], "  rhs=", fields["rhs"]]
+
+
+def _check_row(case: CaseId, t: Triple, fields: dict) -> list:
+    return [case.label, case.outer, case.inner, *t, *fields.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +274,28 @@ def _check_row(case: CaseId, t: Triple, result: CheckResult) -> list:
 def _cmd_check(args) -> _Record:
     case = CaseId(_parse_op(args.outer), _parse_op(args.inner))
     t = parse_triple(args.triple)
-    result = check(case, t)
+    fields = _result_fields(check(case, t))
     return _Record(
-        0 if result.verdict is Verdict.HOLDS else 1,
-        {"case": case, "triple": t, **vars(result)},
+        0 if fields["verdict"] is Verdict.HOLDS else 1,
+        {"case": case, "triple": t, **fields},
         _CHECK_HEADER,
-        [_check_row(case, t, result)],
-        [[_case_plain(case), "  triple ", t], _verdict_plain(result)],
+        [_check_row(case, t, fields)],
+        [[_case_plain(case), "  triple ", t], _verdict_plain(fields)],
     )
 
 
 def _cmd_classify(args) -> _Record:
     t = parse_triple(args.triple)
-    results = [(case, check(case, t)) for case in ALL_CASES]
+    results = [(case, _result_fields(check(case, t))) for case in ALL_CASES]
     return _Record(
         0,
-        {"triple": t,
-         "results": [{"case": case, **vars(result)} for case, result in results]},
+        {"triple": t, "results": [{"case": case, **fields} for case, fields in results]},
         _CHECK_HEADER,
-        [_check_row(case, t, result) for case, result in results],
+        [_check_row(case, t, fields) for case, fields in results],
         [["triple ", t]] + [
             [f"{case.label:>3} {case.outer.value}/{case.inner.value}: ",
-             *_verdict_plain(result)]
-            for case, result in results
+             *_verdict_plain(fields)]
+            for case, fields in results
         ],
     )
 

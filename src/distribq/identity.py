@@ -6,19 +6,20 @@ For an ordered pair of binary operations (outer, inner) and a triple
     r1 outer (r2 inner r3)  ==  (r1 outer r2) inner (r1 outer r3)
 
 Values are `fractions.Fraction` at every interface. `check` computes on
-their integer numerators and denominators and builds Fractions only for the
-two side values it reports; nothing uses floating point. Divisions by zero
-never raise out of this module: `check` reports an UNDEFINED verdict that
-records which sub-operation failed. `DomainError`, the package's error for
+their integer numerators and denominators and builds no Fraction itself: its
+result keeps each side as an integer pair and builds the side's Fraction
+when it is read. Nothing uses floating point. Divisions by zero never raise
+out of this module: `check` reports an UNDEFINED verdict that records which
+sub-operation failed. `DomainError`, the package's error for
 a caller's request outside an operation's contract, is defined here because
 every other module imports this one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -138,24 +139,67 @@ class Verdict(Enum):
     UNDEFINED = "UNDEFINED"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
+    return None if pair is None else Fraction(*pair)
+
+
+class CheckResult(tuple):
     """Outcome of evaluating both sides of the identity.
 
     HOLDS and FAILS always carry both side values. UNDEFINED carries the
     description of the first undefined sub-operation, plus whichever side
     values could still be computed.
+
+    `check` builds it from one tuple (verdict, lhs, rhs, undefined_site) in
+    which each side is the integer pair (numerator, denominator) it
+    computed, neither reduced nor sign-normalised, or None. `lhs` and `rhs`
+    build the side's Fraction, in lowest terms, each time they are read, so
+    a scan that reads only `verdict` builds none. The class is a tuple only
+    so that it is immutable and cheap to build: read it through its
+    attributes. Equality, hashing and repr go by the side values, so results
+    whose pairs are scaled differently but have equal values are equal.
     """
 
-    verdict: Verdict
-    lhs: Fraction | None = None
-    rhs: Fraction | None = None
-    undefined_site: str | None = None
+    __slots__ = ()
+
+    verdict = property(itemgetter(0), doc="HOLDS, FAILS or UNDEFINED.")
+    undefined_site = property(itemgetter(3), doc="The first undefined site, or None.")
+
+    @property
+    def lhs(self) -> Fraction | None:
+        return _fraction(self[1])
+
+    @property
+    def rhs(self) -> Fraction | None:
+        return _fraction(self[2])
+
+    def _values(self) -> tuple:
+        return self.verdict, self.lhs, self.rhs, self.undefined_site
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._values() == other._values()
+
+    # tuple's own __ne__ would compare the raw pairs.
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._values() != other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        verdict, lhs, rhs, site = self._values()
+        return (f"CheckResult(verdict={verdict!r}, lhs={lhs!r}, rhs={rhs!r}, "
+                f"undefined_site={site!r})")
 
 
 # Module-level aliases: looking a member up on an Enum class costs more than
 # the integer arithmetic it selects.
 _ADD, _SUB, _MUL = BinOp.ADD, BinOp.SUB, BinOp.MUL
+_HOLDS, _FAILS, _UNDEFINED = Verdict.HOLDS, Verdict.FAILS, Verdict.UNDEFINED
 
 
 def _apply_int(op: BinOp, xn: int, xd: int, yn: int, yd: int) -> tuple[int, int] | None:
@@ -187,10 +231,6 @@ _SITES = (
 )
 
 
-def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
-    return None if pair is None else Fraction(*pair)
-
-
 def check(case: CaseId, t: Triple) -> CheckResult:
     """Evaluate r1 outer (r2 inner r3) against (r1 outer r2) inner (r1 outer r3).
 
@@ -200,8 +240,9 @@ def check(case: CaseId, t: Triple) -> CheckResult:
     reported.
 
     The five sub-operations run on the integer numerators and denominators
-    of the triple, and the sides are compared by cross-multiplication; only
-    the two reported side values are built as Fractions.
+    of the triple, and the sides are compared by cross-multiplication. No
+    Fraction is built here: the result keeps each side's integer pair and
+    builds its Fraction when `lhs` or `rhs` is read.
     """
     outer, inner = case
     r1, r2, r3 = t
@@ -226,9 +267,7 @@ def check(case: CaseId, t: Triple) -> CheckResult:
             site = _SITES[3]
         else:
             site = _SITES[4]
-        return CheckResult(Verdict.UNDEFINED, _fraction(lhs), _fraction(rhs), site)
+        return CheckResult((_UNDEFINED, lhs, rhs, site))
     (ln, ld), (rn, rd) = lhs, rhs
-    if ln * rd == rn * ld:
-        value = Fraction(ln, ld)
-        return CheckResult(Verdict.HOLDS, value, value, None)
-    return CheckResult(Verdict.FAILS, Fraction(ln, ld), Fraction(rn, rd), None)
+    verdict = _HOLDS if ln * rd == rn * ld else _FAILS
+    return CheckResult((verdict, lhs, rhs, None))

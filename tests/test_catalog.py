@@ -184,6 +184,23 @@ def test_generate_rejects_unknown_and_missing_params():
         family_spec(case_from_label(12), 5)
 
 
+
+def test_floats_are_refused_for_rational_parameters():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10.
+    with pytest.raises(DomainError, match="r2 must be an exact rational, not the float 0.1"):
+        _gen(1, 1, r2=0.1, r3=1)
+    with pytest.raises(DomainError, match="r3 must be an exact rational"):
+        _gen(14, 2, r3=-0.5)
+    with pytest.raises(DomainError, match="r1 must be an exact rational"):
+        solve_r2(13, 3.0, -1)
+    with pytest.raises(DomainError, match="r3 must be an exact rational"):
+        solve_r2(12, 2, 1.0)
+    # ints, Fractions and strings are still exact inputs
+    for r2 in (Fraction(1, 10), "1/10", "0.1"):
+        assert _gen(1, 1, r2=r2, r3=1) == T(0, "1/10", 1)
+    assert _gen(12, 2, r3=3) == T(4, 0, 3)
+    assert solve_r2(13, 3, "-1") == solve_r2(13, Fraction(3), Fraction(-1)) == 1
+
 # One sample parameter record per family; every generated triple must HOLD.
 FAMILY_SAMPLES = {
     ("1", 1): [dict(r2=Fraction(5, 2), r3=-7)],

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distribq import identity
 from distribq.identity import (
     ALL_CASES,
     BinOp,
     CaseId,
+    CheckResult,
     Triple,
     Verdict,
     case_from_label,
@@ -210,3 +212,61 @@ def test_check_matches_the_fraction_reference_on_every_case(r1, r2, r3):
             result.undefined_site,
         )
         assert got == _reference_check(case, t), case.label
+
+
+@settings(max_examples=200)
+@given(components, components, components, st.integers(min_value=-5, max_value=5).filter(bool))
+def test_check_results_are_lazy_immutable_values(r1, r2, r3, scale):
+    """The sides are built only when read, equal an eager Fraction evaluation,
+    and a result compares, hashes and prints by value."""
+    t = Triple(r1, r2, r3)
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identity, "Fraction", counting_fraction)
+        results = [check(case, t) for case in ALL_CASES]
+        assert built == []
+        sides = [(result.lhs, result.rhs) for result in results]
+    reads = sum(side is not None for pair in sides for side in pair)
+    assert len(built) == reads
+
+    for case, result, (lhs, rhs) in zip(ALL_CASES, results, sides):
+        _, lhs_pair, rhs_pair, _ = _reference_check(case, t)
+        eager = tuple(None if p is None else Fraction(*p) for p in (lhs_pair, rhs_pair))
+        assert (lhs, rhs) == eager, case.label
+        for side in (lhs, rhs):
+            assert side is None or type(side) is Fraction
+
+        def scaled(q):
+            return None if q is None else (q.numerator * scale, q.denominator * scale)
+
+        copy = CheckResult((result.verdict, scaled(lhs), scaled(rhs), result.undefined_site))
+        assert copy == result and not copy != result
+        assert hash(copy) == hash(result) and repr(copy) == repr(result)
+        for name in ("verdict", "lhs", "rhs", "undefined_site", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
+
+    for a in results:
+        for b in results:
+            if a == b:
+                assert hash(a) == hash(b)
+            else:
+                assert a != b
+
+
+def test_check_result_repr_shows_the_side_values():
+    result = check(case_from_label(12), Triple.of(6, 4, -3))
+    assert repr(result) == (
+        "CheckResult(verdict=<Verdict.HOLDS: 'HOLDS'>, lhs=Fraction(18, 1), "
+        "rhs=Fraction(18, 1), undefined_site=None)"
+    )
+    undefined = check(case_from_label(9), Triple.of(1, 0, 5))
+    assert repr(undefined) == (
+        "CheckResult(verdict=<Verdict.UNDEFINED: 'UNDEFINED'>, lhs=Fraction(1, 5), "
+        "rhs=None, undefined_site='first outer of rhs')"
+    )

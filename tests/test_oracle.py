@@ -114,7 +114,13 @@ def test_parallel_runs_match_single_threaded_exactly():
     )
 
 
-def test_verify_calls_check_and_member_once_per_triple(monkeypatch):
+def _count_per_triple_calls(monkeypatch) -> dict:
+    """Replace `oracle.check` and `oracle.member` with counting wrappers.
+
+    The scans must reach both through these module attributes, once per
+    triple: perfbench's tracer wraps the same attributes, and its self-check
+    requires the counts to equal the grid volume.
+    """
     calls = {"check": 0, "member": 0}
 
     def counting(name):
@@ -128,11 +134,24 @@ def test_verify_calls_check_and_member_once_per_triple(monkeypatch):
 
     monkeypatch.setattr(oracle, "check", counting("check"))
     monkeypatch.setattr(oracle, "member", counting("member"))
+    return calls
+
+
+def test_verify_calls_check_and_member_once_per_triple(monkeypatch):
+    calls = _count_per_triple_calls(monkeypatch)
     bounds = SearchBounds(3, 2)
-    report = verify_characterization(case_from_label(13), bounds)
+    report = verify_characterization(case_from_label(13), bounds, jobs=1)
     volume = len(enumerate_rationals(bounds)) ** 3
     assert report.total_triples == volume
     assert calls == {"check": volume, "member": volume}
+
+
+@pytest.mark.parametrize("label", ["12", "4", "L1"])
+def test_search_calls_check_once_per_triple_and_never_member(monkeypatch, label):
+    calls = _count_per_triple_calls(monkeypatch)
+    bounds = SearchBounds(3, 2)
+    search_solutions(case_from_label(label), bounds, jobs=1)
+    assert calls == {"check": len(enumerate_rationals(bounds)) ** 3, "member": 0}
 
 
 def test_each_scan_enumerates_the_grid_once(monkeypatch):
