@@ -93,6 +93,34 @@ def test_diophantine_base_is_smallest_x_at_least_one():
         assert 1 <= x0 <= abs(dx)
 
 
+# Zero, small and ~40-digit values, so the q = 0 branch and big integers
+# are drawn as well as the everyday small cases.
+_coeffs = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-10**40, 10**40))
+
+
+@settings(max_examples=1000)
+@given(_coeffs, _coeffs, _coeffs, st.booleans())
+def test_diophantine_contract_on_zero_negative_and_big_values(p, q, t, divisible):
+    if p == 0 and q == 0:
+        with pytest.raises(DomainError, match="p and q must not both be zero"):
+            solve_linear_diophantine(p, q, t)
+        return
+    g = gcd(p, q)
+    if divisible:
+        t *= g  # most draws of t are not multiples of g
+    sols = solve_linear_diophantine(p, q, t)
+    assert sols.empty == (t % g != 0)
+    if sols.empty:
+        assert sols.base is None and sols.step is None
+        return
+    (x0, y0), (dx, dy) = sols.base, sols.step
+    assert p * x0 + q * y0 == t
+    assert (dx, dy) == (q // g, -(p // g))
+    # The base is the first solution >= 1 along x, or along y when x is fixed.
+    lead, span = (x0, dx) if dx != 0 else (y0, dy)
+    assert 1 <= lead <= abs(span)
+
+
 def _case12_poly(n1: int, n2: int, n3: int) -> int:
     return n1 * n1 - n1 * n3 - n1 * n2 + 2 * n2 * n3 - n1
 
@@ -145,10 +173,22 @@ def test_case12_enumerate_walks_ascending_deltas():
     assert [delta for delta, _ in with_degenerate] == [1, 2]
 
 
-def test_case12_enumerate_agrees_with_construct():
-    for n1, n2 in [(3, 2), (5, 2), (3, -2), (7, 4)]:
-        for delta, t in case12_enumerate(n1, n2, 6):
-            assert case12_construct(n1, n2, delta) == t
+@pytest.mark.parametrize("allow_degenerate", [False, True])
+def test_case12_enumerate_agrees_with_construct(allow_degenerate):
+    # 2*N2 - N1 < 0 for (3, -2), (3, 1), (5, 1), (9, -4) and (-3, -4), so
+    # the solution set's step runs delta downward and the walk must negate it.
+    for n1, n2 in [(3, 2), (5, 2), (3, -2), (7, 4), (3, 1), (5, 1), (9, -4), (-3, -4),
+                   (-7, 2), (10**20 + 1, 10**19 + 2), (10**20 + 1, -(10**19) + 3)]:
+        deltas = []
+        for delta, t in case12_enumerate(n1, n2, 6, allow_degenerate):
+            assert case12_construct(n1, n2, delta, allow_degenerate) == t
+            deltas.append(delta)
+        assert len(deltas) == 6 and deltas == sorted(set(deltas))
+        if deltas[-1] < 1000:
+            # No delta is skipped: every one up to the last with an integer
+            # N3 (a nonzero one, unless degenerates are allowed) is listed.
+            assert deltas == [d for d in range(1, deltas[-1] + 1)
+                              if case12_construct(n1, n2, d, allow_degenerate) is not None]
 
 
 def test_is_perfect_square():
