@@ -34,12 +34,9 @@ from .identity import (
 )
 from .number_theory import (
     DiophantineSolutionSet,
-    ExtGcdResult,
     case12_construct,
     case12_enumerate,
     case13_family5,
-    ext_gcd,
-    is_perfect_square,
     solve_linear_diophantine,
 )
 from .oracle import (
@@ -59,7 +56,6 @@ __all__ = [
     "CheckResult",
     "DiophantineSolutionSet",
     "DomainError",
-    "ExtGcdResult",
     "FamilyId",
     "FamilySpec",
     "SearchBounds",
@@ -73,12 +69,10 @@ __all__ = [
     "case_from_label",
     "check",
     "enumerate_rationals",
-    "ext_gcd",
     "families_for",
     "family_spec",
     "family_union_member",
     "generate",
-    "is_perfect_square",
     "member",
     "search_solutions",
     "solve_linear_diophantine",

@@ -40,7 +40,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from . import number_theory
-from .identity import ALL_CASES, CaseId, DomainError, Triple
+from .identity import ALL_CASES, CaseId, DomainError, Triple, _as_fraction
 
 __all__ = [
     "FamilyId",
@@ -187,13 +187,6 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
     raise DomainError(f"{name} must be an integer")
-
-
-def _as_fraction(value, name: str) -> Fraction:
-    # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
-    if isinstance(value, float):
-        raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
-    return Fraction(value)
 
 
 def _coerce(kind: str, value, name: str):

@@ -52,9 +52,12 @@ class BinOp(Enum):
     MUL = "mul"
     DIV = "div"
 
-    @property
-    def symbol(self) -> str:
-        return {"add": "+", "sub": "-", "mul": "*", "div": "/"}[self.value]
+
+def _as_fraction(value, name: str) -> Fraction:
+    # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
+    if isinstance(value, float):
+        raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
+    return Fraction(value)
 
 
 class Triple(NamedTuple):
@@ -64,8 +67,11 @@ class Triple(NamedTuple):
 
     @classmethod
     def of(cls, r1, r2, r3) -> "Triple":
-        """Convenience constructor accepting ints, strings, or Fractions."""
-        return cls(Fraction(r1), Fraction(r2), Fraction(r3))
+        """Convenience constructor accepting ints, strings, or Fractions.
+
+        A float raises DomainError rather than becoming its binary expansion.
+        """
+        return cls(_as_fraction(r1, "r1"), _as_fraction(r2, "r2"), _as_fraction(r3, "r3"))
 
 
 class CaseId(NamedTuple):

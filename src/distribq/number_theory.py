@@ -1,7 +1,7 @@
 """Integer machinery behind the constructive families.
 
-Extended Euclid, two-variable linear Diophantine solving, exact
-perfect-square detection, and the two dedicated constructions for the
+Two-variable linear Diophantine solving on `math.gcd` and the modular
+inverse `pow(a, -1, m)`, and the two dedicated constructions for the
 subtraction-over-multiplication (case 12) and addition-over-division
 (case 13) integer families.
 """
@@ -9,49 +9,19 @@ subtraction-over-multiplication (case 12) and addition-over-division
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
-from typing import Iterator, NamedTuple
+from itertools import count, islice
+from math import gcd
+from typing import Iterator
 
 from .identity import DomainError, Triple
 
 __all__ = [
     "DiophantineSolutionSet",
-    "ExtGcdResult",
     "case12_construct",
     "case12_enumerate",
     "case13_family5",
-    "ext_gcd",
-    "is_perfect_square",
     "solve_linear_diophantine",
 ]
-
-
-class ExtGcdResult(NamedTuple):
-    g: int
-    x: int
-    y: int
-
-
-def ext_gcd(a: int, b: int) -> ExtGcdResult:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y == g == gcd(|a|, |b|).
-
-    g is always nonnegative; ext_gcd(0, 0) is (0, 0, 0) by convention.
-    """
-    if a == 0 and b == 0:
-        return ExtGcdResult(0, 0, 0)
-    old_r, r = abs(a), abs(b)
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return ExtGcdResult(
-        old_r,
-        old_x if a >= 0 else -old_x,
-        old_y if b >= 0 else -old_y,
-    )
 
 
 @dataclass(frozen=True)
@@ -85,22 +55,17 @@ def solve_linear_diophantine(p: int, q: int, t: int) -> DiophantineSolutionSet:
     """
     if p == 0 and q == 0:
         raise DomainError("p and q must not both be zero")
-    g, x, y = ext_gcd(p, q)
+    g = gcd(p, q)
     if t % g:
         return DiophantineSolutionSet(empty=True)
-    scale = t // g
-    x0, y0 = x * scale, y * scale
     dx, dy = q // g, -(p // g)
-    if dx != 0:
-        m = abs(dx)
-        target = (x0 - 1) % m + 1
-        k = (target - x0) // dx
-        x0, y0 = target, y0 + k * dy
-    else:
-        m = abs(dy)
-        target = (y0 - 1) % m + 1
-        y0 = target
-    return DiophantineSolutionSet(empty=False, base=(x0, y0), step=(dx, dy))
+    if dx == 0:
+        return DiophantineSolutionSet(empty=False, base=(t // p, 1), step=(dx, dy))
+    # p*x = t (mod q) reduces to (p/g)*x = t/g (mod |q/g|), and p/g is a
+    # unit there; the residue is then shifted into 1..|q/g|.
+    m = abs(dx)
+    x0 = ((t // g) * pow(p // g, -1, m) - 1) % m + 1
+    return DiophantineSolutionSet(empty=False, base=(x0, (t - p * x0) // q), step=(dx, dy))
 
 
 def _check_case12_preconditions(n1: int, n2: int) -> None:
@@ -149,27 +114,12 @@ def case12_enumerate(
     if limit < 0:
         raise DomainError("limit must be nonnegative")
     sols = solve_linear_diophantine(n1 - n2, 2 * n2 - n1, 1)
-    # N1, N2 coprime forces gcd(N1 - N2, 2*N2 - N1) = 1, so never empty.
-    (x0, y0), (dx, dy) = sols.base, sols.step
-    direction = 1 if dx > 0 else -1
-    produced = 0
-    j = 0
-    while produced < limit:
-        delta = x0 + j * abs(dx)
-        n3 = n1 * (y0 + j * direction * dy)
-        j += 1
-        if n3 == 0 and not allow_degenerate:
-            continue
-        yield delta, Triple.of(delta * n1, delta * n2, n3)
-        produced += 1
-
-
-def is_perfect_square(n: int) -> int | None:
-    """Exact integer square root when n is a perfect square, else None."""
-    if n < 0:
-        return None
-    root = isqrt(n)
-    return root if root * root == n else None
+    # N1, N2 coprime forces gcd(N1 - N2, 2*N2 - N1) = 1, so never empty, and
+    # the delta step 2*N2 - N1 is odd, so never zero: k walks the way delta grows.
+    solutions = map(sols.at, count(0, 1 if sols.step[0] > 0 else -1))
+    triples = ((delta, Triple.of(delta * n1, delta * n2, n1 * y))
+               for delta, y in solutions if y or allow_degenerate)
+    yield from islice(triples, limit)
 
 
 def case13_family5(a: int, f: int, k: int, sign: int = 1) -> Triple:

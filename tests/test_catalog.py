@@ -195,9 +195,12 @@ def test_floats_are_refused_for_rational_parameters():
         solve_r2(13, 3.0, -1)
     with pytest.raises(DomainError, match="r3 must be an exact rational"):
         solve_r2(12, 2, 1.0)
+    with pytest.raises(DomainError, match="r1 must be an exact rational, not the float 0.1"):
+        Triple.of(0.1, 1, 1)
     # ints, Fractions and strings are still exact inputs
     for r2 in (Fraction(1, 10), "1/10", "0.1"):
         assert _gen(1, 1, r2=r2, r3=1) == T(0, "1/10", 1)
+        assert Triple.of(0, r2, 1) == (0, Fraction(1, 10), 1)
     assert _gen(12, 2, r3=3) == T(4, 0, 3)
     assert solve_r2(13, 3, "-1") == solve_r2(13, Fraction(3), Fraction(-1)) == 1
 

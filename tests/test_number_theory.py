@@ -1,6 +1,6 @@
-"""Extended Euclid, Diophantine solving, and the integer constructions."""
+"""Diophantine solving and the integer constructions."""
 
-import random
+import itertools
 import re
 from math import gcd
 
@@ -13,29 +13,9 @@ from distribq.number_theory import (
     case12_construct,
     case12_enumerate,
     case13_family5,
-    ext_gcd,
-    is_perfect_square,
     solve_linear_diophantine,
 )
 from distribq import DomainError
-
-
-def test_ext_gcd_examples():
-    assert ext_gcd(3, 2) == (1, 1, -1)
-    g, x, y = ext_gcd(6, 4)
-    assert g == 2 and 6 * x + 4 * y == 2
-    assert ext_gcd(0, 0) == (0, 0, 0)
-
-
-def test_ext_gcd_bezout_holds_on_random_pairs():
-    rng = random.Random(20240811)
-    for _ in range(10_000):
-        a = rng.randint(-10**9, 10**9)
-        b = rng.randint(-10**9, 10**9)
-        g, x, y = ext_gcd(a, b)
-        assert g == gcd(abs(a), abs(b))
-        assert a * x + b * y == g
-        assert g >= 0
 
 
 def test_diophantine_reproduces_delta_plus_n3():
@@ -173,12 +153,12 @@ def test_case12_enumerate_walks_ascending_deltas():
     assert [delta for delta, _ in with_degenerate] == [1, 2]
 
 
-@pytest.mark.parametrize("allow_degenerate", [False, True])
-def test_case12_enumerate_agrees_with_construct(allow_degenerate):
+def test_case12_enumerate_agrees_with_construct():
     # 2*N2 - N1 < 0 for (3, -2), (3, 1), (5, 1), (9, -4) and (-3, -4), so
     # the solution set's step runs delta downward and the walk must negate it.
-    for n1, n2 in [(3, 2), (5, 2), (3, -2), (7, 4), (3, 1), (5, 1), (9, -4), (-3, -4),
-                   (-7, 2), (10**20 + 1, 10**19 + 2), (10**20 + 1, -(10**19) + 3)]:
+    pairs = [(3, 2), (5, 2), (3, -2), (7, 4), (3, 1), (5, 1), (9, -4), (-3, -4),
+             (-7, 2), (10**20 + 1, 10**19 + 2), (10**20 + 1, -(10**19) + 3)]
+    for (n1, n2), allow_degenerate in itertools.product(pairs, [False, True]):
         deltas = []
         for delta, t in case12_enumerate(n1, n2, 6, allow_degenerate):
             assert case12_construct(n1, n2, delta, allow_degenerate) == t
@@ -189,19 +169,6 @@ def test_case12_enumerate_agrees_with_construct(allow_degenerate):
             # N3 (a nonzero one, unless degenerates are allowed) is listed.
             assert deltas == [d for d in range(1, deltas[-1] + 1)
                               if case12_construct(n1, n2, d, allow_degenerate) is not None]
-
-
-def test_is_perfect_square():
-    assert is_perfect_square(4) == 2
-    assert is_perfect_square(8) is None
-    assert is_perfect_square(0) == 0
-    assert is_perfect_square(-9) is None
-    big = (10**40 + 7) ** 2
-    assert is_perfect_square(big) == 10**40 + 7
-    assert is_perfect_square(big + 1) is None
-    for k in range(1, 1000):
-        assert is_perfect_square(k * k) == k
-        assert is_perfect_square(k * k + 1) is None
 
 
 def test_family5_worked_instances():
