@@ -270,3 +270,15 @@ def test_check_result_repr_shows_the_side_values():
         "CheckResult(verdict=<Verdict.UNDEFINED: 'UNDEFINED'>, lhs=Fraction(1, 5), "
         "rhs=None, undefined_site='first outer of rhs')"
     )
+
+
+def test_triple_of_refuses_a_float_in_any_position():
+    # Fraction(0.1) would be the float's binary expansion, not 1/10.
+    for position in range(3):
+        args = [1, 1, 1]
+        args[position] = 0.1
+        name = f"r{position + 1}"
+        with pytest.raises(identity.DomainError, match=f"{name} must be an exact rational, not the float 0.1"):
+            Triple.of(*args)
+    assert Triple.of(3, "-1/10", Fraction(2, 3)) == (Fraction(3), Fraction(-1, 10), Fraction(2, 3))
+    assert all(type(v) is Fraction for v in Triple.of(3, "0.1", Fraction(2, 3)))

@@ -73,6 +73,25 @@ def test_diophantine_base_is_smallest_x_at_least_one():
         assert 1 <= x0 <= abs(dx)
 
 
+def test_diophantine_matches_a_search_on_every_small_equation():
+    # An oracle that uses neither gcd nor a modular inverse: for q != 0 the
+    # equation is solvable iff some x in 1..|q| leaves t - p*x divisible by q,
+    # and the first such x is the normalised x0. For q == 0 the x value is
+    # fixed at t/p and y0 is 1.
+    r = range(-9, 10)
+    for p, q, t in itertools.product(r, r, r):
+        if p == 0 and q == 0:
+            continue
+        sols = solve_linear_diophantine(p, q, t)
+        if q == 0:
+            expected = (t // p, 1) if t % p == 0 else None
+        else:
+            x0 = next((x for x in range(1, abs(q) + 1) if (t - p * x) % q == 0), None)
+            expected = None if x0 is None else (x0, (t - p * x0) // q)
+        assert sols.empty == (expected is None), (p, q, t)
+        assert sols.base == expected, (p, q, t)
+
+
 # Zero, small and ~40-digit values, so the q = 0 branch and big integers
 # are drawn as well as the everyday small cases.
 _coeffs = st.one_of(st.just(0), st.integers(-50, 50), st.integers(-10**40, 10**40))
