@@ -107,11 +107,13 @@ def _hard_member(label: str) -> Callable[[Triple], bool]:
 
     def is_member(t: Triple) -> bool:
         r1, r2, r3 = t
-        n1, d1, n3, d3 = r1.numerator, r1.denominator, r3.numerator, r3.denominator
+        n1, d1 = r1.as_integer_ratio()
+        n3, d3 = r3.as_integer_ratio()
         if _undefined(label, n1, d1, n3, d3) is not None:
             return False
         coef, const = linear(n1, d1, n3, d3)
-        return coef * r2.numerator + const * r2.denominator == 0
+        n2, d2 = r2.as_integer_ratio()
+        return coef * n2 + const * d2 == 0
 
     return is_member
 

@@ -527,7 +527,7 @@ def run(argv: Sequence[str]) -> int:
     try:
         record = args.handler(args)
         text = _render(args.format, args.command, record)
-        if args.output:
+        if args.output is not None:  # "" is a path that cannot be opened
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(text)

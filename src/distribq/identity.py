@@ -5,14 +5,15 @@ For an ordered pair of binary operations (outer, inner) and a triple
 
     r1 outer (r2 inner r3)  ==  (r1 outer r2) inner (r1 outer r3)
 
-Values are `fractions.Fraction` at every interface. `check` computes on
-their integer numerators and denominators and builds no Fraction itself: its
-result keeps each side as an integer pair and builds the side's Fraction
-when it is read. Nothing uses floating point. Divisions by zero never raise
-out of this module: `check` reports an UNDEFINED verdict that records which
-sub-operation failed. `DomainError`, the package's error for
-a caller's request outside an operation's contract, is defined here because
-every other module imports this one.
+Values are `fractions.Fraction` at every interface. `check` is one
+straight-line kernel per case, generated from one integer template per
+operation when the case is first checked. It builds no Fraction: its
+result keeps each side as a numerator/denominator pair and builds the side's
+Fraction when it is read. Nothing uses floating point.
+Divisions by zero never raise out of this module: `check` reports an
+UNDEFINED verdict that records which sub-operation failed. `DomainError`,
+the package's error for a caller's request outside an operation's contract,
+is defined here because every other module imports this one.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class BinOp(Enum):
     SUB = "sub"
     MUL = "mul"
     DIV = "div"
+
+    # Members are singletons compared by identity. Enum's own __hash__ runs
+    # in Python, twice in every CaseId dict lookup.
+    __hash__ = object.__hash__
 
 
 def _as_fraction(value, name: str) -> Fraction:
@@ -204,27 +209,7 @@ class CheckResult(tuple):
 
 # Module-level aliases: looking a member up on an Enum class costs more than
 # the integer arithmetic it selects.
-_ADD, _SUB, _MUL = BinOp.ADD, BinOp.SUB, BinOp.MUL
 _HOLDS, _FAILS, _UNDEFINED = Verdict.HOLDS, Verdict.FAILS, Verdict.UNDEFINED
-
-
-def _apply_int(op: BinOp, xn: int, xd: int, yn: int, yd: int) -> tuple[int, int] | None:
-    """x op y on numerator/denominator pairs, x = xn/xd and y = yn/yd.
-
-    Denominators are nonzero on the way in and on the way out, but neither
-    reduced to lowest terms nor kept positive: cross-multiplication compares
-    such pairs exactly, and Fraction() normalises them. None means op
-    divides by zero.
-    """
-    if op is _MUL:
-        return xn * yn, xd * yd
-    if op is _ADD:
-        return xn * yd + yn * xd, xd * yd
-    if op is _SUB:
-        return xn * yd - yn * xd, xd * yd
-    if yn == 0:
-        return None
-    return xn * yd, xd * yn
 
 
 # Fixed evaluation order used to pick the reported undefined site.
@@ -236,6 +221,63 @@ _SITES = (
     "inner of rhs",
 )
 
+# x op y on the kernel's (n{x}, d{x}) and (n{y}, d{y}), as source text.
+# Denominators are neither reduced nor kept positive: cross-multiplication
+# compares such pairs exactly, and Fraction() normalises them. DIV by a zero
+# y gives denominator 0 rather than raising, as does any op on such an x.
+_TEMPLATES = {
+    BinOp.ADD: "n{x} * d{y} + n{y} * d{x}, d{x} * d{y}",
+    BinOp.SUB: "n{x} * d{y} - n{y} * d{x}, d{x} * d{y}",
+    BinOp.MUL: "n{x} * n{y}, d{x} * d{y}",
+    BinOp.DIV: "n{x} * d{y}, d{x} * n{y}",
+}
+
+
+def _undefined_result(dbc: int, dab: int, dac: int, lhs: tuple, rhs: tuple) -> CheckResult:
+    """A kernel's UNDEFINED result. The denominators (dbc, lhs[1], dab, dac,
+    rhs[1]) are in `_SITES` order, and one is zero where that site or an
+    operand it was computed from divides by zero, so the first zero is the
+    first undefined site and a side is kept only if none on its way is zero."""
+    site = _SITES[(dbc, lhs[1], dab, dac, rhs[1]).index(0)]
+    return CheckResult((_UNDEFINED, lhs if dbc and lhs[1] else None,
+                        rhs if dab and dac and rhs[1] else None, site))
+
+
+def _build_kernel(case: CaseId):
+    """Generate the straight-line `check` for one case from `_TEMPLATES`."""
+    outer, inner = case
+    # (result, operation, x, y) in _SITES order
+    steps = (("bc", inner, "2", "3"), ("lhs", outer, "1", "bc"), ("ab", outer, "1", "2"),
+             ("ac", outer, "1", "3"), ("rhs", inner, "ab", "ac"))
+    name = f"check_case_{case.label}"
+    lines = [f"def {name}(t):", "    r1, r2, r3 = t"]
+    lines += [f"    n{i}, d{i} = r{i}.as_integer_ratio()" for i in (1, 2, 3)]
+    for out, op, x, y in steps:
+        lines.append(f"    n{out}, d{out} = " + _TEMPLATES[op].format(x=x, y=y))
+    # Any other operation's denominator is a product of its operands', so
+    # every denominator is nonzero once those of the divisions are.
+    divisions = [f"d{out}" for out, op, _, _ in steps if op is BinOp.DIV]
+    if divisions:
+        lines.append(f"    if not ({' and '.join(divisions)}):")
+        lines.append("        return _undefined_result(dbc, dab, dac, (nlhs, dlhs),"
+                     " (nrhs, drhs))")
+    lines.append("    return CheckResult((_HOLDS if nlhs * drhs == nrhs * dlhs else _FAILS,"
+                 " (nlhs, dlhs), (nrhs, drhs), None))")
+    namespace: dict = {}
+    exec("\n".join(lines), globals(), namespace)
+    return namespace[name]
+
+
+class _Kernels(dict):
+    """CaseId -> kernel, each generated the first time its case is checked."""
+
+    def __missing__(self, case: CaseId):
+        kernel = self[case] = _build_kernel(case)
+        return kernel
+
+
+_KERNELS = _Kernels()
+
 
 def check(case: CaseId, t: Triple) -> CheckResult:
     """Evaluate r1 outer (r2 inner r3) against (r1 outer r2) inner (r1 outer r3).
@@ -245,35 +287,9 @@ def check(case: CaseId, t: Triple) -> CheckResult:
     lhs-inner, lhs-outer, rhs-outer-left, rhs-outer-right, rhs-inner) is
     reported.
 
-    The five sub-operations run on the integer numerators and denominators
-    of the triple, and the sides are compared by cross-multiplication. No
-    Fraction is built here: the result keeps each side's integer pair and
-    builds its Fraction when `lhs` or `rhs` is read.
+    The case's kernel, generated from `_TEMPLATES` on first use, runs the
+    five sub-operations on the triple's numerators and denominators and
+    compares the sides by cross-multiplication. The result keeps each side's
+    integer pair and builds its Fraction when `lhs` or `rhs` is read.
     """
-    outer, inner = case
-    r1, r2, r3 = t
-    n1, d1 = r1.numerator, r1.denominator
-    n2, d2 = r2.numerator, r2.denominator
-    n3, d3 = r3.numerator, r3.denominator
-
-    bc = _apply_int(inner, n2, d2, n3, d3)
-    lhs = None if bc is None else _apply_int(outer, n1, d1, *bc)
-    ab = _apply_int(outer, n1, d1, n2, d2)
-    ac = _apply_int(outer, n1, d1, n3, d3)
-    rhs = None if ab is None or ac is None else _apply_int(inner, *ab, *ac)
-
-    if lhs is None or rhs is None:
-        if bc is None:
-            site = _SITES[0]
-        elif lhs is None:
-            site = _SITES[1]
-        elif ab is None:
-            site = _SITES[2]
-        elif ac is None:
-            site = _SITES[3]
-        else:
-            site = _SITES[4]
-        return CheckResult((_UNDEFINED, lhs, rhs, site))
-    (ln, ld), (rn, rd) = lhs, rhs
-    verdict = _HOLDS if ln * rd == rn * ld else _FAILS
-    return CheckResult((verdict, lhs, rhs, None))
+    return _KERNELS[case](t)

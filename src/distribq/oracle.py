@@ -22,6 +22,11 @@ from typing import NamedTuple
 from .catalog import family_union_member, member
 from .identity import CaseId, DomainError, Triple, Verdict, check
 
+# Per-triple shortcuts: an Enum class lookup costs more than the comparison
+# it feeds, and tuple.__new__ skips the NamedTuple's Python-level __new__.
+_HOLDS = Verdict.HOLDS
+_new = tuple.__new__
+
 __all__ = [
     "SearchBounds",
     "VerificationReport",
@@ -62,8 +67,8 @@ def _search_partition(task: tuple[CaseId, Fraction, list[Fraction]]) -> list[Tri
     found = []
     for r2 in values:
         for r3 in values:
-            t = Triple(r1, r2, r3)
-            if check(case, t).verdict is Verdict.HOLDS:
+            t = _new(Triple, (r1, r2, r3))
+            if check(case, t).verdict is _HOLDS:
                 found.append(t)
     return found
 
@@ -101,8 +106,8 @@ def _verify_partition(
     gap = _Listing(list_limit)
     for r2 in values:
         for r3 in values:
-            t = Triple(r1, r2, r3)
-            holds_here = check(case, t).verdict is Verdict.HOLDS
+            t = _new(Triple, (r1, r2, r3))
+            holds_here = check(case, t).verdict is _HOLDS
             is_member = member(case, t)
             if holds_here:
                 holds += 1
@@ -117,7 +122,9 @@ def _verify_partition(
 
 def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int) -> list:
     tasks = [(case, r1, values) for r1 in values]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    # The CPUs this process may run on; taskset or a container can pin fewer.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, cpus or 1, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

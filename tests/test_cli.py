@@ -279,6 +279,15 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_empty_output_path_is_a_usage_error(capsys):
+    # An unset variable in `--output "$OUT"` must not fall back to stdout.
+    code, out, err = run_cli(capsys, "check", "--outer", "mul", "--inner", "add",
+                             "--triple", "1,2,3", "--output", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write")
+
+
 def test_every_printed_rational_reparses(capsys):
     _, out, _ = run_cli(capsys, "search", "--case", "12", "--num-bound", "3",
                         "--den-bound", "2", "--format", "json")

@@ -1,13 +1,18 @@
 """The identity checker: operation pairings, verdicts, and undefinedness."""
 
 import operator
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distribq import identity
+from distribq import catalog, identity
 from distribq.identity import (
     ALL_CASES,
     BinOp,
@@ -18,6 +23,7 @@ from distribq.identity import (
     case_from_label,
     check,
 )
+from distribq.oracle import SearchBounds, enumerate_rationals
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 triples = st.builds(Triple, rationals, rationals, rationals)
@@ -199,19 +205,67 @@ def _reference_check(case, t):
     return verdict, pair(lhs), pair(rhs), site
 
 
+def _as_reference(result):
+    """A CheckResult in `_reference_check`'s form."""
+
+    def pair(q):
+        return None if q is None else (q.numerator, q.denominator)
+
+    return result.verdict, pair(result.lhs), pair(result.rhs), result.undefined_site
+
+
 @settings(max_examples=300)
 @given(components, components, components)
 def test_check_matches_the_fraction_reference_on_every_case(r1, r2, r3):
     t = Triple(r1, r2, r3)
     for case in ALL_CASES:
-        result = check(case, t)
-        got = (
-            result.verdict,
-            None if result.lhs is None else (result.lhs.numerator, result.lhs.denominator),
-            None if result.rhs is None else (result.rhs.numerator, result.rhs.denominator),
-            result.undefined_site,
-        )
-        assert got == _reference_check(case, t), case.label
+        assert _as_reference(check(case, t)) == _reference_check(case, t), case.label
+
+
+def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
+    values = enumerate_rationals(SearchBounds(2, 2))
+    assert 0 in values
+    for case in ALL_CASES:
+        kernel = identity._KERNELS[case]
+        for r1 in values:
+            for r2 in values:
+                for r3 in values:
+                    t = Triple(r1, r2, r3)
+                    assert _as_reference(kernel(t)) == _reference_check(case, t), (case.label, t)
+
+
+def test_importing_the_package_builds_no_kernel():
+    # Kernels are generated on a case's first check, so start-up pays for none.
+    src = str(Path(identity.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import distribq, distribq.cli; print(len(distribq.identity._KERNELS))"
+    fresh = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (0, "0\n"), fresh.stderr
+
+
+def test_a_check_builds_only_its_own_case_kernel(monkeypatch):
+    monkeypatch.setattr(identity, "_KERNELS", identity._Kernels())
+    case = case_from_label(12)
+    assert check(case, Triple.of(6, 4, -3)).verdict is Verdict.HOLDS
+    assert list(identity._KERNELS) == [case]
+
+
+def test_equal_case_ids_reach_one_kernel_and_one_member_entry():
+    # Pool workers receive the case pickled, so dispatch must not depend on
+    # which equal CaseId object a call passes.
+    built = CaseId(BinOp.SUB, BinOp.MUL)
+    looked_up = case_from_label("12")
+    unpickled = pickle.loads(pickle.dumps(looked_up))
+    assert unpickled.outer is BinOp.SUB and unpickled.inner is BinOp.MUL
+    t = Triple.of(6, 4, -3)
+    for case in (looked_up, unpickled):
+        assert case == built and hash(case) == hash(built)
+        assert identity._KERNELS[case] is identity._KERNELS[built]
+        assert catalog._MEMBER_BY_CASE[case] is catalog._MEMBER_BY_CASE[built]
+        assert check(case, t) == check(built, t) and catalog.member(case, t)
+    assert len({built, looked_up, unpickled}) == 1
 
 
 @settings(max_examples=200)

@@ -190,24 +190,32 @@ class _RecordingPool:
 
 
 @pytest.mark.parametrize(
-    ("jobs", "cpus", "bounds", "workers"),
+    ("jobs", "cpus", "affinity", "bounds", "workers"),
     [
-        (64, 4, SearchBounds(1, 1), 3),  # three partitions
-        (64, 4, SearchBounds(2, 2), 4),  # four cores
-        (3, 8, SearchBounds(2, 2), 3),  # as asked
-        (8, 1, SearchBounds(2, 2), None),  # one core: no pool
-        (8, None, SearchBounds(2, 2), None),  # core count unknown: no pool
-        (1, 8, SearchBounds(2, 2), None),
+        (64, 4, None, SearchBounds(1, 1), 3),  # three partitions
+        (64, 4, None, SearchBounds(2, 2), 4),  # four cores
+        (3, 8, None, SearchBounds(2, 2), 3),  # as asked
+        (8, 1, None, SearchBounds(2, 2), None),  # one core: no pool
+        (8, None, None, SearchBounds(2, 2), None),  # core count unknown: no pool
+        (1, 8, None, SearchBounds(2, 2), None),
+        (8, 8, {5}, SearchBounds(2, 2), None),  # affinity 1 of 8 CPUs: no pool
+        (8, 8, {0, 3}, SearchBounds(2, 2), 2),  # affinity 2 of 8 CPUs
     ],
 )
 def test_worker_count_is_clamped_to_cores_and_partitions(
-    monkeypatch, jobs, cpus, bounds, workers
+    monkeypatch, jobs, cpus, affinity, bounds, workers
 ):
+    """`affinity` None stands for a platform without os.sched_getaffinity,
+    where the cap falls back to os.cpu_count()."""
     case = case_from_label(12)
     serial_search = search_solutions(case, bounds)
     serial_verify = verify_characterization(case, bounds)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(_RecordingPool, "created", [])
     assert search_solutions(case, bounds, jobs=jobs) == serial_search
     assert verify_characterization(case, bounds, jobs=jobs) == serial_verify
