@@ -283,6 +283,29 @@ def test_family_union_is_subset_of_member_on_a_grid():
                         assert member(case, t), (case.label, t)
 
 
+def test_every_family_stays_inside_its_case_on_a_grid_with_zeros():
+    values = enumerate_rationals(SearchBounds(4, 3))
+    triples = [Triple(r1, r2, r3) for r1 in values for r2 in values for r3 in values]
+    for case in ALL_CASES:
+        for spec in families_for(case):
+            for t in triples:
+                if spec.matches(t):
+                    assert member(case, t), (case.label, spec.index, t)
+
+
+@pytest.mark.parametrize(
+    "label,index,t",
+    [
+        ("14", 1, T(0, 1, 1)),  # r1 = 0 forces r2 = 0
+        ("13", 1, T(0, 1, 0)),  # r3 = 0 leaves the sides undefined
+        ("4", 1, T(0, 0, 1)),  # r1 = 0 leaves the sides undefined
+        ("12", 2, T(0, 0, -1)),  # solves case 12 but r3 = -1 is excluded
+    ],
+)
+def test_family_rejects_a_triple_on_its_slice_outside_the_family(label, index, t):
+    assert not family_spec(case_from_label(label), index).matches(t)
+
+
 # ---------------------------------------------------------------------------
 # solve_r2
 
