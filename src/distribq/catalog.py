@@ -3,21 +3,22 @@
 `member` is the exact membership predicate for each of the sixteen cases:
 it agrees with `identity.check` returning HOLDS on every triple (the test
 suite derives each one by factoring the identity, and the bounded-search
-oracle checks it on grids). The family registry
-holds every known parametric sub-family of each solution set. Each family
-has a shape (`build`, the parametric triple) and a constraint (`matches`,
-the only statement of which triples belong to it). Callers use `generate`,
-which builds the triple and rejects it unless it matches;
-`family_union_member` measures how much of a solution set the families
-cover.
+oracle checks it on grids). It is the only statement of which triples
+solve a case. The family registry holds every known parametric sub-family
+of each solution set. Each family has a builder (`build`, the parametric
+triple) and a constraint (`matches`), which `_register` forms from the
+family's shape (the slice of the solution set it lies on and the
+exclusions that cut it out) and the case's membership predicate, so no
+family restates its case's equation. Callers use `generate`, which builds
+the triple and rejects it unless it matches; `family_union_member`
+measures how much of a solution set the families cover.
 
 Cases 12, 13 and 14 reduce to one polynomial equation each, linear in r2.
 Each equation is stated once, as an integer pair (coef, const) computed
 from the numerators and denominators of r1 and r3, next to one shared
 definedness check. `member` tests coef*r2 + const = 0 on r2's numerator and
-denominator, `solve_r2` returns -const/coef (or ALL or NONE when coef
-vanishes), and the constraints of case-13 family 5 and case-14 family 3
-call the case's membership predicate. Nothing uses floating point.
+denominator, and `solve_r2` returns -const/coef (or ALL or NONE when
+coef vanishes). Nothing uses floating point.
 
 Two formula corrections are baked in, both confirmed by direct
 substitution (see the test suite and README):
@@ -40,7 +41,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from . import number_theory
-from .identity import ALL_CASES, CaseId, DomainError, Triple, _as_fraction
+from .identity import ALL_CASES, CaseId, DomainError, Triple, _as_fraction, case_from_label
 
 __all__ = [
     "FamilyId",
@@ -165,11 +166,12 @@ class FamilyId(NamedTuple):
 class FamilySpec:
     """One parametric family: its parameter record, shape, and constraint.
 
-    `build` is the parametric shape: it takes the parameters, each already
-    coerced to its kind, and returns the family's triple. `matches` is the
-    constraint, the only statement of which triples belong to the family; a
-    builder checks only what a triple cannot show. Callers use `generate`,
-    which builds the triple and checks it with `matches`.
+    `build` takes the parameters, each already coerced to its kind, and
+    returns the family's triple. `matches` is the constraint, the only
+    statement of which triples belong to the family: the family's shape
+    joined with its case's membership predicate. A builder checks only what
+    a triple cannot show. Callers use `generate`, which builds the triple
+    and checks it with `matches`.
     """
 
     case_label: str
@@ -206,31 +208,11 @@ def _build_12_1(r2=None, r3=None) -> Triple:
     return Triple.of(0, r2, 0) if r2 is not None else Triple.of(0, 0, r3)
 
 
-def _match_12_4(t: Triple) -> bool:
-    delta = t.r1 / 3
-    return (
-        delta.denominator == 1
-        and delta >= 2
-        and t.r2 == 2 * delta
-        and t.r3 == 3 * (1 - delta)
-    )
-
-
 def _build_13_4(c, d) -> Triple:
     # d < 1 would divide by zero or give the same triples as -c, -d.
     if d < 1:
         raise DomainError("d must be a positive integer")
     return Triple.of(Fraction(c, d), Fraction(-c, d), 1)
-
-
-def _match_13_5(t: Triple) -> bool:
-    return (
-        t.r1.denominator == 1
-        and t.r1 != 0
-        and t.r2.denominator == 1
-        and t.r2 != 0
-        and _MEMBER["13"](t)
-    )
 
 
 def _build_14_3(e, f, printed_form=False) -> Triple:
@@ -251,32 +233,32 @@ def _build_14_3(e, f, printed_form=False) -> Triple:
     return Triple(Fraction(1), Fraction(e * e, denom), Fraction(e, f))
 
 
-def _match_14_3(t: Triple) -> bool:
-    # Every case-14 solution with r1 = 1 has this shape.
-    return t.r1 == 1 and _MEMBER["14"](t)
-
-
 _RR = {"r2": "rational", "r3": "rational"}
 _RRR = {"r1": "rational", "r2": "rational", "r3": "rational"}
 
-# Families that several cases share; `_register` gives each copy its case
-# and index.
+# Families that several cases share; a case may give its copy its own
+# summary, and `_register` gives each copy its case and index.
 _ZERO_FIRST = dict(params=_RR, summary="(0, r2, r3)",
-                   build=lambda r2, r3: Triple.of(0, r2, r3),
-                   matches=lambda t: t.r1 == 0)
-_ONE_FIRST_NONZERO = dict(params=_RR, summary="(1, r2, r3) with r2*r3 != 0",
-                          build=lambda r2, r3: Triple.of(1, r2, r3),
-                          matches=lambda t: t.r1 == 1 and t.r2 * t.r3 != 0)
+                   build=lambda r2, r3: Triple.of(0, r2, r3), shape=lambda t: t.r1 == 0)
+_ONE_FIRST = dict(params=_RR, summary="(1, r2, r3)",
+                  build=lambda r2, r3: Triple.of(1, r2, r3), shape=lambda t: t.r1 == 1)
 _UNIVERSAL = dict(params=_RRR, summary="(r1, r2, r3): the law is universal",
-                  build=Triple.of, matches=lambda t: True)
+                  build=Triple.of, shape=lambda t: True)
 
 _FAMILIES: dict[str, tuple[FamilySpec, ...]] = {}
 
 
-def _register(label: str, *specs_args) -> None:
-    _FAMILIES[label] = tuple(
-        FamilySpec(case_label=label, index=i + 1, **kw) for i, kw in enumerate(specs_args)
-    )
+def _register(label: str, *families: dict) -> None:
+    """Give each family its case and index, and join its `shape` (the slice
+    it lies on and the exclusions that cut it out) with the case's
+    membership predicate into its constraint `matches`."""
+    is_member = _MEMBER[label]
+
+    def spec(index: int, shape: Callable[[Triple], bool], **kw) -> FamilySpec:
+        return FamilySpec(case_label=label, index=index,
+                          matches=lambda t: shape(t) and is_member(t), **kw)
+
+    _FAMILIES[label] = tuple(spec(i + 1, **kw) for i, kw in enumerate(families))
 
 
 _register("1", _ZERO_FIRST)
@@ -284,100 +266,80 @@ _register("2", _ZERO_FIRST)
 _register(
     "3",
     dict(params=_RRR, summary="(r1, r2, r3) with r1*r2*r3 = 0", build=Triple.of,
-         matches=lambda t: t.r1 * t.r2 * t.r3 == 0),
-    dict(params=_RR, summary="(1, r2, r3)", build=lambda r2, r3: Triple.of(1, r2, r3),
-         matches=lambda t: t.r1 == 1),
+         shape=lambda t: t.r1 * t.r2 * t.r3 == 0),
+    _ONE_FIRST,
 )
 _register(
     "4",
     dict(params={"r1": "rational", "r3": "rational"},
          summary="(r1, 0, r3) with r1*r3 != 0", build=lambda r1, r3: Triple.of(r1, 0, r3),
-         matches=lambda t: t.r2 == 0 and t.r1 != 0 and t.r3 != 0),
-    dict(params=_RR, summary="(1, r2, r3) with r3 != 0",
-         build=lambda r2, r3: Triple.of(1, r2, r3),
-         matches=lambda t: t.r1 == 1 and t.r3 != 0),
+         shape=lambda t: t.r2 == 0),
+    dict(_ONE_FIRST, summary="(1, r2, r3) with r3 != 0"),
 )
 _register("5", _ZERO_FIRST)
 _register("6", _ZERO_FIRST)
-_register("7", _ONE_FIRST_NONZERO)
+_register("7", dict(_ONE_FIRST, summary="(1, r2, r3) with r2*r3 != 0"))
 _register(
     "8",
-    dict(params=_RR, summary="(0, r2, r3) with r2*r3 != 0",
-         build=lambda r2, r3: Triple.of(0, r2, r3),
-         matches=lambda t: t.r1 == 0 and t.r2 * t.r3 != 0),
-    _ONE_FIRST_NONZERO,
+    dict(_ZERO_FIRST, summary="(0, r2, r3) with r2*r3 != 0"),
+    dict(_ONE_FIRST, summary="(1, r2, r3) with r2*r3 != 0"),
 )
-_register(
-    "9",
-    dict(params=_RR, summary="(0, r2, r3) with r2*r3 != 0 and r2 + r3 != 0",
-         build=lambda r2, r3: Triple.of(0, r2, r3),
-         matches=lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 + t.r3 != 0),
-)
-_register(
-    "10",
-    dict(params=_RR, summary="(0, r2, r3) with r2*r3 != 0 and r2 != r3",
-         build=lambda r2, r3: Triple.of(0, r2, r3),
-         matches=lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 != t.r3),
-)
+_register("9", dict(_ZERO_FIRST, summary="(0, r2, r3) with r2*r3 != 0 and r2 + r3 != 0"))
+_register("10", dict(_ZERO_FIRST, summary="(0, r2, r3) with r2*r3 != 0 and r2 != r3"))
 _register(
     "11",
     _ZERO_FIRST,
     dict(params=_RR, summary="(1 - (r2 + r3), r2, r3)",
          build=lambda r2, r3: Triple.of(1 - (r2 + r3), r2, r3),
-         matches=lambda t: t.r1 + t.r2 + t.r3 == 1),
+         shape=lambda t: t.r1 + t.r2 + t.r3 == 1),
 )
 _register(
     "12",
     dict(params=_RR, summary="(0, r2, 0) or (0, 0, r3); pass exactly one key",
          build=_build_12_1, optional=frozenset({"r2", "r3"}),
-         matches=lambda t: t.r1 == 0 and (t.r2 == 0 or t.r3 == 0)),
+         shape=lambda t: t.r1 == 0),
     dict(params={"r3": "rational"}, summary="(r3 + 1, 0, r3) with r3 != -1",
          build=lambda r3: Triple.of(r3 + 1, 0, r3),
-         matches=lambda t: t.r2 == 0 and t.r3 != -1 and t.r1 == t.r3 + 1),
+         shape=lambda t: t.r2 == 0 and t.r1 != 0),
     dict(params={"r2": "rational"}, summary="(r2 + 1, r2, 0) with r2 != -1",
          build=lambda r2: Triple.of(r2 + 1, r2, 0),
-         matches=lambda t: t.r3 == 0 and t.r2 != -1 and t.r1 == t.r2 + 1),
+         shape=lambda t: t.r3 == 0 and t.r1 != 0),
     dict(params={"delta": "int"},
          summary="(3d, 2d, 3(1 - d)) for an integer d >= 2",
          build=lambda delta: Triple.of(3 * delta, 2 * delta, 3 * (1 - delta)),
-         matches=_match_12_4),
+         shape=lambda t: t.r1 % 3 == 0 and t.r1 >= 6 and 3 * t.r2 == 2 * t.r1),
 )
 _register(
     "13",
-    dict(params=_RR, summary="(0, r2, r3) with r3 != 0",
-         build=lambda r2, r3: Triple.of(0, r2, r3),
-         matches=lambda t: t.r1 == 0 and t.r3 != 0),
+    dict(_ZERO_FIRST, summary="(0, r2, r3) with r3 != 0"),
     dict(params={"r3": "rational"}, summary="(1 - r3, 0, r3) with r3 != 0, 1",
          build=lambda r3: Triple.of(1 - r3, 0, r3),
-         matches=lambda t: t.r2 == 0 and t.r3 not in (0, 1) and t.r1 == 1 - t.r3),
+         shape=lambda t: t.r2 == 0 and t.r1 != 0),
     dict(params={"a": "int"}, summary="(a, -a, 1) for a nonzero integer a != -1",
          build=lambda a: Triple.of(a, -a, 1),
-         matches=lambda t: t.r3 == 1 and t.r2 == -t.r1
-         and t.r1.denominator == 1 and t.r1 not in (0, -1)),
+         shape=lambda t: t.r3 == 1 and t.r1.denominator == 1 and t.r1 != 0),
     dict(params={"c": "int", "d": "int"},
          summary="(c/d, -c/d, 1) for nonzero integer c, positive integer d, c != -d",
-         build=_build_13_4,
-         matches=lambda t: t.r3 == 1 and t.r2 == -t.r1 and t.r1 not in (0, -1)),
+         build=_build_13_4, shape=lambda t: t.r3 == 1 and t.r1 != 0),
     dict(params={"a": "int", "f": "int", "k": "int", "sign": "sign"},
          summary="(a, c, e/f) from the discriminant construction "
                  "c = ((f(a-1))^2 - K^2)/(4f^2), e = (-f(a-1) +/- K)/2",
          build=lambda a, f, k, sign: number_theory.case13_family5(a, f, k, sign),
-         matches=_match_13_5),
+         shape=lambda t: t.r1.denominator == t.r2.denominator == 1 and t.r1 * t.r2 != 0),
 )
 _register(
     "14",
-    # Corrected slice: with r1 = 0 the identity forces r2 = 0.
+    # Corrected family: on the r1 = 0 slice the identity forces r2 = 0.
     dict(params={"r3": "rational"}, summary="(0, 0, r3) with r3 != 0",
-         build=lambda r3: Triple.of(0, 0, r3),
-         matches=lambda t: t.r1 == 0 and t.r2 == 0 and t.r3 != 0),
+         build=lambda r3: Triple.of(0, 0, r3), shape=lambda t: t.r1 == 0),
     dict(params={"r3": "rational"}, summary="(r3 + 1, 0, r3) with r3 != 0, -1",
          build=lambda r3: Triple.of(r3 + 1, 0, r3),
-         matches=lambda t: t.r2 == 0 and t.r3 not in (0, -1) and t.r1 == t.r3 + 1),
+         shape=lambda t: t.r2 == 0 and t.r1 != 0),
     dict(params={"e": "int", "f": "int", "printed_form": "bool"},
          summary="(1, e^2/(f(2e - f)), e/f) for coprime e, f with f >= 1, "
                  "e != 0, 2e != f, e != f",
          build=_build_14_3, optional=frozenset({"printed_form"}),
-         matches=_match_14_3),
+         shape=lambda t: t.r1 == 1),
 )
 _register("L1", _UNIVERSAL)
 _register("L2", _UNIVERSAL)
@@ -442,11 +404,11 @@ class SolveOutcome(Enum):
 
 
 def _solve_label(case) -> str:
-    if isinstance(case, CaseId):
-        label = case.label
-    else:
-        label = str(case).strip()
-    if label not in ("12", "13", "14"):
+    try:
+        label = case.label if isinstance(case, CaseId) else case_from_label(case).label
+    except KeyError:
+        label = None
+    if label not in _LINEAR:
         raise DomainError("solve_r2 applies to cases 12, 13, and 14 only")
     return label
 

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
+import os
 import re
 import sys
 from enum import Enum
@@ -517,6 +519,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Reject an --output path that cannot be written before the command
+    runs, so a long scan does not end in a usage error. Nothing is created
+    here: the file is opened only once the command has succeeded."""
+    parent = os.path.dirname(path) or "."
+    if not path or not os.path.isdir(parent):
+        error = errno.ENOENT
+    elif os.path.isdir(path):
+        error = errno.EISDIR
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        error = errno.EACCES
+    else:
+        return
+    raise _UsageError(f"cannot write {path}: {os.strerror(error)}")
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     parser = _build_parser()
@@ -525,9 +543,11 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.output is not None:
+            _refuse_unwritable(args.output)
         record = args.handler(args)
         text = _render(args.format, args.command, record)
-        if args.output is not None:  # "" is a path that cannot be opened
+        if args.output is not None:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
                     fh.write(text)

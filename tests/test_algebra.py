@@ -13,6 +13,11 @@ So the solution set is a union of pieces of planes and curves that are
 linear in one variable, and `_MEMBER` is compared with the derived set on
 points taken on the zero set of every factor and every divisor, and on a
 grid around them.
+
+Each family's parametric triple, and the case-12 integer construction, is
+substituted into its case's numerator, which must vanish for every value of
+the parameters; a few parameter records tie each symbolic triple to the
+triple the code builds.
 """
 
 import operator
@@ -21,8 +26,9 @@ from itertools import product
 
 import pytest
 
-from distribq.catalog import _LINEAR, _MEMBER
+from distribq.catalog import _LINEAR, _MEMBER, FamilyId, families_for, generate
 from distribq.identity import _SITES, ALL_CASES, BinOp, Triple, case_from_label
+from distribq.number_theory import case12_enumerate
 
 sp = pytest.importorskip("sympy")
 
@@ -105,3 +111,94 @@ def test_linear_form_is_a_constant_multiple_of_the_numerator(label):
     coef, const = _LINEAR[label](n1, d1, n3, d3)
     ratio = sp.cancel((coef * R2 + const) / cleared)
     assert ratio.is_Number and ratio != 0
+
+
+# ---------------------------------------------------------------------------
+# Families
+
+A, C, D, DELTA, E, F, K = sp.symbols("a c d delta e f k")
+
+
+def _case13_family5(sign):
+    w = F * (A - 1)
+    return (A, (w**2 - K**2) / (4 * F**2), (-w + sign * K) / (2 * F))
+
+
+# Each family's parametric triple, on symbols named after its `generate`
+# parameters, with parameter records at which `generate` must build the same
+# triple. A family with more than one form (a union of planes, a branch key,
+# a sign) has one row per form.
+FAMILY_TRIPLES = [
+    *[(label, 1, (0, R2, R3), [dict(r2=2, r3=Fraction(-1, 3)), dict(r2=Fraction(5, 2), r3=7)])
+      for label in ("1", "2", "5", "6", "8", "9", "10", "11", "13")],
+    *[(label, index, (1, R2, R3), [dict(r2=Fraction(-2, 3), r3=9), dict(r2=5, r3=2)])
+      for label, index in (("3", 2), ("4", 2), ("7", 1), ("8", 2))],
+    ("3", 1, (0, R2, R3), [dict(r1=0, r2=2, r3=3)]),
+    ("3", 1, (R1, 0, R3), [dict(r1=5, r2=0, r3=Fraction(1, 3))]),
+    ("3", 1, (R1, R2, 0), [dict(r1=-2, r2=Fraction(3, 4), r3=0)]),
+    ("4", 1, (R1, 0, R3), [dict(r1=4, r3=-5)]),
+    ("11", 2, (1 - R2 - R3, R2, R3), [dict(r2=5, r3=7), dict(r2=Fraction(1, 2), r3=0)]),
+    ("12", 1, (0, R2, 0), [dict(r2=9)]),
+    ("12", 1, (0, 0, R3), [dict(r3=Fraction(-4, 5))]),
+    ("12", 2, (R3 + 1, 0, R3), [dict(r3=5), dict(r3=Fraction(-1, 2))]),
+    ("12", 3, (R2 + 1, R2, 0), [dict(r2=Fraction(3, 4))]),
+    ("12", 4, (3 * DELTA, 2 * DELTA, 3 * (1 - DELTA)), [dict(delta=2), dict(delta=17)]),
+    ("13", 2, (1 - R3, 0, R3), [dict(r3=-3), dict(r3=Fraction(2, 5))]),
+    ("13", 3, (A, -A, 1), [dict(a=3), dict(a=-7)]),
+    ("13", 4, (C / D, -C / D, 1), [dict(c=3, d=2), dict(c=-5, d=4)]),
+    ("13", 5, _case13_family5(1), [dict(a=3, f=1, k=0, sign=1), dict(a=4, f=1, k=1, sign=1)]),
+    ("13", 5, _case13_family5(-1), [dict(a=-5, f=1, k=2, sign=-1)]),
+    ("14", 1, (0, 0, R3), [dict(r3=4), dict(r3=Fraction(-2, 3))]),
+    ("14", 2, (R3 + 1, 0, R3), [dict(r3=2), dict(r3=Fraction(1, 2))]),
+    ("14", 3, (1, E**2 / (F * (2 * E - F)), E / F), [dict(e=1, f=3), dict(e=-2, f=5)]),
+    *[(label, 1, R, [dict(r1=Fraction(2, 3), r2=-1, r3=0)]) for label in ("L1", "L2")],
+]
+
+
+def _on_the_identity(label, triple):
+    """(numerator of lhs - rhs, divisors) with the triple substituted."""
+    divisors, numerator = _derive(case_from_label(label))
+    point = dict(zip(R, triple))
+    return sp.simplify(numerator.subs(point)), [sp.simplify(g.subs(point)) for g in divisors]
+
+
+def test_every_family_has_a_parametric_triple():
+    listed = {(label, index) for label, index, _, _ in FAMILY_TRIPLES}
+    assert listed == {(case.label, spec.index) for case in ALL_CASES
+                      for spec in families_for(case)}
+
+
+@pytest.mark.parametrize("label,index,triple,records", FAMILY_TRIPLES,
+                         ids=[f"{label}.{index}:{sp.Tuple(*triple)}"
+                              for label, index, triple, _ in FAMILY_TRIPLES])
+def test_family_triple_solves_its_case_for_every_parameter(label, index, triple, records):
+    numerator, divisors = _on_the_identity(label, triple)
+    assert numerator == 0
+    # No division is by zero on the whole family, only off its exclusions.
+    assert all(g != 0 for g in divisors)
+
+    family = FamilyId(case_from_label(label), index)
+    for params in records:
+        values = {s: sp.Rational(str(params[s.name])) for s in sp.Tuple(*triple).free_symbols}
+        expected = Triple.of(*(str(sp.sympify(x).subs(values)) for x in triple))
+        assert generate(family, params) == expected, (label, index, params)
+
+
+def test_printed_form_of_case14_family3_does_not_solve_the_case():
+    numerator, _ = _on_the_identity("14", (1, E**2 / (F * (F - 2 * E)), E / F))
+    assert numerator != 0
+    assert generate(FamilyId(case_from_label("14"), 3),
+                    dict(e=1, f=3, printed_form=True)) == Triple.of(1, "1/3", "1/3")
+
+
+def test_case12_construction_solves_case_12():
+    # delta*(N1 - N2) + N3*(2*N2 - N1) = 1 solved for N3; 2*N2 - N1 is odd.
+    n1, n2 = sp.symbols("N1 N2")
+    n3 = (1 - DELTA * (n1 - n2)) / (2 * n2 - n1)
+    triple = (DELTA * n1, DELTA * n2, n1 * n3)
+    assert _on_the_identity("12", triple)[0] == 0
+
+    for p, q in [(3, 2), (5, 2), (-3, 4), (7, -3)]:
+        for delta, t in case12_enumerate(p, q, 3, allow_degenerate=True):
+            values = {n1: p, n2: q, DELTA: delta}
+            assert t == Triple.of(*(str(x.subs(values)) for x in triple)), (p, q, delta)

@@ -329,6 +329,18 @@ def test_solve_r2_preconditions():
         solve_r2(11, Fraction(1), Fraction(1))
 
 
+def test_solve_r2_looks_cases_up_by_label_or_operation_pair():
+    assert solve_r2("sub/mul", 2, 1) is SolveOutcome.ALL
+    assert solve_r2(" Add/Div ", 3, -1) == 1
+    assert solve_r2(case_from_label(14), 1, "1/3") == Fraction(-1, 3)
+
+
+@pytest.mark.parametrize("case", ["99", "L1", "mul/add", 7, 12.0, "", None])
+def test_solve_r2_refuses_every_other_case_alike(case):
+    with pytest.raises(DomainError, match="^solve_r2 applies to cases 12, 13, and 14 only$"):
+        solve_r2(case, 2, 1)
+
+
 def test_solve_r2_agrees_with_membership():
     rng = random.Random(7)
     cases = {label: case_from_label(label) for label in ("12", "13", "14")}

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import distribq
+from distribq import oracle
 from distribq.cli import format_rational, main, parse_case, parse_rational, parse_triple
 from distribq.identity import BinOp, CaseId, Triple
 
@@ -286,6 +287,29 @@ def test_empty_output_path_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error: cannot write")
+
+
+@pytest.mark.parametrize("where", ["missing parent", "empty", "directory", "read-only parent"])
+def test_unwritable_output_path_fails_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                              where):
+    calls = []
+    monkeypatch.setattr(oracle, "verify_characterization",
+                        lambda *args, **kwargs: calls.append(args))
+    # A directory the process may not write to; a stand-in for os.access,
+    # because chmod does not stop a superuser.
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(locked) and access(path, mode))
+    target = {"missing parent": tmp_path / "no-such-directory" / "out.txt",
+              "empty": "", "directory": tmp_path,
+              "read-only parent": locked / "out.txt"}[where]
+    code, out, err = run_cli(capsys, "verify", "--case", "12", "--num-bound", "10",
+                             "--den-bound", "4", "--output", str(target))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith(f"usage error: cannot write {target}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["locked"]
+    assert list(locked.iterdir()) == []
 
 
 def test_every_printed_rational_reparses(capsys):
