@@ -13,12 +13,14 @@ family restates its case's equation. Callers use `generate`, which builds
 the triple and rejects it unless it matches; `family_union_member`
 measures how much of a solution set the families cover.
 
-Cases 12, 13 and 14 reduce to one polynomial equation each, linear in r2.
-Each equation is stated once, as an integer pair (coef, const) computed
-from the numerators and denominators of r1 and r3, next to one shared
-definedness check. `member` tests coef*r2 + const = 0 on r2's numerator and
-denominator, and `solve_r2` returns -const/coef (or ALL or NONE when
-coef vanishes). Nothing uses floating point.
+Every case reduces to one polynomial equation, linear in r2, plus the
+identity's divisors being nonzero. Each equation is stated once, in one
+table keyed by case, as an integer pair (coef, const) computed from the
+numerators and denominators of r1 and r3; definedness is read once from the
+case's operations. `member` tests coef*r2 + const = 0 on r2's numerator and
+denominator, and then the divisors; `solve_r2` returns -const/coef for
+cases 12, 13 and 14 (or ALL or NONE when coef vanishes). Nothing uses
+floating point.
 
 Two formula corrections are baked in, both confirmed by direct
 substitution (see the test suite and README):
@@ -34,6 +36,7 @@ substitution (see the test suite and README):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -41,7 +44,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
 from . import number_theory
-from .identity import ALL_CASES, CaseId, DomainError, Triple, _as_fraction, case_from_label
+from .identity import BinOp, CaseId, DomainError, Triple, _as_fraction, case_from_label
 
 __all__ = [
     "FamilyId",
@@ -60,97 +63,85 @@ __all__ = [
 # Membership predicates
 
 
-# Cases 12, 13 and 14 each reduce to one equation coef*r2 + const = 0 that
-# is linear in r2. Each function below returns the integer pair (coef,
-# const) from the numerators and denominators of r1 = n1/d1 and r3 = n3/d3,
-# scaled by one positive factor, so with r2 = n2/d2 the triple solves the
-# equation exactly when coef*n2 + const*d2 == 0.
-
-
-def _linear_12(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
-    # r2*(2r3 - r1) + r1*(r1 - r3 - 1), times d1^2*d3.
-    return d1 * (2 * n3 * d1 - n1 * d3), n1 * (n1 * d3 - n3 * d1 - d1 * d3)
-
-
-def _linear_13(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
-    # r1*r2 + r1*r3*(r1 + r3 - 1), times d1^2*d3^2. The r1 factor makes
-    # both coefficients vanish at r1 = 0, where every r2 solves the case.
-    return n1 * d1 * d3 * d3, n1 * n3 * (n1 * d3 + n3 * d1 - d1 * d3)
-
-
-def _linear_14(n1: int, d1: int, n3: int, d3: int) -> tuple[int, int]:
-    # r2*(r1 - 2r3) + r1*r3*(r3 + 1 - r1), times d1^2*d3^2.
-    return d1 * d3 * (n1 * d3 - 2 * n3 * d1), n1 * n3 * (n3 * d1 + d1 * d3 - n1 * d3)
-
-
-_LINEAR = {"12": _linear_12, "13": _linear_13, "14": _linear_14}
-
-
-def _undefined(label: str, n1: int, d1: int, n3: int, d3: int) -> str | None:
-    """Why a side of the hard case divides by zero for every r2, or None.
-
-    Fractions are in lowest terms, so r1 = -r3 and r1 = r3 compare their
-    numerators and denominators.
-    """
-    if label == "12":
-        return None
-    if n3 == 0:
-        return "r3 must be nonzero"
-    if label == "13" and d1 == d3 and n1 == -n3:
-        return "r1 + r3 must be nonzero"
-    if label == "14" and d1 == d3 and n1 == n3:
-        return "r1 - r3 must be nonzero"
-    return None
-
-
-def _hard_member(label: str) -> Callable[[Triple], bool]:
-    linear = _LINEAR[label]
-
-    def is_member(t: Triple) -> bool:
-        r1, r2, r3 = t
-        n1, d1 = r1.as_integer_ratio()
-        n3, d3 = r3.as_integer_ratio()
-        if _undefined(label, n1, d1, n3, d3) is not None:
-            return False
-        coef, const = linear(n1, d1, n3, d3)
-        n2, d2 = r2.as_integer_ratio()
-        return coef * n2 + const * d2 == 0
-
-    return is_member
-
-
-_MEMBER: dict[str, Callable[[Triple], bool]] = {
-    "1": lambda t: t.r1 == 0,
-    "2": lambda t: t.r1 == 0,
-    "3": lambda t: t.r1 * t.r2 * t.r3 == 0 or t.r1 == 1,
-    "4": lambda t: (t.r2 == 0 or t.r1 == 1) and t.r1 != 0 and t.r3 != 0,
-    "5": lambda t: t.r1 == 0,
-    "6": lambda t: t.r1 == 0,
-    "7": lambda t: t.r1 == 1 and t.r2 != 0 and t.r3 != 0,
-    "8": lambda t: (t.r1 == 0 or t.r1 == 1) and t.r2 != 0 and t.r3 != 0,
-    "9": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 + t.r3 != 0,
-    "10": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 != t.r3,
-    "11": lambda t: t.r1 == 0 or t.r1 + t.r2 + t.r3 == 1,
-    "12": _hard_member("12"),
-    "13": _hard_member("13"),
-    "14": _hard_member("14"),
-    "L1": lambda t: True,
-    "L2": lambda t: True,
+# Every case reduces to one equation coef*r2 + const = 0, linear in r2, and
+# the identity's divisors being nonzero. Each row returns the integer pair
+# (coef, const) from the numerators and denominators of r1 = n1/d1 and
+# r3 = n3/d3: the numerator of lhs - rhs with those denominators cleared,
+# up to a factor that is nonzero wherever the identity is defined. So with
+# r2 = n2/d2 a defined triple solves its case iff coef*n2 + const*d2 == 0.
+_LINEAR: dict[CaseId, Callable[[int, int, int, int], tuple[int, int]]] = {
+    case_from_label(label): row for labels, row in [
+        # r1, times d1; cases 9 and 10 drop a factor r2^2 +/- r2*r3 + r3^2,
+        # which has no zero once r3 != 0.
+        ("1 2 5 6 9 10", lambda n1, d1, n3, d3: (0, n1)),
+        # r1*r2*r3*(r1 - 1), times d1^2*d3.
+        ("3", lambda n1, d1, n3, d3: (n1 * n3 * (n1 - d1), 0)),
+        # r2*(r1 - 1), times d1.
+        ("4", lambda n1, d1, n3, d3: (n1 - d1, 0)),
+        # r1 - 1, times d1; the dropped factor r3 is a divisor.
+        ("7", lambda n1, d1, n3, d3: (0, n1 - d1)),
+        # r1*(r1 - 1), times d1^2.
+        ("8", lambda n1, d1, n3, d3: (0, n1 * (n1 - d1))),
+        # r1*(r1 + r2 + r3 - 1), times d1^2*d3.
+        ("11", lambda n1, d1, n3, d3: (n1 * d1 * d3, n1 * (n1 * d3 + n3 * d1 - d1 * d3))),
+        # r2*(2r3 - r1) + r1*(r1 - r3 - 1), times d1^2*d3.
+        ("12", lambda n1, d1, n3, d3: (d1 * (2 * n3 * d1 - n1 * d3),
+                                       n1 * (n1 * d3 - n3 * d1 - d1 * d3))),
+        # r1*r2 + r1*r3*(r1 + r3 - 1), times d1^2*d3^2. The r1 factor makes
+        # both coefficients vanish at r1 = 0, where every r2 solves the case.
+        ("13", lambda n1, d1, n3, d3: (n1 * d1 * d3 * d3,
+                                       n1 * n3 * (n1 * d3 + n3 * d1 - d1 * d3))),
+        # r2*(r1 - 2r3) + r1*r3*(r3 + 1 - r1), times d1^2*d3^2.
+        ("14", lambda n1, d1, n3, d3: (d1 * d3 * (n1 * d3 - 2 * n3 * d1),
+                                       n1 * n3 * (n3 * d1 + d1 * d3 - n1 * d3))),
+        ("L1 L2", lambda n1, d1, n3, d3: (0, 0)),
+    ] for label in labels.split()
 }
 
+_OPERATIONS = {BinOp.ADD: (operator.add, "+"), BinOp.SUB: (operator.sub, "-"),
+               BinOp.MUL: (operator.mul, "*"), BinOp.DIV: (operator.truediv, "/")}
 
-# Keyed by case, so a call hashes the CaseId it is given instead of building
-# and hashing the label's (outer, inner) key.
-_MEMBER_BY_CASE = {case: _MEMBER[case.label] for case in ALL_CASES}
+
+def _zero_divisor(case: CaseId, r1: Fraction, r2: Fraction | None, r3: Fraction) -> str | None:
+    """The first divisor of the case's identity that is zero, or None.
+
+    Every division divides by its right operand: when inner is DIV those
+    are r3 and r1 outer r3, when outer is DIV r2, r3 and r2 inner r3. Each
+    is evaluated only once those it is computed from are nonzero, and r2 is
+    read only when outer is DIV.
+    """
+    (outer, outer_sign), (inner, inner_sign) = _OPERATIONS[case.outer], _OPERATIONS[case.inner]
+    if BinOp.DIV in case and not r3:
+        return "r3"
+    if case.inner is BinOp.DIV and not outer(r1, r3):
+        return f"r1 {outer_sign} r3"
+    if case.outer is BinOp.DIV:
+        if not r2:
+            return "r2"
+        if not inner(r2, r3):
+            return f"r2 {inner_sign} r3"
+    return None
 
 
 def member(case: CaseId, t: Triple) -> bool:
     """True iff t satisfies the case's complete characterization.
 
     Definedness constraints are part of membership: a triple for which
-    either side of the identity is undefined is never a member.
+    either side of the identity is undefined is never a member. The integer
+    equation is tested first, so definedness is evaluated only on the
+    triples that solve it.
     """
-    return _MEMBER_BY_CASE[case](t)
+    r1, r2, r3 = t
+    n1, d1 = r1.as_integer_ratio()
+    n3, d3 = r3.as_integer_ratio()
+    coef, const = _LINEAR[case](n1, d1, n3, d3)
+    n2, d2 = r2.as_integer_ratio()
+    return coef * n2 + const * d2 == 0 and _zero_divisor(case, r1, r2, r3) is None
+
+
+# Families call `_member`, so a wrapper on the attribute `member` (perfbench's
+# tracer) counts only callers' calls, one per triple in a grid scan.
+_member = member
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +243,11 @@ def _register(label: str, *families: dict) -> None:
     """Give each family its case and index, and join its `shape` (the slice
     it lies on and the exclusions that cut it out) with the case's
     membership predicate into its constraint `matches`."""
-    is_member = _MEMBER[label]
+    case = case_from_label(label)
 
     def spec(index: int, shape: Callable[[Triple], bool], **kw) -> FamilySpec:
         return FamilySpec(case_label=label, index=index,
-                          matches=lambda t: shape(t) and is_member(t), **kw)
+                          matches=lambda t: shape(t) and _member(case, t), **kw)
 
     _FAMILIES[label] = tuple(spec(i + 1, **kw) for i, kw in enumerate(families))
 
@@ -403,14 +394,14 @@ class SolveOutcome(Enum):
     NONE = "NONE"  # no r2 completes the triple
 
 
-def _solve_label(case) -> str:
+def _solve_case(case) -> CaseId:
     try:
-        label = case.label if isinstance(case, CaseId) else case_from_label(case).label
+        case = case if isinstance(case, CaseId) else case_from_label(case)
     except KeyError:
-        label = None
-    if label not in _LINEAR:
+        case = None
+    if case is None or case.label not in ("12", "13", "14"):
         raise DomainError("solve_r2 applies to cases 12, 13, and 14 only")
-    return label
+    return case
 
 
 def solve_r2(case, r1, r3) -> Fraction | SolveOutcome:
@@ -422,13 +413,13 @@ def solve_r2(case, r1, r3) -> Fraction | SolveOutcome:
     definedness constraints on (r1, r3) are preconditions. r1 and r3 may be
     ints, Fractions or strings; a float raises DomainError.
     """
-    label = _solve_label(case)
+    case = _solve_case(case)
     r1, r3 = _as_fraction(r1, "r1"), _as_fraction(r3, "r3")
-    n1, d1, n3, d3 = r1.numerator, r1.denominator, r3.numerator, r3.denominator
-    error = _undefined(label, n1, d1, n3, d3)
-    if error is not None:
-        raise DomainError(error)
-    coef, const = _LINEAR[label](n1, d1, n3, d3)
+    # No divisor of cases 12-14 involves r2.
+    zero = _zero_divisor(case, r1, None, r3)
+    if zero is not None:
+        raise DomainError(f"{zero} must be nonzero")
+    coef, const = _LINEAR[case](r1.numerator, r1.denominator, r3.numerator, r3.denominator)
     if coef != 0:
         return Fraction(-const, coef)
     return SolveOutcome.ALL if const == 0 else SolveOutcome.NONE

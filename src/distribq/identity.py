@@ -18,6 +18,7 @@ is defined here because every other module imports this one.
 
 from __future__ import annotations
 
+import reprlib
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -62,7 +63,11 @@ def _as_fraction(value, name: str) -> Fraction:
     # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
     if isinstance(value, float):
         raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        # reprlib shortens a string past int's digit limit to a few digits.
+        raise DomainError(f"{name} must be an exact rational, not {reprlib.repr(value)}") from exc
 
 
 class Triple(NamedTuple):

@@ -10,9 +10,10 @@ drop a factor: cases 4 and 7 lose r1, and case 7 loses r3 as well.
 The numerator's factors are linear in some variable, except in cases 9 and
 10, whose quadratic factor r2^2 +/- r2*r3 + r3^2 has no zero with r3 != 0.
 So the solution set is a union of pieces of planes and curves that are
-linear in one variable, and `_MEMBER` is compared with the derived set on
+linear in one variable, and `member` is compared with the derived set on
 points taken on the zero set of every factor and every divisor, and on a
-grid around them.
+grid around them. Each case's integer form in r2 is certified against the
+numerator with the denominators of r1 and r3 cleared.
 
 Each family's parametric triple, and the case-12 integer construction, is
 substituted into its case's numerator, which must vanish for every value of
@@ -26,7 +27,7 @@ from itertools import product
 
 import pytest
 
-from distribq.catalog import _LINEAR, _MEMBER, FamilyId, families_for, generate
+from distribq.catalog import _LINEAR, FamilyId, families_for, generate, member
 from distribq.identity import _SITES, ALL_CASES, BinOp, Triple, case_from_label
 from distribq.number_theory import case12_enumerate
 
@@ -95,21 +96,34 @@ def test_factored_identity_agrees_with_member(case):
             _assert_vanishes_only_where_undefined(factor, divisors)
         points.update(_zero_set_points(factor))
 
-    member = _MEMBER[case.label]
     for point in points:
         derived = all(g(*point) != 0 for g in defined) and vanishes(*point) == 0
-        assert member(Triple(*point)) == derived, (case.label, point)
+        assert member(case, Triple(*point)) == derived, (case.label, point)
 
 
-@pytest.mark.parametrize("label", ["12", "13", "14"])
-def test_linear_form_is_a_constant_multiple_of_the_numerator(label):
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_linear_form_is_a_constant_multiple_of_the_numerator(case):
     # r1 = n1/d1 and r3 = n3/d3; clearing the denominators of the numerator
-    # must give coef*r2 + const up to a nonzero constant.
+    # must give coef*r2 + const times a factor that is nonzero wherever the
+    # identity is defined: a nonzero constant, times n3 in case 7 (r3 is a
+    # divisor) and a quadratic in r2, r3 in cases 9 and 10.
     n1, d1, n3, d3 = sp.symbols("n1 d1 n3 d3")
-    _, numerator = _derive(case_from_label(label))
+    divisors, numerator = _derive(case)
     cleared = sp.numer(sp.together(numerator.subs({R1: n1 / d1, R3: n3 / d3})))
-    coef, const = _LINEAR[label](n1, d1, n3, d3)
-    ratio = sp.cancel((coef * R2 + const) / cleared)
+    coef, const = _LINEAR[case](n1, d1, n3, d3)
+    if case.label in ("L1", "L2"):
+        assert numerator == 0 and (coef, const) == (0, 0)
+        return
+    ratio = sp.cancel(cleared / (coef * R2 + const))
+    if case.label == "7":
+        ratio = sp.cancel(ratio / n3)
+    if case.label in ("9", "10"):
+        # The ratio is d3^2 times a constant times q(r2, r3), a homogeneous
+        # quadratic with no zero once r3 != 0.
+        ratio = sp.expand(ratio.subs(n3, R3 * d3) / d3**2)
+        quadratic = _factors(ratio)[0]
+        _assert_vanishes_only_where_undefined(quadratic, divisors)
+        ratio = sp.cancel(ratio / quadratic)
     assert ratio.is_Number and ratio != 0
 
 

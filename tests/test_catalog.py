@@ -1,6 +1,7 @@
 """Membership predicates, family generators, and closed-form r2 solving."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,22 +68,40 @@ def test_member_matches_check_everywhere_on_a_small_grid():
                     assert member(case, t) == holds, (case.label, t)
 
 
-# The defining polynomials of the hard cases, on Fractions, as the README
-# states them. Each is linear in r2.
+# The equations in r2 of the cases that have one, on Fractions, as the
+# README states them. Each is linear in r2.
 _REFERENCE_POLY = {
+    "11": lambda r1, r2, r3: r1 + r2 + r3 - 1,
     "12": lambda r1, r2, r3: r1 * r1 - r1 * r3 - r1 * r2 + 2 * r2 * r3 - r1,
     "13": lambda r1, r2, r3: r1 * r3 + r3 * r3 + r2 - r3,
     "14": lambda r1, r2, r3: r1 * r3 * r3 + r1 * r2 - 2 * r2 * r3 + r1 * r3 - r3 * r1 * r1,
 }
 
 
-def _reference_member(label, r1, r2, r3):
-    vanishes = _REFERENCE_POLY[label](r1, r2, r3) == 0
-    if label == "12":
-        return vanishes
-    if label == "13":
-        return r3 != 0 and r1 != -r3 and (r1 == 0 or vanishes)
-    return r3 != 0 and r1 != r3 and vanishes
+def _vanishes(label):
+    return lambda t: _REFERENCE_POLY[label](*t) == 0
+
+
+# The paper's characterizations, the README's case table, on Fractions: the
+# reference that `member`'s integer forms and divisors are compared with.
+_REFERENCE_MEMBER = {
+    "1": lambda t: t.r1 == 0,
+    "2": lambda t: t.r1 == 0,
+    "3": lambda t: t.r1 * t.r2 * t.r3 == 0 or t.r1 == 1,
+    "4": lambda t: (t.r2 == 0 or t.r1 == 1) and t.r1 != 0 and t.r3 != 0,
+    "5": lambda t: t.r1 == 0,
+    "6": lambda t: t.r1 == 0,
+    "7": lambda t: t.r1 == 1 and t.r2 != 0 and t.r3 != 0,
+    "8": lambda t: (t.r1 == 0 or t.r1 == 1) and t.r2 != 0 and t.r3 != 0,
+    "9": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 + t.r3 != 0,
+    "10": lambda t: t.r1 == 0 and t.r2 * t.r3 != 0 and t.r2 != t.r3,
+    "11": lambda t: t.r1 == 0 or t.r1 + t.r2 + t.r3 == 1,
+    "12": _vanishes("12"),
+    "13": lambda t: t.r3 != 0 and t.r1 != -t.r3 and (t.r1 == 0 or _vanishes("13")(t)),
+    "14": lambda t: t.r3 != 0 and t.r1 != t.r3 and _vanishes("14")(t),
+    "L1": lambda t: True,
+    "L2": lambda t: True,
+}
 
 
 _components = st.one_of(
@@ -96,18 +115,24 @@ _components = st.one_of(
 )
 
 
-@settings(max_examples=300)
-@given(st.sampled_from(["12", "13", "14"]), _components, _components, _components,
-       st.booleans())
-def test_hard_case_member_matches_the_rational_polynomials(label, r1, r2, r3, on_curve):
-    if on_curve:
-        # Move r2 onto the zero set of the polynomial when its slope allows.
-        p0 = _REFERENCE_POLY[label](r1, Fraction(0), r3)
-        slope = _REFERENCE_POLY[label](r1, Fraction(1), r3) - p0
-        if slope != 0:
-            r2 = -p0 / slope
-    t = Triple(r1, r2, r3)
-    assert member(case_from_label(label), t) == _reference_member(label, r1, r2, r3)
+@settings(max_examples=400)
+@given(_components, _components, _components, st.sampled_from(["free", "0", "1", "r3", "-r3"]),
+       st.sampled_from(["free", "0", "r3", "-r3", "solved"]))
+def test_hard_case_member_matches_the_rational_polynomials(r1, r2, r3, r1_at, r2_at):
+    # Every case on each triple. r1 = 0 and r1 = 1 are the slices most cases
+    # lie on, and r1 = +/-r3 and r2 in {0, r3, -r3} make divisors vanish; the
+    # solved value puts r2 on the zero set of the case's equation in r2,
+    # where it has one and its slope allows.
+    r1 = {"free": r1, "0": Fraction(0), "1": Fraction(1), "r3": r3, "-r3": -r3}[r1_at]
+    r2 = {"free": r2, "0": Fraction(0), "r3": r3, "-r3": -r3, "solved": r2}[r2_at]
+    for case in ALL_CASES:
+        t = Triple(r1, r2, r3)
+        if r2_at == "solved" and case.label in _REFERENCE_POLY:
+            p0 = _REFERENCE_POLY[case.label](r1, Fraction(0), r3)
+            slope = _REFERENCE_POLY[case.label](r1, Fraction(1), r3) - p0
+            if slope != 0:
+                t = Triple(r1, -p0 / slope, r3)
+        assert member(case, t) == _REFERENCE_MEMBER[case.label](t), (case.label, t)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +222,17 @@ def test_floats_are_refused_for_rational_parameters():
         solve_r2(12, 2, 1.0)
     with pytest.raises(DomainError, match="r1 must be an exact rational, not the float 0.1"):
         Triple.of(0.1, 1, 1)
+    # So is a value Fraction cannot read, rather than escaping as
+    # ZeroDivisionError, ValueError or TypeError.
+    for value, shown in [("1/0", "'1/0'"), ("x", "'x'"), (None, "None")]:
+        expected = f"^{{}} must be an exact rational, not {re.escape(shown)}$"
+        with pytest.raises(DomainError, match=expected.format("r1")):
+            solve_r2(12, value, 1)
+        with pytest.raises(DomainError, match=expected.format("r3")):
+            solve_r2(13, 3, value)
+        if value is not None:  # generate counts a None value as absent
+            with pytest.raises(DomainError, match=expected.format("r2")):
+                _gen(1, 1, r2=value, r3=1)
     # ints, Fractions and strings are still exact inputs
     for r2 in (Fraction(1, 10), "1/10", "0.1"):
         assert _gen(1, 1, r2=r2, r3=1) == T(0, "1/10", 1)

@@ -3,8 +3,10 @@
 import operator
 import os
 import pickle
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,7 +265,7 @@ def test_equal_case_ids_reach_one_kernel_and_one_member_entry():
     for case in (looked_up, unpickled):
         assert case == built and hash(case) == hash(built)
         assert identity._KERNELS[case] is identity._KERNELS[built]
-        assert catalog._MEMBER_BY_CASE[case] is catalog._MEMBER_BY_CASE[built]
+        assert catalog._LINEAR[case] is catalog._LINEAR[built]
         assert check(case, t) == check(built, t) and catalog.member(case, t)
     assert len({built, looked_up, unpickled}) == 1
 
@@ -327,12 +329,23 @@ def test_check_result_repr_shows_the_side_values():
 
 
 def test_triple_of_refuses_a_float_in_any_position():
-    # Fraction(0.1) would be the float's binary expansion, not 1/10.
+    # Fraction(0.1) would be the float's binary expansion, not 1/10. A value
+    # Fraction cannot read is refused alike, not as ZeroDivisionError,
+    # ValueError, TypeError or OverflowError.
+    refusals = [(0.1, "the float 0.1"), ("1/0", "'1/0'"), ("x", "'x'"), (None, "None"),
+                (Decimal("Infinity"), "Decimal('Infinity')")]
     for position in range(3):
-        args = [1, 1, 1]
-        args[position] = 0.1
-        name = f"r{position + 1}"
-        with pytest.raises(identity.DomainError, match=f"{name} must be an exact rational, not the float 0.1"):
-            Triple.of(*args)
+        for value, shown in refusals:
+            args = [1, 1, 1]
+            args[position] = value
+            name = f"r{position + 1}"
+            with pytest.raises(identity.DomainError,
+                               match=f"^{name} must be an exact rational, not {re.escape(shown)}$"):
+                Triple.of(*args)
+    # A string past int's digit limit is named in short, not in full.
+    with pytest.raises(identity.DomainError) as error:
+        Triple.of(1, "9" * 5000, 1)
+    assert str(error.value).startswith("r2 must be an exact rational, not '999")
+    assert len(str(error.value)) < 80
     assert Triple.of(3, "-1/10", Fraction(2, 3)) == (Fraction(3), Fraction(-1, 10), Fraction(2, 3))
     assert all(type(v) is Fraction for v in Triple.of(3, "0.1", Fraction(2, 3)))
