@@ -8,9 +8,12 @@ invocation), or CSV (fixed header row); diagnostics go to stderr.
 Each subcommand handler returns one `_Record` of raw values (`Fraction`,
 `Triple`, `CaseId`, enums, `bool`, `int`, `None`): its exit code, the JSON
 document, the CSV header and rows, and the plain lines. `_render` turns the
-record into the text of the chosen format, through `_json` for documents and
-`_text` for every CSV cell and plain line, so each value is formatted in
-one place. The whole text is built before anything is written.
+record into the text of the chosen format. `_text` formats every CSV cell
+and plain line, and every number and rational in a document, so each value
+is formatted in one place. `_json` writes a document in one walk over its
+raw values, straight to the text that `json.dumps(indent=2)` would give:
+two-space indent, ASCII only, keys in the record's order. The whole text is
+built before anything is written.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
@@ -38,12 +41,12 @@ import csv
 import errno
 import functools
 import io
-import json
 import os
 import re
 import sys
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Sequence
 
 from . import catalog, number_theory, oracle
@@ -187,7 +190,7 @@ def _text(value) -> str:
     """The one value-to-text conversion, and the one guard on digit count."""
     try:
         if isinstance(value, Fraction):
-            return f"{value.numerator}/{value.denominator}"
+            return "%d/%d" % value.as_integer_ratio()
         if isinstance(value, int) and not isinstance(value, bool):
             return str(value)
     except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
@@ -210,27 +213,40 @@ def format_rational(q: Fraction) -> str:
     return _text(q)
 
 
-def _json(value):
-    """Map a raw value onto JSON types: rationals become "n/d" strings."""
-    if isinstance(value, (Fraction, Enum)):
-        return _text(value)
+def _json(value, pad: str) -> str:
+    """The JSON text of a raw value, byte for byte what `json.dumps(indent=2)`
+    writes for it once rationals are "n/d" strings and a `Triple` or `CaseId`
+    is an object; `pad` is the indent of the line the value starts on."""
+    # Lists first: isinstance(list, Fraction) runs ABCMeta's Python-level check.
     if isinstance(value, list):
-        return [_json(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json(v) for k, v in value.items()}
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(value, Fraction):
+        return '"' + _text(value) + '"'
     if isinstance(value, Triple):
-        return {"r1": _text(value.r1), "r2": _text(value.r2), "r3": _text(value.r3)}
-    if isinstance(value, CaseId):
-        return {"label": value.label, "number": value.case_number,
-                "outer": value.outer.value, "inner": value.inner.value}
-    if isinstance(value, int) and not isinstance(value, bool):
-        _text(value)  # json.dumps would raise the same unguarded ValueError
-    return value
+        value = value._asdict()
+    elif isinstance(value, CaseId):
+        value = {"label": value.label, "number": value.case_number,
+                 "outer": value.outer, "inner": value.inner}
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, Enum):
+        return _quote(value.value)
+    return "null" if value is None else _text(value)
 
 
 def _render(fmt: str, command: str, record: _Record) -> str:
     if fmt == "json":
-        return json.dumps({"command": command, **_json(record.doc)}, indent=2) + "\n"
+        return _json({"command": command, **record.doc}, "") + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

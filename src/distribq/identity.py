@@ -63,6 +63,9 @@ def _as_fraction(value, name: str) -> Fraction:
     # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
     if isinstance(value, float):
         raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
+    # Fraction(True) is 1, yet a flag is no number; catalog._as_int refuses it too.
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be an exact rational, not {value!r}")
     try:
         return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:

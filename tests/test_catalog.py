@@ -222,9 +222,11 @@ def test_floats_are_refused_for_rational_parameters():
         solve_r2(12, 2, 1.0)
     with pytest.raises(DomainError, match="r1 must be an exact rational, not the float 0.1"):
         Triple.of(0.1, 1, 1)
-    # So is a value Fraction cannot read, rather than escaping as
-    # ZeroDivisionError, ValueError or TypeError.
-    for value, shown in [("1/0", "'1/0'"), ("x", "'x'"), (None, "None")]:
+    # So is a bool, which Fraction would read as 0 or 1, and a value
+    # Fraction cannot read, rather than escaping as ZeroDivisionError,
+    # ValueError or TypeError.
+    for value, shown in [(True, "True"), (False, "False"),
+                         ("1/0", "'1/0'"), ("x", "'x'"), (None, "None")]:
         expected = f"^{{}} must be an exact rational, not {re.escape(shown)}$"
         with pytest.raises(DomainError, match=expected.format("r1")):
             solve_r2(12, value, 1)

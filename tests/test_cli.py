@@ -7,15 +7,28 @@ import json
 import os
 import subprocess
 import sys
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distribq
 from distribq import oracle
-from distribq.cli import format_rational, main, parse_case, parse_rational, parse_triple
-from distribq.identity import BinOp, CaseId, Triple
+from distribq.catalog import SolveOutcome
+from distribq.cli import (
+    _json,
+    _Record,
+    _render,
+    format_rational,
+    main,
+    parse_case,
+    parse_rational,
+    parse_triple,
+)
+from distribq.identity import ALL_CASES, BinOp, CaseId, DomainError, Triple, Verdict
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +264,62 @@ def test_unprintable_integer_result_is_a_domain_error(capsys, fmt):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "digits" in err
+
+
+def _reference(value):
+    """Map a raw value onto JSON types, as the CLI did before it wrote JSON
+    text itself: rationals become "n/d" strings."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, list):
+        return [_reference(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _reference(v) for k, v in value.items()}
+    if isinstance(value, Triple):
+        return {"r1": _reference(value.r1), "r2": _reference(value.r2),
+                "r3": _reference(value.r3)}
+    if isinstance(value, CaseId):
+        return {"label": value.label, "number": value.case_number,
+                "outer": value.outer.value, "inner": value.inner.value}
+    return value
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ['', '"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9 \u2203 \U0001f600"])
+_BIG = 10**40
+_FRACTIONS = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-_BIG, _BIG), _STRINGS, _FRACTIONS,
+    st.builds(Triple, _FRACTIONS, _FRACTIONS, _FRACTIONS), st.sampled_from(ALL_CASES),
+    st.sampled_from([*Verdict, *BinOp, *SolveOutcome]),
+)
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_json_writer_matches_the_standard_library(value):
+    assert _json(value, "") == json.dumps(_reference(value), indent=2)
+
+
+def test_json_writer_covers_every_kind_of_value():
+    doc = {"empty": [[], {}], "text": ['"', "\\", "\x01", "\u00e9\U0001f600"],
+           "plain": [None, True, False, -7, -(10**39) - 1, Fraction(-3, 7), Fraction(2)],
+           "triple": Triple.of(1, "-1/2", 0), "cases": list(ALL_CASES),
+           "enums": [*Verdict, *BinOp, *SolveOutcome]}
+    text = _json(doc, "")
+    assert text == json.dumps(_reference(doc), indent=2)
+    assert text.isascii() and '"\\u00e9\\ud83d\\ude00"' in text
+
+
+def test_unprintable_nested_rational_is_a_domain_error():
+    record = _Record(0, {"outer": [1, {"inner": [Fraction(10**5000 + 1, 3)]}]}, [], [], [])
+    with pytest.raises(DomainError, match="digits"):
+        _render("json", "check", record)
 
 
 @pytest.mark.parametrize("words, joined", [

@@ -329,10 +329,11 @@ def test_check_result_repr_shows_the_side_values():
 
 
 def test_triple_of_refuses_a_float_in_any_position():
-    # Fraction(0.1) would be the float's binary expansion, not 1/10. A value
-    # Fraction cannot read is refused alike, not as ZeroDivisionError,
-    # ValueError, TypeError or OverflowError.
-    refusals = [(0.1, "the float 0.1"), ("1/0", "'1/0'"), ("x", "'x'"), (None, "None"),
+    # Fraction(0.1) would be the float's binary expansion, not 1/10, and
+    # Fraction(True) would be 1. A value Fraction cannot read is refused
+    # alike, not as ZeroDivisionError, ValueError, TypeError or OverflowError.
+    refusals = [(0.1, "the float 0.1"), (True, "True"), (False, "False"),
+                ("1/0", "'1/0'"), ("x", "'x'"), (None, "None"),
                 (Decimal("Infinity"), "Decimal('Infinity')")]
     for position in range(3):
         for value, shown in refusals:
