@@ -129,14 +129,14 @@ def member(case: CaseId, t: Triple) -> bool:
     Definedness constraints are part of membership: a triple for which
     either side of the identity is undefined is never a member. The integer
     equation is tested first, so definedness is evaluated only on the
-    triples that solve it.
+    triples that solve it. t is a `Triple` of Fractions, as `Triple.of`
+    builds it; each component's integers are read from its slots.
     """
     r1, r2, r3 = t
-    n1, d1 = r1.as_integer_ratio()
-    n3, d3 = r3.as_integer_ratio()
-    coef, const = _LINEAR[case](n1, d1, n3, d3)
-    n2, d2 = r2.as_integer_ratio()
-    return coef * n2 + const * d2 == 0 and _zero_divisor(case, r1, r2, r3) is None
+    coef, const = _LINEAR[case](r1._numerator, r1._denominator,
+                                r3._numerator, r3._denominator)
+    return (coef * r2._numerator + const * r2._denominator == 0
+            and _zero_divisor(case, r1, r2, r3) is None)
 
 
 # Families call `_member`, so a wrapper on the attribute `member` (perfbench's
@@ -419,7 +419,7 @@ def solve_r2(case, r1, r3) -> Fraction | SolveOutcome:
     zero = _zero_divisor(case, r1, None, r3)
     if zero is not None:
         raise DomainError(f"{zero} must be nonzero")
-    coef, const = _LINEAR[case](r1.numerator, r1.denominator, r3.numerator, r3.denominator)
+    coef, const = _LINEAR[case](r1._numerator, r1._denominator, r3._numerator, r3._denominator)
     if coef != 0:
         return Fraction(-const, coef)
     return SolveOutcome.ALL if const == 0 else SolveOutcome.NONE

@@ -43,6 +43,7 @@ import functools
 import io
 import os
 import re
+import reprlib
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -75,21 +76,21 @@ class _UsageError(Exception):
 def parse_rational(text: str) -> Fraction:
     """Parse "n/d" or "n" (optional leading minus, no whitespace)."""
     if not _RATIONAL_RE.match(text):
-        raise _UsageError(f"malformed rational {text!r}; expected n or n/d")
+        raise _UsageError(f"malformed rational {reprlib.repr(text)}; expected n or n/d")
     num, _, den = text.partition("/")
     try:
         n, d = int(num), int(den or 1)
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
         raise _UsageError(f"rational of {len(text)} characters is too long") from None
     if d == 0:
-        raise _UsageError(f"zero denominator in {text!r}")
+        raise _UsageError(f"zero denominator in {reprlib.repr(text)}")
     return Fraction(n, d)
 
 
 def parse_triple(text: str) -> Triple:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _UsageError(f"expected r1,r2,r3 but got {text!r}")
+        raise _UsageError(f"expected r1,r2,r3 but got {reprlib.repr(text)}")
     return Triple(*(parse_rational(p) for p in parts))
 
 
@@ -98,7 +99,7 @@ def _parse_op(text: str) -> BinOp:
         return BinOp(text.strip().lower())
     except ValueError:
         raise _UsageError(
-            f"unknown operation {text!r}; use add, sub, mul, or div"
+            f"unknown operation {reprlib.repr(text)}; use add, sub, mul, or div"
         ) from None
 
 
@@ -108,7 +109,7 @@ def parse_case(text: str) -> CaseId:
         return case_from_label(text)
     except KeyError:
         raise _UsageError(
-            f"unknown case {text!r}; use 1..14, L1, L2, or outer/inner"
+            f"unknown case {reprlib.repr(text)}; use 1..14, L1, L2, or outer/inner"
         ) from None
 
 
@@ -117,7 +118,7 @@ def _parse_sign(text: str) -> int:
         return 1
     if text in ("-", "-1"):
         return -1
-    raise _UsageError(f"sign must be + or -, not {text!r}")
+    raise _UsageError(f"sign must be + or -, not {reprlib.repr(text)}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -126,14 +127,14 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no"):
         return False
-    raise _UsageError(f"expected a boolean (0/1/true/false), got {text!r}")
+    raise _UsageError(f"expected a boolean (0/1/true/false), got {reprlib.repr(text)}")
 
 
 def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"expected an integer, got {text!r}") from None
+        raise _UsageError(f"expected an integer, got {reprlib.repr(text)}") from None
 
 
 _PARAM_PARSERS = {"rational": parse_rational, "int": _parse_int,
@@ -144,12 +145,12 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
     out: dict[str, object] = {}
     for item in (text.split(",") if text else []):
         if "=" not in item:
-            raise _UsageError(f"bad parameter {item!r}; expected key=value")
+            raise _UsageError(f"bad parameter {reprlib.repr(item)}; expected key=value")
         key, _, value = (part.strip() for part in item.partition("="))
         kind = spec.params.get(key)
         if kind is None:
             raise _UsageError(
-                f"unknown parameter {key!r}; family takes {', '.join(spec.params)}"
+                f"unknown parameter {reprlib.repr(key)}; family takes {', '.join(spec.params)}"
             )
         if key in out:
             raise _UsageError(f"parameter {key}: given more than once")
@@ -160,12 +161,20 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
     return out
 
 
+def _integer(text: str) -> int:
+    """argparse's `type=int`, with the echoed value shortened by reprlib."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
+            f"expected a positive integer, got {reprlib.repr(text)}"
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
@@ -190,7 +199,7 @@ def _text(value) -> str:
     """The one value-to-text conversion, and the one guard on digit count."""
     try:
         if isinstance(value, Fraction):
-            return "%d/%d" % value.as_integer_ratio()
+            return "%d/%d" % (value._numerator, value._denominator)
         if isinstance(value, int) and not isinstance(value, bool):
             return str(value)
     except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
@@ -488,24 +497,24 @@ _COMMANDS = {
     "classify": ("evaluate all 16 cases on one triple", _cmd_classify, _TRIPLE),
     "member": ("test the case's exact characterization", _cmd_member, _CASE + _TRIPLE),
     "generate": ("instantiate a parametric family", _cmd_generate, (
-        *_CASE, *_required("family", type=int, metavar="K"),
+        *_CASE, *_required("family", type=_integer, metavar="K"),
         ("--params", dict(metavar="key=val[,key=val...]")),
     )),
     "solve": ("solve case 12/13/14 for r2 given r1 and r3", _cmd_solve,
               _CASE + _required("r1", "r3")),
     "diophantine": ("solve p*x + q*y = t over the integers", _cmd_diophantine,
-                    _required("p", "q", "t", type=int)),
+                    _required("p", "q", "t", type=_integer)),
     "construct12": (
         "build a case-12 integer triple from (N1, N2, delta), or list the "
         "first N constructible deltas with --list", _cmd_construct12, (
-            *_required("n1", "n2", type=int),
-            ("--delta", dict(type=int)),
+            *_required("n1", "n2", type=_integer),
+            ("--delta", dict(type=_integer)),
             ("--list", dict(type=_positive_int, metavar="N")),
             ("--allow-degenerate", dict(action="store_true",
                                         help="permit a zero third component")),
         )),
     "family5": ("build a case-13 family-5 triple", _cmd_family5,
-                _required("a", "f", "k", type=int) + _required("sign", help="+ or -")),
+                _required("a", "f", "k", type=_integer) + _required("sign", help="+ or -")),
     "search": ("list all solutions on a bounded grid", _cmd_search, _GRID),
     "verify": ("compare checker, characterization, and families over a grid", _cmd_verify, (
         *_GRID, ("--limit", dict(type=_positive_int, default=oracle.DEFAULT_LIST_LIMIT,

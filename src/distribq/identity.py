@@ -5,11 +5,14 @@ For an ordered pair of binary operations (outer, inner) and a triple
 
     r1 outer (r2 inner r3)  ==  (r1 outer r2) inner (r1 outer r3)
 
-Values are `fractions.Fraction` at every interface. `check` is one
+Values are `fractions.Fraction` at every interface: `check` takes a
+`Triple` of Fractions, as `Triple.of` builds it. `check` is one
 straight-line kernel per case, generated from one integer template per
-operation when the case is first checked. It builds no Fraction: its
-result keeps each side as a numerator/denominator pair and builds the side's
-Fraction when it is read. Nothing uses floating point.
+operation when the case is first checked. It reads each component's
+numerator and denominator straight from the Fraction's `_numerator` and
+`_denominator` slots and builds no Fraction: its result keeps each side as a
+numerator/denominator pair and builds the side's Fraction when it is read.
+Nothing uses floating point.
 Divisions by zero never raise out of this module: `check` reports an
 UNDEFINED verdict that records which sub-operation failed. `DomainError`,
 the package's error for a caller's request outside an operation's contract,
@@ -259,7 +262,9 @@ def _build_kernel(case: CaseId):
              ("ac", outer, "1", "3"), ("rhs", inner, "ab", "ac"))
     name = f"check_case_{case.label}"
     lines = [f"def {name}(t):", "    r1, r2, r3 = t"]
-    lines += [f"    n{i}, d{i} = r{i}.as_integer_ratio()" for i in (1, 2, 3)]
+    # Slot loads: as_integer_ratio and the numerator/denominator properties
+    # are Python-level functions in fractions.py, one call per read.
+    lines += [f"    n{i}, d{i} = r{i}._numerator, r{i}._denominator" for i in (1, 2, 3)]
     for out, op, x, y in steps:
         lines.append(f"    n{out}, d{out} = " + _TEMPLATES[op].format(x=x, y=y))
     # Any other operation's denominator is a product of its operands', so

@@ -242,6 +242,46 @@ def test_overlong_triple_component_is_a_usage_error(capsys):
     assert err.startswith("usage error:") and "too long" in err
 
 
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["diophantine", "--p", _LONG, "--q", "1", "--t", "1"],
+    ["diophantine", "--p", "1", "--q", _LONG, "--t", "1"],
+    ["diophantine", "--p", "1", "--q", "1", "--t", _LONG],
+    ["construct12", "--n1", _LONG, "--n2", "1", "--delta", "1"],
+    ["construct12", "--n1", "1", "--n2", _LONG, "--delta", "1"],
+    ["construct12", "--n1", "1", "--n2", "1", "--delta", _LONG],
+    ["construct12", "--n1", "1", "--n2", "1", "--list", _LONG],
+    ["family5", "--a", _LONG, "--f", "1", "--k", "1", "--sign", "+"],
+    ["family5", "--a", "1", "--f", _LONG, "--k", "1", "--sign", "+"],
+    ["family5", "--a", "1", "--f", "1", "--k", _LONG, "--sign", "+"],
+    ["generate", "--case", "12", "--family", _LONG],
+    ["generate", "--case", "12", "--family", "4", "--params", "delta=" + _LONG],
+    ["search", "--case", "1", "--num-bound", _LONG, "--den-bound", "1"],
+    ["search", "--case", "1", "--num-bound", "1", "--den-bound", _LONG],
+    ["search", "--case", "1", "--num-bound", "1", "--den-bound", "1", "--jobs", _LONG],
+    ["verify", "--case", "1", "--num-bound", "1", "--den-bound", "1", "--limit", _LONG],
+    ["check", "--outer", "add", "--inner", "add", "--triple", "1,2," + _LONG + "x"],
+], ids=lambda argv: next(argv[i - 1] for i, a in enumerate(argv) if _LONG in a))
+def test_an_overlong_integer_is_echoed_in_short(capsys, monkeypatch, argv):
+    # int() refuses 5,000 digits; the message names the value through
+    # reprlib, so stderr does not grow with the value. argparse's usage
+    # lines come first, wrapped to COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "...9999" in err
+    assert len(err.splitlines()[-1].encode()) < 150
+    assert len(err.encode()) < 400
+
+
+def test_a_bad_integer_option_keeps_argparse_wording(capsys):
+    code, out, err = run_cli(capsys, "diophantine", "--p", "x", "--q", "1", "--t", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == "distribq diophantine: error: argument --p: invalid int value: 'x'"
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_unprintable_result_is_a_domain_error(capsys, fmt):
     # The components print, but lhs = rhs = A*A has 6,000 digits, more than

@@ -350,3 +350,39 @@ def test_triple_of_refuses_a_float_in_any_position():
     assert len(str(error.value)) < 80
     assert Triple.of(3, "-1/10", Fraction(2, 3)) == (Fraction(3), Fraction(-1, 10), Fraction(2, 3))
     assert all(type(v) is Fraction for v in Triple.of(3, "0.1", Fraction(2, 3)))
+
+
+def test_fraction_keeps_its_integers_in_its_slots():
+    # The check kernels, catalog.member, catalog.solve_r2 and cli._text read
+    # q._numerator and q._denominator directly (the slots of
+    # fractions.Fraction), because as_integer_ratio and the numerator and
+    # denominator properties are Python-level calls. If CPython renames the
+    # slots, this test names the cause.
+    from distribq.cli import _text
+
+    built = [
+        Fraction(3, -6), Fraction(-4, -10), Fraction("-6/4"), Fraction(7),
+        Fraction(Fraction(5, 3)),
+        Fraction(1, 3) + Fraction(1, 6), Fraction(2, 3) * Fraction(3, 2),
+        Fraction(1, 2) / Fraction(-1, 4), Fraction(1, 2) - Fraction(1, 2), -Fraction(2, 7),
+        Fraction(0), Fraction(0, -5), Fraction(10**39 + 7, 3), Fraction(-(10**39) - 1),
+        *Triple.of("-1/10", 4, Fraction(2, 3)), *enumerate_rationals(SearchBounds(2, 2)),
+    ]
+    for q in built:
+        assert type(q) is Fraction
+        assert (q._numerator, q._denominator) == q.as_integer_ratio(), q
+
+    class Sub(Fraction):
+        pass
+
+    plain = Triple.of(6, 4, -3)
+    sub = Triple(Sub(-12, -2), Sub("4"), Sub(6, -2))
+    assert sub == plain and all(type(v) is Sub for v in sub)
+    for case in ALL_CASES:
+        assert check(case, sub) == check(case, plain), case.label
+        assert catalog.member(case, sub) == catalog.member(case, plain), case.label
+    assert check(case_from_label("12"), sub).verdict is Verdict.HOLDS
+    assert catalog.member(case_from_label("12"), sub) is True
+    assert catalog.solve_r2("12", sub.r1, sub.r3) == Fraction(4)
+    assert [_text(v) for v in sub] == ["6/1", "4/1", "-3/1"]
+    assert _text(Sub(3, -6)) == "-1/2"
