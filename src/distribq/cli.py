@@ -523,9 +523,27 @@ _COMMANDS = {
 }
 
 
+def _shorten(match: re.Match) -> str:
+    """A word of an argparse message, through reprlib if that shortens it;
+    a word in quotes is argparse's own %r of a value."""
+    word = match[0]
+    value = word[1:-1] if word[0] == word[-1] and word[0] in "'\"" else word
+    short = reprlib.repr(value)
+    return word if short == repr(value) else short
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse echoes a rejected choice or a stray word in full; this
+    shortens each over-long one, as the handlers' messages do. Subparsers
+    are built from the same class, so they inherit it."""
+
+    def error(self, message: str):
+        super().error(re.sub(r"\S+", _shorten, message))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distribq",
         description="Decide, construct, and exhaustively verify rational triples "
         "satisfying r1 op (r2 op' r3) = (r1 op r2) op' (r1 op r3).",

@@ -6,13 +6,13 @@ grid cubed and compare three views of each case: the identity checker, the
 membership predicate, and the union of listed families. Work is
 partitioned by the first component; partitions share no mutable state and
 are merged in first-component order, so the output is identical whether it
-was produced by one worker or many.
+was produced by one worker or many. The process-pool machinery is imported
+only when a pool starts, so one-shot commands and `--jobs 1` runs never load it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -127,6 +127,8 @@ def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int) -> 
     workers = min(jobs, cpus or 1, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import reprlib
 import subprocess
 import sys
 from enum import Enum
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distribq
-from distribq import oracle
+from distribq import cli, oracle
 from distribq.catalog import SolveOutcome
 from distribq.cli import (
     _json,
@@ -274,6 +275,39 @@ def test_an_overlong_integer_is_echoed_in_short(capsys, monkeypatch, argv):
     assert "...9999" in err
     assert len(err.splitlines()[-1].encode()) < 150
     assert len(err.encode()) < 400
+
+
+_GRID_ARGV = ["search", "--case", "1", "--num-bound", "1", "--den-bound", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_GRID_ARGV, "--format", _LONG],
+    [*_GRID_ARGV, _LONG],
+    [_LONG],
+], ids=["invalid-choice", "unrecognized-argument", "invalid-command"])
+def test_argparse_echoes_an_overlong_value_in_short(capsys, monkeypatch, argv):
+    # Unshortened, each writes more than 5,000 bytes. The bound is 400, not
+    # 300: at 80 columns the command's usage lines and the list of choices
+    # around the 30-character short form already take up to 320 bytes.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert reprlib.repr(_LONG) in err and _LONG not in err
+    assert len(err.encode()) < 400
+
+
+@pytest.mark.parametrize("argv", [
+    [*_GRID_ARGV, "--format", "xml"],
+    [*_GRID_ARGV, "--format", "x" * 28],
+    [*_GRID_ARGV, "xml", "--jobs=2"],
+    ["nonsense"],
+    ["check", "--triple", "1,2,3"],
+])
+def test_argparse_keeps_its_message_for_a_short_value(capsys, monkeypatch, argv):
+    shortened = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert shortened == run_cli(capsys, *argv)
+    assert shortened[0] == 2
 
 
 def test_a_bad_integer_option_keeps_argparse_wording(capsys):

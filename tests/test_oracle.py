@@ -1,10 +1,16 @@
 """Grid enumeration, exhaustive verification, and deterministic parallelism."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import distribq
 from distribq import oracle
 from distribq.identity import ALL_CASES, Triple, case_from_label
 from distribq.oracle import (
@@ -210,7 +216,7 @@ def test_worker_count_is_clamped_to_cores_and_partitions(
     case = case_from_label(12)
     serial_search = search_solutions(case, bounds)
     serial_verify = verify_characterization(case, bounds)
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
     if affinity is None:
         monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
@@ -220,6 +226,41 @@ def test_worker_count_is_clamped_to_cores_and_partitions(
     assert search_solutions(case, bounds, jobs=jobs) == serial_search
     assert verify_characterization(case, bounds, jobs=jobs) == serial_verify
     assert _RecordingPool.created == ([] if workers is None else [workers, workers])
+
+
+_ONE_SHOT = """
+import sys
+import distribq
+from distribq import cli
+
+runs = [
+    ["check", "--outer", "sub", "--inner", "mul", "--triple", "6,4,-3"],
+    ["classify", "--triple", "0,2,3"],
+    ["member", "--case", "12", "--triple", "2,5,1"],
+    ["solve", "--case", "13", "--r1", "3", "--r3", "-1"],
+    ["generate", "--case", "12", "--family", "4", "--params", "delta=2"],
+    ["diophantine", "--p", "3", "--q", "5", "--t", "1"],
+    ["construct12", "--n1", "3", "--n2", "2", "--delta", "2"],
+    ["family5", "--a", "3", "--f", "1", "--k", "0", "--sign", "+"],
+    ["search", "--case", "12", "--num-bound", "2", "--den-bound", "2", "--jobs", "1"],
+    ["verify", "--case", "12", "--num-bound", "2", "--den-bound", "2", "--jobs", "1"],
+]
+codes = [cli.run(argv) for argv in runs]
+assert codes == [0] * len(runs), codes
+loaded = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
+assert not loaded, loaded
+"""
+
+
+def test_one_shot_commands_never_load_the_process_pool():
+    """Every command, and search and verify at --jobs 1, in a fresh
+    interpreter: the pool's imports come only with a pool."""
+    src = str(Path(distribq.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _ONE_SHOT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_partitions_keep_exact_counts_but_at_most_list_limit_triples():
