@@ -37,7 +37,6 @@ substitution (see the test suite and README):
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -153,8 +152,7 @@ class FamilyId(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """One parametric family: its parameter record, shape, and constraint.
 
     `build` takes the parameters, each already coerced to its kind, and
@@ -171,7 +169,7 @@ class FamilySpec:
     summary: str
     build: Callable[..., Triple]
     matches: Callable[[Triple], bool]
-    optional: frozenset[str] = field(default_factory=frozenset)
+    optional: frozenset[str] = frozenset()
 
 
 def _as_int(value, name: str) -> int:

@@ -8,12 +8,16 @@ invocation), or CSV (fixed header row); diagnostics go to stderr.
 Each subcommand handler returns one `_Record` of raw values (`Fraction`,
 `Triple`, `CaseId`, enums, `bool`, `int`, `None`): its exit code, the JSON
 document, the CSV header and rows, and the plain lines. `_render` turns the
-record into the text of the chosen format. `_text` formats every CSV cell
-and plain line, and every number and rational in a document, so each value
-is formatted in one place. `_json` writes a document in one walk over its
-raw values, straight to the text that `json.dumps(indent=2)` would give:
-two-space indent, ASCII only, keys in the record's order. The whole text is
-built before anything is written.
+record into the text of the chosen format. A rational's text is
+`_RATIONAL_FORMAT`, "%d/%d" on its numerator and denominator. `_text` uses
+it for every CSV cell and plain line, and every number and rational in a
+document. The triples that `search` and `verify` list come as one `_Rows`
+value per list, and `_rows` writes each of them with one `%` on its six
+slot integers: the row format is built once per list from the same piece
+and the list's pad (the JSON indent, or a plain line's prefix). `_json`
+writes a document in one walk over its raw values, straight to the text
+that `json.dumps(indent=2)` would give: two-space indent, ASCII only, keys
+in the record's order. The whole text is built before anything is written.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
@@ -66,7 +70,7 @@ from .identity import (
 
 __all__ = ["format_rational", "main", "parse_case", "parse_rational", "parse_triple", "run"]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class _UsageError(Exception):
@@ -74,8 +78,8 @@ class _UsageError(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n/d" or "n" (optional leading minus, no whitespace)."""
-    if not _RATIONAL_RE.match(text):
+    """Parse "n/d" or "n" (optional leading minus, ASCII digits, no whitespace)."""
+    if not _RATIONAL_RE.fullmatch(text):
         raise _UsageError(f"malformed rational {reprlib.repr(text)}; expected n or n/d")
     num, _, den = text.partition("/")
     try:
@@ -195,20 +199,51 @@ class _Record(NamedTuple):
     plain: list  # plain lines; a list line is the concatenation of its parts
 
 
+_RATIONAL_FORMAT = "%d/%d"  # a rational from its numerator and denominator slots
+_TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
+
+
+class _Rows(NamedTuple):
+    """One list of triples that `search` or `verify` lists, written a row
+    per triple by `_rows`. A plain row starts with a newline and `pad`, so
+    the rows follow the line they are part of, and an empty list adds no
+    line."""
+
+    triples: Sequence[Triple]
+    pad: str = ""
+
+
+def _unprintable() -> DomainError:
+    return DomainError(
+        f"a result has more than {sys.get_int_max_str_digits()} digits"
+        " and cannot be printed"
+    )
+
+
+def _rows(row: str, sep: str, triples: Sequence[Triple]) -> str:
+    """Each triple through the row format `row`, one `%` on its six slot
+    integers, joined by `sep`."""
+    try:
+        return sep.join([row % (r1._numerator, r1._denominator, r2._numerator,
+                                r2._denominator, r3._numerator, r3._denominator)
+                         for r1, r2, r3 in triples])
+    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
+        raise _unprintable() from None
+
+
 def _text(value) -> str:
-    """The one value-to-text conversion, and the one guard on digit count."""
+    """The one value-to-text conversion outside the listed rows."""
     try:
         if isinstance(value, Fraction):
-            return "%d/%d" % (value._numerator, value._denominator)
+            return _RATIONAL_FORMAT % (value._numerator, value._denominator)
         if isinstance(value, int) and not isinstance(value, bool):
             return str(value)
     except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
-        raise DomainError(
-            f"a result has more than {sys.get_int_max_str_digits()} digits"
-            " and cannot be printed"
-        ) from None
+        raise _unprintable() from None
     if isinstance(value, Triple):
-        return ",".join(map(_text, value))
+        return _rows(_TRIPLE_FORMAT, "", (value,))
+    if isinstance(value, _Rows):
+        return _rows("\n" + value.pad + _TRIPLE_FORMAT, "", value.triples)
     if isinstance(value, list):
         return "".join(map(_text, value))
     if isinstance(value, bool):
@@ -226,7 +261,14 @@ def _json(value, pad: str) -> str:
     """The JSON text of a raw value, byte for byte what `json.dumps(indent=2)`
     writes for it once rationals are "n/d" strings and a `Triple` or `CaseId`
     is an object; `pad` is the indent of the line the value starts on."""
-    # Lists first: isinstance(list, Fraction) runs ABCMeta's Python-level check.
+    # Rows and lists first: isinstance(x, Fraction) runs ABCMeta's Python-level check.
+    if isinstance(value, _Rows):
+        if not value.triples:
+            return "[]"
+        inner = pad + "  "
+        cell = "\n" + inner + '  "' + _RATIONAL_FORMAT + '"'
+        row = "\n" + inner + "[" + ",".join([cell] * 3) + "\n" + inner + "]"
+        return "[" + _rows(row, ",", value.triples) + "\n" + pad + "]"
     if isinstance(value, list):
         if not value:
             return "[]"
@@ -433,15 +475,16 @@ def _cmd_search(args) -> _Record:
     case = parse_case(args.case)
     bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
     triples = oracle.search_solutions(case, bounds, jobs=args.jobs)
+    listed = _Rows(triples)
     # The jobs count is deliberately not echoed: output must be identical
     # for any worker count.
     return _Record(
         0,
         {"case": case, "bounds": bounds._asdict(), "count": len(triples),
-         "triples": [list(t) for t in triples]},
+         "triples": listed},
         ["r1", "r2", "r3"],
         triples,
-        [_grid_plain(case, bounds), *triples, f"count {len(triples)}"],
+        [[_grid_plain(case, bounds), listed], f"count {len(triples)}"],
     )
 
 
@@ -451,17 +494,16 @@ def _cmd_verify(args) -> _Record:
     report = oracle.verify_characterization(
         case, bounds, jobs=args.jobs, list_limit=args.limit
     )
-    lists = {"missing": report.missing, "spurious": report.spurious,
-             "coverage_gap": report.coverage_gap}
+    lists = {"missing": _Rows(report.missing, "  "),
+             "spurious": _Rows(report.spurious, "  "),
+             "coverage_gap": _Rows(report.coverage_gap, "  ")}
     plain = [
         _grid_plain(case, bounds),
         f"total {report.total_triples}  holds {report.holds}",
         f"missing {report.missing_count}  spurious {report.spurious_count}"
         f"  coverage_gap {report.coverage_gap_count}",
     ]
-    for category, triples in lists.items():
-        if triples:
-            plain += [f"{category}:", *(["  ", t] for t in triples)]
+    plain += [[f"{category}:", listed] for category, listed in lists.items() if listed.triples]
     return _Record(
         0 if report.exact else 1,
         {"case": case, "bounds": bounds._asdict(),
@@ -469,10 +511,9 @@ def _cmd_verify(args) -> _Record:
          "missing_count": report.missing_count,
          "spurious_count": report.spurious_count,
          "coverage_gap_count": report.coverage_gap_count,
-         "exact": report.exact, "list_limit": report.list_limit,
-         **{category: [list(t) for t in triples] for category, triples in lists.items()}},
+         "exact": report.exact, "list_limit": report.list_limit, **lists},
         ["category", "r1", "r2", "r3"],
-        [[category, *t] for category, triples in lists.items() for t in triples],
+        [[category, *t] for category, listed in lists.items() for t in listed.triples],
         plain,
     )
 

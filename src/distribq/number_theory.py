@@ -8,10 +8,9 @@ subtraction-over-multiplication (case 12) and addition-over-division
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, islice
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .identity import DomainError, Triple
 
@@ -24,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiophantineSolutionSet:
+class DiophantineSolutionSet(NamedTuple):
     """All integer solutions of p*x + q*y = t, as base + k*step.
 
     When `empty` is false, the solutions are exactly

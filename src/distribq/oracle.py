@@ -13,7 +13,6 @@ only when a pool starts, so one-shot commands and `--jobs 1` runs never load it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -140,8 +139,7 @@ def search_solutions(case: CaseId, bounds: SearchBounds, jobs: int = 1) -> list[
     return [t for partial in partials for t in partial]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Grid-wide comparison of checker, membership predicate, and families.
 
     `missing` are triples that hold but the predicate rejects; `spurious`

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import reprlib
@@ -29,7 +30,15 @@ from distribq.cli import (
     parse_rational,
     parse_triple,
 )
-from distribq.identity import ALL_CASES, BinOp, CaseId, DomainError, Triple, Verdict
+from distribq.identity import (
+    ALL_CASES,
+    BinOp,
+    CaseId,
+    DomainError,
+    Triple,
+    Verdict,
+    case_from_label,
+)
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +53,8 @@ def test_parse_rational_examples():
     assert parse_rational("0/9") == 0
 
 
-@pytest.mark.parametrize("text", ["1/0", "1.5", "a", "1 /2", "+3", "3/-2", ""])
+@pytest.mark.parametrize("text", ["1/0", "1.5", "a", "1 /2", "+3", "3/-2", "", "3\n", " 3",
+                                  "\u0663", "1/\u0663", "1_000"])
 def test_parse_rational_rejects_malformed_text(text):
     from distribq.cli import _UsageError
 
@@ -396,6 +406,134 @@ def test_unprintable_nested_rational_is_a_domain_error():
         _render("json", "check", record)
 
 
+def _n_d(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
+
+
+def _reference_text(fmt: str, doc: dict, header: list, rows: list, lines: list) -> str:
+    """A document, CSV table or plain lines, rendered by the standard
+    library alone; every value in them is already a JSON value or a string."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "".join(line + "\n" for line in lines)
+
+
+def _grid_line(case: CaseId, bounds: oracle.SearchBounds) -> str:
+    return (f"case {case.label} ({case.outer.value} over {case.inner.value})"
+            f"  grid |num|<={bounds.num_bound} den<={bounds.den_bound}")
+
+
+def _search_reference(fmt: str, case: CaseId, bounds: oracle.SearchBounds, triples) -> str:
+    rows = [[_n_d(r) for r in t] for t in triples]
+    doc = {"command": "search", "case": _reference(case), "bounds": bounds._asdict(),
+           "count": len(rows), "triples": rows}
+    lines = [_grid_line(case, bounds), *map(",".join, rows), f"count {len(rows)}"]
+    return _reference_text(fmt, doc, ["r1", "r2", "r3"], rows, lines)
+
+
+def _verify_reference(fmt: str, report: oracle.VerificationReport) -> str:
+    lists = {"missing": report.missing, "spurious": report.spurious,
+             "coverage_gap": report.coverage_gap}
+    lists = {name: [[_n_d(r) for r in t] for t in triples] for name, triples in lists.items()}
+    doc = {"command": "verify", "case": _reference(report.case),
+           "bounds": report.bounds._asdict(), "total_triples": report.total_triples,
+           "holds": report.holds, "missing_count": report.missing_count,
+           "spurious_count": report.spurious_count,
+           "coverage_gap_count": report.coverage_gap_count, "exact": report.exact,
+           "list_limit": report.list_limit, **lists}
+    rows = [[name, *row] for name, listed in lists.items() for row in listed]
+    lines = [_grid_line(report.case, report.bounds),
+             f"total {report.total_triples}  holds {report.holds}",
+             f"missing {report.missing_count}  spurious {report.spurious_count}"
+             f"  coverage_gap {report.coverage_gap_count}"]
+    for name, listed in lists.items():
+        if listed:
+            lines += [f"{name}:", *("  " + ",".join(row) for row in listed)]
+    return _reference_text(fmt, doc, ["category", "r1", "r2", "r3"], rows, lines)
+
+
+_BOUNDS = oracle.SearchBounds(6, 3)
+_GRID_OPTIONS = ["--num-bound", "6", "--den-bound", "3"]
+_TRIPLES = st.builds(Triple, _FRACTIONS, _FRACTIONS, _FRACTIONS)
+_LISTS = st.lists(_TRIPLES, max_size=6)
+
+
+def _record(argv: list, patched: str, answer) -> _Record:
+    """The record a subcommand builds when oracle's `patched` returns `answer`."""
+    args = cli._build_parser().parse_args(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, patched, lambda *args, **kwargs: answer)
+        return args.handler(args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALL_CASES), _LISTS)
+def test_search_rows_match_an_independent_renderer(case, triples):
+    record = _record(["search", "--case", case.label, *_GRID_OPTIONS],
+                     "search_solutions", triples)
+    for fmt in ("json", "csv", "plain"):
+        assert _render(fmt, "search", record) == _search_reference(fmt, case, _BOUNDS, triples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALL_CASES), _LISTS, _LISTS, _LISTS,
+       st.lists(st.integers(0, 10**6), min_size=3, max_size=3), st.none() | st.integers(1, 6))
+def test_verify_rows_match_an_independent_renderer(case, missing, spurious, gap, extra, limit):
+    counts = [len(listed) + more for listed, more in zip((missing, spurious, gap), extra)]
+    report = oracle.VerificationReport(
+        case=case, bounds=_BOUNDS, total_triples=27**3, holds=counts[0] + counts[2],
+        missing_count=counts[0], spurious_count=counts[1], coverage_gap_count=counts[2],
+        missing=tuple(missing), spurious=tuple(spurious), coverage_gap=tuple(gap),
+        list_limit=limit)
+    record = _record(["verify", "--case", case.label, *_GRID_OPTIONS],
+                     "verify_characterization", report)
+    for fmt in ("json", "csv", "plain"):
+        assert _render(fmt, "verify", record) == _verify_reference(fmt, report)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_every_grid_triple_listed_matches_an_independent_renderer(capsys, fmt):
+    # Multiplication over addition holds everywhere: 27**3 rows in grid order.
+    values = oracle.enumerate_rationals(_BOUNDS)
+    triples = [Triple(*t) for t in itertools.product(values, repeat=3)]
+    assert len(triples) == 19683
+    code, out, err = run_cli(capsys, "search", "--case", "L1", *_GRID_OPTIONS, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _search_reference(fmt, case_from_label("L1"), _BOUNDS, triples)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_a_listed_component_past_the_digit_limit_fails_as_one_value_does(
+        capsys, monkeypatch, command, fmt):
+    # CSV cells go through _text one value at a time; JSON and plain rows
+    # through one % per triple. All three give the single value's error.
+    big = Fraction(10**699, 7)  # a 700-digit numerator
+    listed = [Triple.of(1, "-2/3", 0), Triple(Fraction(1), big, Fraction(0))]
+    report = oracle.VerificationReport(
+        case=case_from_label("12"), bounds=_BOUNDS, total_triples=27**3, holds=2,
+        missing_count=0, spurious_count=0, coverage_gap_count=2, missing=(), spurious=(),
+        coverage_gap=tuple(listed), list_limit=100)
+    monkeypatch.setattr(oracle, "search_solutions", lambda *args, **kwargs: listed)
+    monkeypatch.setattr(oracle, "verify_characterization", lambda *args, **kwargs: report)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(DomainError) as single:
+            cli._text(big)
+        result = run_cli(capsys, command, "--case", "12", *_GRID_OPTIONS, "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert "640 digits" in str(single.value)
+    assert result == (3, "", f"error: {single.value}\n")
+
+
 @pytest.mark.parametrize("words, joined", [
     (["solve", "--case", "12", "--r1", "7/3", "--r3", "-5/2"],
      ["solve", "--case", "12", "--r1", "7/3", "--r3=-5/2"]),
@@ -475,6 +613,11 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "member", "--case", "pow/add", "--triple", "1,2,3")[0] == 2
     assert run_cli(capsys, "check", "--outer", "add", "--inner", "add",
                    "--triple", "1,2,1/0")[0] == 2
+    # int() takes both; a trailing newline also slips past a "$" anchor.
+    for triple in ["6,4,-3\n", "\u0666,\u0664,-\u0663"]:
+        code, out, err = run_cli(capsys, "check", "--outer", "sub", "--inner", "mul",
+                                 "--triple", triple)
+        assert code == 2 and out == "" and err.startswith("usage error: malformed rational")
     code, _, err = run_cli(capsys, "search", "--case", "1", "--num-bound", "0",
                            "--den-bound", "1")
     assert code == 2 and "--num-bound: must be >= 1" in err

@@ -247,14 +247,15 @@ runs = [
 ]
 codes = [cli.run(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
-loaded = sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules))
+loaded = sorted({"concurrent.futures", "multiprocessing", "dataclasses"} & set(sys.modules))
 assert not loaded, loaded
 """
 
 
 def test_one_shot_commands_never_load_the_process_pool():
     """Every command, and search and verify at --jobs 1, in a fresh
-    interpreter: the pool's imports come only with a pool."""
+    interpreter: the pool's imports come only with a pool, and no command
+    loads dataclasses (and with it inspect, ast and dis)."""
     src = str(Path(distribq.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
