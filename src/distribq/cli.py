@@ -10,14 +10,16 @@ Each subcommand handler returns one `_Record` of raw values (`Fraction`,
 document, the CSV header and rows, and the plain lines. `_render` turns the
 record into the text of the chosen format. A rational's text is
 `_RATIONAL_FORMAT`, "%d/%d" on its numerator and denominator. `_text` uses
-it for every CSV cell and plain line, and every number and rational in a
-document. The triples that `search` and `verify` list come as one `_Rows`
-value per list, and `_rows` writes each of them with one `%` on its six
-slot integers: the row format is built once per list from the same piece
-and the list's pad (the JSON indent, or a plain line's prefix). `_json`
-writes a document in one walk over its raw values, straight to the text
-that `json.dumps(indent=2)` would give: two-space indent, ASCII only, keys
-in the record's order. The whole text is built before anything is written.
+it for every plain line, every cell of a single CSV row, and every number
+and rational in a document. The triples that `search` and `verify` list
+come as one `_Rows` value per list, in every format, and `_rows` writes
+each with one `%` on its six slot integers: the row format is built once
+per list from the same piece and the list's pad (the JSON indent, a plain
+line's prefix, or a CSV row's first cell). CSV cells are joined by ","
+unquoted, as no cell holds a comma, a quote or a newline. `_json` writes
+a document in one walk over its raw values, straight to the text that
+`json.dumps(indent=2)` would give: two-space indent, ASCII only, keys in
+the record's order. The whole text is built before anything is written.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
@@ -41,10 +43,8 @@ replacement installed after the first `run` is still called.
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
-import io
 import os
 import re
 import reprlib
@@ -70,7 +70,9 @@ from .identity import (
 
 __all__ = ["format_rational", "main", "parse_case", "parse_rational", "parse_triple", "run"]
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_INTEGER = r"-?[0-9]+"  # an optional leading minus and ASCII digits, nothing else
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(_INTEGER + r"(?:/[0-9]+)?")
 
 
 class _UsageError(Exception):
@@ -134,11 +136,19 @@ def _parse_bool(text: str) -> bool:
     raise _UsageError(f"expected a boolean (0/1/true/false), got {reprlib.repr(text)}")
 
 
-def _parse_int(text: str) -> int:
+def _int(text: str, message: str, error: type[Exception] = _UsageError) -> int:
+    """`text` through int() if it is in `_INTEGER`, else `error`: also for
+    more digits than int() converts (sys.get_int_max_str_digits)."""
     try:
-        return int(text)
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
     except ValueError:
-        raise _UsageError(f"expected an integer, got {reprlib.repr(text)}") from None
+        pass
+    raise error(message + reprlib.repr(text))
+
+
+def _parse_int(text: str) -> int:
+    return _int(text, "expected an integer, got ")
 
 
 _PARAM_PARSERS = {"rational": parse_rational, "int": _parse_int,
@@ -150,7 +160,7 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
     for item in (text.split(",") if text else []):
         if "=" not in item:
             raise _UsageError(f"bad parameter {reprlib.repr(item)}; expected key=value")
-        key, _, value = (part.strip() for part in item.partition("="))
+        key, _, value = item.partition("=")
         kind = spec.params.get(key)
         if kind is None:
             raise _UsageError(
@@ -166,20 +176,12 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
 
 
 def _integer(text: str) -> int:
-    """argparse's `type=int`, with the echoed value shortened by reprlib."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+    """argparse's `type=int` and its wording, on `_INTEGER` alone."""
+    return _int(text, "invalid int value: ", argparse.ArgumentTypeError)
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {reprlib.repr(text)}"
-        ) from None
+    value = _int(text, "expected a positive integer, got ", argparse.ArgumentTypeError)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -195,7 +197,7 @@ class _Record(NamedTuple):
     exit: int
     doc: dict  # the JSON document, without its leading "command" key
     header: list[str]  # CSV header row
-    rows: list  # CSV rows; each a sequence of values, one per cell
+    rows: list  # CSV rows: a list of values, one per cell, or a `_Rows`
     plain: list  # plain lines; a list line is the concatenation of its parts
 
 
@@ -253,8 +255,7 @@ def _text(value) -> str:
     return "" if value is None else value
 
 
-def format_rational(q: Fraction) -> str:
-    return _text(q)
+format_rational = _text
 
 
 def _json(value, pad: str) -> str:
@@ -299,11 +300,9 @@ def _render(fmt: str, command: str, record: _Record) -> str:
     if fmt == "json":
         return _json({"command": command, **record.doc}, "") + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(record.header)
-        writer.writerows(map(_text, row) for row in record.rows)
-        return buf.getvalue()
+        return ",".join(record.header) + "".join([
+            _text(row) if isinstance(row, _Rows) else "\n" + ",".join(map(_text, row))
+            for row in record.rows]) + "\n"
     return "\n".join(map(_text, record.plain)) + "\n"
 
 
@@ -483,7 +482,7 @@ def _cmd_search(args) -> _Record:
         {"case": case, "bounds": bounds._asdict(), "count": len(triples),
          "triples": listed},
         ["r1", "r2", "r3"],
-        triples,
+        [listed],
         [[_grid_plain(case, bounds), listed], f"count {len(triples)}"],
     )
 
@@ -513,7 +512,7 @@ def _cmd_verify(args) -> _Record:
          "coverage_gap_count": report.coverage_gap_count,
          "exact": report.exact, "list_limit": report.list_limit, **lists},
         ["category", "r1", "r2", "r3"],
-        [[category, *t] for category, listed in lists.items() for t in listed.triples],
+        [_Rows(listed.triples, category + ",") for category, listed in lists.items()],
         plain,
     )
 

@@ -512,8 +512,8 @@ def test_every_grid_triple_listed_matches_an_independent_renderer(capsys, fmt):
 @pytest.mark.parametrize("command", ["search", "verify"])
 def test_a_listed_component_past_the_digit_limit_fails_as_one_value_does(
         capsys, monkeypatch, command, fmt):
-    # CSV cells go through _text one value at a time; JSON and plain rows
-    # through one % per triple. All three give the single value's error.
+    # Listed rows go through one % per triple in every format; each gives
+    # the single value's error.
     big = Fraction(10**699, 7)  # a 700-digit numerator
     listed = [Triple.of(1, "-2/3", 0), Triple(Fraction(1), big, Fraction(0))]
     report = oracle.VerificationReport(
@@ -632,6 +632,19 @@ def test_usage_errors_exit_two(capsys):
         assert "_positive_int" not in err
     assert run_cli(capsys, "search", "--case", "1", "--num-bound", "-1",
                    "--den-bound", "1")[0] == 2
+    # Integers follow the rationals' grammar: int() would take each of these.
+    for argv in [
+        ["diophantine", "--p", " \u0663\n", "--q", "1", "--t", "1"],
+        ["diophantine", "--p", "1", "--q", "1_0", "--t", "1"],
+        ["search", "--case", "1", "--num-bound", " 1_0", "--den-bound", "1"],
+        ["search", "--case", "1", "--num-bound", "1", "--den-bound", "\u0661"],
+        ["generate", "--case", "12", "--family", " +4 ", "--params", "delta=2"],
+        ["generate", "--case", "12", "--family", "4", "--params", "delta=\u0663"],
+        ["generate", "--case", "12", "--family", "4", "--params", "delta=+2"],
+        ["generate", "--case", "11", "--family", "2", "--params", "r2 = 1/2,r3=1"],
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err != ""
     for case, family, params, names in [
         ("12", "4", "delta=x", "parameter delta:"),
         ("14", "3", "e=1,f=3,printed_form=maybe", "parameter printed_form:"),
@@ -643,6 +656,32 @@ def test_usage_errors_exit_two(capsys):
                                  "--params", params)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and names in err
+
+
+@pytest.mark.parametrize("text", ["-0", "007"])
+def test_integer_options_take_what_parse_rational_takes(capsys, text):
+    value = parse_rational(text)
+    assert run_cli(capsys, "diophantine", "--p", text, "--q", "1", "--t", "1") == \
+        run_cli(capsys, "diophantine", "--p", str(value), "--q", "1", "--t", "1")
+    assert run_cli(capsys, "generate", "--case", "12", "--family", "4",
+                   "--params", "delta=" + text) == \
+        run_cli(capsys, "generate", "--case", "12", "--family", "4",
+                "--params", f"delta={value}")
+
+
+@given(st.text(alphabet="-+0123456789 _\n/\u0663", max_size=6))
+def test_an_integer_is_a_rational_without_a_denominator(text):
+    try:
+        expected = parse_rational(text) if "/" not in text else None
+    except cli._UsageError:
+        expected = None
+    for parse, error in [(cli._integer, argparse.ArgumentTypeError),
+                         (cli._parse_int, cli._UsageError)]:
+        try:
+            got = parse(text)
+        except error:
+            got = None
+        assert got == expected
 
 
 def test_search_output_is_identical_across_job_counts(capsys):

@@ -7,6 +7,7 @@ recorded. Re-record only for an intended output change, with
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import csv
 import io
 import json
 from contextlib import redirect_stdout
@@ -95,6 +96,17 @@ def test_cli_output_matches_golden(golden, argv):
     code, out = _run(argv)
     assert code == entry["exit"]
     assert out == entry["stdout"]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _invocations() if argv[-1] == "csv"],
+                         ids=" ".join)
+def test_no_csv_cell_needs_quoting(golden, argv):
+    # The CLI joins CSV cells with "," and quotes none; csv.writer would
+    # quote a cell holding a comma, a quote or a newline.
+    out = golden[" ".join(argv)]["stdout"]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+    assert buf.getvalue() == out
 
 
 if __name__ == "__main__":

@@ -244,10 +244,12 @@ runs = [
     ["family5", "--a", "3", "--f", "1", "--k", "0", "--sign", "+"],
     ["search", "--case", "12", "--num-bound", "2", "--den-bound", "2", "--jobs", "1"],
     ["verify", "--case", "12", "--num-bound", "2", "--den-bound", "2", "--jobs", "1"],
+    ["verify", "--case", "13", "--num-bound", "2", "--den-bound", "2", "--format", "csv"],
 ]
 codes = [cli.run(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
-loaded = sorted({"concurrent.futures", "multiprocessing", "dataclasses"} & set(sys.modules))
+loaded = sorted({"concurrent.futures", "multiprocessing", "dataclasses", "csv"}
+                & set(sys.modules))
 assert not loaded, loaded
 """
 
@@ -255,7 +257,7 @@ assert not loaded, loaded
 def test_one_shot_commands_never_load_the_process_pool():
     """Every command, and search and verify at --jobs 1, in a fresh
     interpreter: the pool's imports come only with a pool, and no command
-    loads dataclasses (and with it inspect, ast and dis)."""
+    loads dataclasses (and with it inspect, ast and dis) or csv."""
     src = str(Path(distribq.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
