@@ -30,6 +30,11 @@ NONE, ALL, or an empty solution set are successes, not negative verdicts.
 Rationals are always serialized as "n/d" (including "/1") so every printed
 value re-parses exactly.
 
+Each option value is parsed once, by its flag's argparse `type=` in
+`_COMMANDS`, so a malformed one is a parser error naming the option, and
+handlers read final values. `_UsageError` is raised after parsing only for
+`--params`, construct12's one of `--delta`/`--list`, and `--output`.
+
 The parser is built once per process, on the first `run`, and every later
 `run` reuses it. `parse_args` returns a fresh namespace on each call and
 writes help and errors, wrapped to the terminal width, to the
@@ -75,8 +80,8 @@ _INTEGER_RE = re.compile(_INTEGER)
 _RATIONAL_RE = re.compile(_INTEGER + r"(?:/[0-9]+)?")
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(argparse.ArgumentTypeError):
+    """A usage error; argparse names the option whose type raises one."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -136,22 +141,30 @@ def _parse_bool(text: str) -> bool:
     raise _UsageError(f"expected a boolean (0/1/true/false), got {reprlib.repr(text)}")
 
 
-def _int(text: str, message: str, error: type[Exception] = _UsageError) -> int:
-    """`text` through int() if it is in `_INTEGER`, else `error`: also for
-    more digits than int() converts (sys.get_int_max_str_digits)."""
+def _int(text: str, message: str) -> int:
+    """`text` through int() if it is in `_INTEGER`, else `_UsageError`: also
+    for more digits than int() converts (sys.get_int_max_str_digits)."""
     try:
         if _INTEGER_RE.fullmatch(text):
             return int(text)
     except ValueError:
         pass
-    raise error(message + reprlib.repr(text))
+    raise _UsageError(message + reprlib.repr(text))
 
 
-def _parse_int(text: str) -> int:
-    return _int(text, "expected an integer, got ")
+def _integer(text: str) -> int:
+    """argparse's `type=int` and its wording, on `_INTEGER` alone."""
+    return _int(text, "invalid int value: ")
 
 
-_PARAM_PARSERS = {"rational": parse_rational, "int": _parse_int,
+def _positive_int(text: str) -> int:
+    value = _int(text, "expected a positive integer, got ")
+    if value < 1:
+        raise _UsageError("must be >= 1")
+    return value
+
+
+_PARAM_PARSERS = {"rational": parse_rational, "int": _integer,
                   "sign": _parse_sign, "bool": _parse_bool}
 
 
@@ -173,18 +186,6 @@ def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
         except _UsageError as exc:
             raise _UsageError(f"parameter {key}: {exc}") from None
     return out
-
-
-def _integer(text: str) -> int:
-    """argparse's `type=int` and its wording, on `_INTEGER` alone."""
-    return _int(text, "invalid int value: ", argparse.ArgumentTypeError)
-
-
-def _positive_int(text: str) -> int:
-    value = _int(text, "expected a positive integer, got ", argparse.ArgumentTypeError)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +341,7 @@ def _check_row(case: CaseId, t: Triple, fields: dict) -> list:
 
 
 def _cmd_check(args) -> _Record:
-    case = CaseId(_parse_op(args.outer), _parse_op(args.inner))
-    t = parse_triple(args.triple)
+    case, t = CaseId(args.outer, args.inner), args.triple
     fields = _result_fields(check(case, t))
     return _Record(
         0 if fields["verdict"] is Verdict.HOLDS else 1,
@@ -353,7 +353,7 @@ def _cmd_check(args) -> _Record:
 
 
 def _cmd_classify(args) -> _Record:
-    t = parse_triple(args.triple)
+    t = args.triple
     results = [(case, _result_fields(check(case, t))) for case in ALL_CASES]
     return _Record(
         0,
@@ -369,8 +369,7 @@ def _cmd_classify(args) -> _Record:
 
 
 def _cmd_member(args) -> _Record:
-    case = parse_case(args.case)
-    t = parse_triple(args.triple)
+    case, t = args.case, args.triple
     verdict = catalog.member(case, t)
     return _Record(
         0 if verdict else 1,
@@ -382,21 +381,19 @@ def _cmd_member(args) -> _Record:
 
 
 def _cmd_generate(args) -> _Record:
-    case = parse_case(args.case)
-    params = _parse_params(catalog.family_spec(case, args.family), args.params)
-    t = catalog.generate(FamilyId(case, args.family), params)
+    params = _parse_params(catalog.family_spec(args.case, args.family), args.params)
+    t = catalog.generate(FamilyId(args.case, args.family), params)
     return _Record(
         0,
-        {"case": case, "family": args.family, "params": params, "triple": t},
+        {"case": args.case, "family": args.family, "params": params, "triple": t},
         ["case", "family", "r1", "r2", "r3"],
-        [[case.label, args.family, *t]],
+        [[args.case.label, args.family, *t]],
         [t],
     )
 
 
 def _cmd_solve(args) -> _Record:
-    case = parse_case(args.case)
-    r1, r3 = parse_rational(args.r1), parse_rational(args.r3)
+    case, r1, r3 = args.case, args.r1, args.r3
     outcome = catalog.solve_r2(case, r1, r3)
     if isinstance(outcome, SolveOutcome):
         result, r2, plain = outcome, None, outcome
@@ -458,9 +455,8 @@ def _cmd_construct12(args) -> _Record:
 
 
 def _cmd_family5(args) -> _Record:
-    sign = _parse_sign(args.sign)
-    t = number_theory.case13_family5(args.a, args.f, args.k, sign)
-    sign_text = "+" if sign == 1 else "-"
+    t = number_theory.case13_family5(args.a, args.f, args.k, args.sign)
+    sign_text = "+" if args.sign == 1 else "-"
     return _Record(
         0,
         {"a": args.a, "f": args.f, "k": args.k, "sign": sign_text, "triple": t},
@@ -471,33 +467,31 @@ def _cmd_family5(args) -> _Record:
 
 
 def _cmd_search(args) -> _Record:
-    case = parse_case(args.case)
     bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
-    triples = oracle.search_solutions(case, bounds, jobs=args.jobs)
+    triples = oracle.search_solutions(args.case, bounds, jobs=args.jobs)
     listed = _Rows(triples)
     # The jobs count is deliberately not echoed: output must be identical
     # for any worker count.
     return _Record(
         0,
-        {"case": case, "bounds": bounds._asdict(), "count": len(triples),
+        {"case": args.case, "bounds": bounds._asdict(), "count": len(triples),
          "triples": listed},
         ["r1", "r2", "r3"],
         [listed],
-        [[_grid_plain(case, bounds), listed], f"count {len(triples)}"],
+        [[_grid_plain(args.case, bounds), listed], f"count {len(triples)}"],
     )
 
 
 def _cmd_verify(args) -> _Record:
-    case = parse_case(args.case)
     bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
     report = oracle.verify_characterization(
-        case, bounds, jobs=args.jobs, list_limit=args.limit
+        args.case, bounds, jobs=args.jobs, list_limit=args.limit
     )
     lists = {"missing": _Rows(report.missing, "  "),
              "spurious": _Rows(report.spurious, "  "),
              "coverage_gap": _Rows(report.coverage_gap, "  ")}
     plain = [
-        _grid_plain(case, bounds),
+        _grid_plain(args.case, bounds),
         f"total {report.total_triples}  holds {report.holds}",
         f"missing {report.missing_count}  spurious {report.spurious_count}"
         f"  coverage_gap {report.coverage_gap_count}",
@@ -505,7 +499,7 @@ def _cmd_verify(args) -> _Record:
     plain += [[f"{category}:", listed] for category, listed in lists.items() if listed.triples]
     return _Record(
         0 if report.exact else 1,
-        {"case": case, "bounds": bounds._asdict(),
+        {"case": args.case, "bounds": bounds._asdict(),
          "total_triples": report.total_triples, "holds": report.holds,
          "missing_count": report.missing_count,
          "spurious_count": report.spurious_count,
@@ -525,15 +519,15 @@ def _required(*names: str, **kwargs) -> tuple:
     return tuple((f"--{name}", dict(required=True, **kwargs)) for name in names)
 
 
-_CASE = _required("case", help="1..14, L1, L2, or outer/inner")
-_TRIPLE = _required("triple", metavar="r1,r2,r3")
+_CASE = _required("case", type=parse_case, help="1..14, L1, L2, or outer/inner")
+_TRIPLE = _required("triple", type=parse_triple, metavar="r1,r2,r3")
 _GRID = (*_CASE, *_required("num-bound", "den-bound", type=_positive_int),
          ("--jobs", dict(type=_positive_int, default=1)))
 
 # name -> (help, handler, arguments); each argument is (flag, add_argument kwargs)
 _COMMANDS = {
     "check": ("evaluate one case on one triple", _cmd_check,
-              (*_required("outer", "inner", help="add|sub|mul|div"), *_TRIPLE)),
+              (*_required("outer", "inner", type=_parse_op, help="add|sub|mul|div"), *_TRIPLE)),
     "classify": ("evaluate all 16 cases on one triple", _cmd_classify, _TRIPLE),
     "member": ("test the case's exact characterization", _cmd_member, _CASE + _TRIPLE),
     "generate": ("instantiate a parametric family", _cmd_generate, (
@@ -541,7 +535,7 @@ _COMMANDS = {
         ("--params", dict(metavar="key=val[,key=val...]")),
     )),
     "solve": ("solve case 12/13/14 for r2 given r1 and r3", _cmd_solve,
-              _CASE + _required("r1", "r3")),
+              _CASE + _required("r1", "r3", type=parse_rational)),
     "diophantine": ("solve p*x + q*y = t over the integers", _cmd_diophantine,
                     _required("p", "q", "t", type=_integer)),
     "construct12": (
@@ -554,7 +548,8 @@ _COMMANDS = {
                                         help="permit a zero third component")),
         )),
     "family5": ("build a case-13 family-5 triple", _cmd_family5,
-                _required("a", "f", "k", type=_integer) + _required("sign", help="+ or -")),
+                (*_required("a", "f", "k", type=_integer),
+                 *_required("sign", type=_parse_sign, help="+ or -"))),
     "search": ("list all solutions on a bounded grid", _cmd_search, _GRID),
     "verify": ("compare checker, characterization, and families over a grid", _cmd_verify, (
         *_GRID, ("--limit", dict(type=_positive_int, default=oracle.DEFAULT_LIST_LIMIT,
@@ -565,7 +560,8 @@ _COMMANDS = {
 
 def _shorten(match: re.Match) -> str:
     """A word of an argparse message, through reprlib if that shortens it;
-    a word in quotes is argparse's own %r of a value."""
+    a quoted word is the %r of a value, from argparse or from a type (whose
+    message may follow it with ";"), and is matched first."""
     word = match[0]
     value = word[1:-1] if word[0] == word[-1] and word[0] in "'\"" else word
     short = reprlib.repr(value)
@@ -574,11 +570,11 @@ def _shorten(match: re.Match) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """argparse echoes a rejected choice or a stray word in full; this
-    shortens each over-long one, as the handlers' messages do. Subparsers
+    shortens each over-long one, as the types' messages do. Subparsers
     are built from the same class, so they inherit it."""
 
     def error(self, message: str):
-        super().error(re.sub(r"\S+", _shorten, message))
+        super().error(re.sub(r"'[^']*'|\"[^\"]*\"|\S+", _shorten, message))
 
 
 @functools.cache
@@ -611,7 +607,8 @@ def _refuse_unwritable(path: str) -> None:
         error = errno.ENOENT
     elif os.path.isdir(path):
         error = errno.EISDIR
-    elif not os.access(parent, os.W_OK | os.X_OK):
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
         error = errno.EACCES
     else:
         return

@@ -2,10 +2,12 @@
 
 import argparse
 import csv
+import errno
 import io
 import itertools
 import json
 import os
+import re
 import reprlib
 import subprocess
 import sys
@@ -250,7 +252,8 @@ def test_overlong_triple_component_is_a_usage_error(capsys):
                              "--triple", "1,2," + "7" * 4301)
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error:") and "too long" in err
+    last = err.splitlines()[-1]
+    assert "argument --triple:" in last and "too long" in last
 
 
 _LONG = "9" * 5000
@@ -274,15 +277,19 @@ _LONG = "9" * 5000
     ["search", "--case", "1", "--num-bound", "1", "--den-bound", "1", "--jobs", _LONG],
     ["verify", "--case", "1", "--num-bound", "1", "--den-bound", "1", "--limit", _LONG],
     ["check", "--outer", "add", "--inner", "add", "--triple", "1,2," + _LONG + "x"],
+    ["check", "--outer", " " + _LONG, "--inner", "add", "--triple", "1,2,3"],
+    ["member", "--case", "it's" + _LONG, "--triple", "1,2,3"],
 ], ids=lambda argv: next(argv[i - 1] for i, a in enumerate(argv) if _LONG in a))
 def test_an_overlong_integer_is_echoed_in_short(capsys, monkeypatch, argv):
     # int() refuses 5,000 digits; the message names the value through
-    # reprlib, so stderr does not grow with the value. argparse's usage
-    # lines come first, wrapped to COLUMNS.
+    # reprlib, so stderr does not grow with the value, and the parser does
+    # not shorten that quoted word again. argparse's usage lines come
+    # first, wrapped to COLUMNS.
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run_cli(capsys, *argv)
+    value = re.split("[,=]", next(a for a in argv if _LONG in a))[-1]
     assert code == 2 and out == ""
-    assert "...9999" in err
+    assert reprlib.repr(value) in err.splitlines()[-1]
     assert len(err.splitlines()[-1].encode()) < 150
     assert len(err.encode()) < 400
 
@@ -324,6 +331,29 @@ def test_a_bad_integer_option_keeps_argparse_wording(capsys):
     code, out, err = run_cli(capsys, "diophantine", "--p", "x", "--q", "1", "--t", "1")
     assert code == 2 and out == ""
     assert err.splitlines()[-1] == "distribq diophantine: error: argument --p: invalid int value: 'x'"
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["member", "--case", "bogus", "--triple", "1,2,3"], "--case"),
+    (["check", "--outer", "add", "--inner", "add", "--triple", "1,2"], "--triple"),
+    (["check", "--outer", "pow", "--inner", "add", "--triple", "1,2,3"], "--outer"),
+    (["check", "--outer", "add", "--inner", "pow", "--triple", "1,2,3"], "--inner"),
+    (["solve", "--case", "13", "--r1", "x", "--r3", "1"], "--r1"),
+    (["solve", "--case", "13", "--r1", "1", "--r3", "1/0"], "--r3"),
+    (["family5", "--a", "4", "--f", "1", "--k", "1", "--sign", "0"], "--sign"),
+    # A malformed earlier copy of a repeated option is refused, as for
+    # an integer option, though the later copy is well formed.
+    (["member", "--case", "bogus", "--case", "12", "--triple", "1,2,3"], "--case"),
+    (["check", "--outer", "pow", "--outer", "sub", "--inner", "mul",
+      "--triple", "x", "--triple", "6,4,-3"], "--outer"),
+    (["solve", "--case", "13", "--r1", "1/0", "--r1", "2", "--r3", "1"], "--r1"),
+    (["family5", "--a", "4", "--f", "1", "--k", "1", "--sign", "?", "--sign", "-"], "--sign"),
+    (["diophantine", "--p", "x", "--p", "1", "--q", "1", "--t", "1"], "--p"),
+])
+def test_a_malformed_value_is_a_parser_error_naming_its_option(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(f"distribq {argv[0]}: error: argument {option}: ")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
@@ -570,27 +600,34 @@ def test_empty_output_path_is_a_usage_error(capsys):
     assert err.startswith("usage error: cannot write")
 
 
-@pytest.mark.parametrize("where", ["missing parent", "empty", "directory", "read-only parent"])
+@pytest.mark.parametrize("where", ["missing parent", "empty", "directory", "read-only parent",
+                                   "read-only file"])
 def test_unwritable_output_path_fails_before_the_command_runs(tmp_path, capsys, monkeypatch,
                                                               where):
     calls = []
     monkeypatch.setattr(oracle, "verify_characterization",
                         lambda *args, **kwargs: calls.append(args))
-    # A directory the process may not write to; a stand-in for os.access,
-    # because chmod does not stop a superuser.
+    # A directory and a file the process may not write to; a stand-in for
+    # os.access, because chmod does not stop a superuser.
     locked = tmp_path / "locked"
     locked.mkdir()
+    kept = tmp_path / "kept.txt"
+    kept.write_bytes(b"old bytes\n")
     access = os.access
-    monkeypatch.setattr(os, "access", lambda path, mode: path != str(locked) and access(path, mode))
+    monkeypatch.setattr(os, "access",
+                        lambda path, mode: path not in (str(locked), str(kept))
+                        and access(path, mode))
     target = {"missing parent": tmp_path / "no-such-directory" / "out.txt",
               "empty": "", "directory": tmp_path,
-              "read-only parent": locked / "out.txt"}[where]
+              "read-only parent": locked / "out.txt", "read-only file": kept}[where]
     code, out, err = run_cli(capsys, "verify", "--case", "12", "--num-bound", "10",
                              "--den-bound", "4", "--output", str(target))
     assert (code, out, calls) == (2, "", [])
     assert err.startswith(f"usage error: cannot write {target}:")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["locked"]
+    assert err.endswith(f": {os.strerror(errno.EACCES)}\n") == where.startswith("read-only")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "locked"]
     assert list(locked.iterdir()) == []
+    assert kept.read_bytes() == b"old bytes\n"
 
 
 def test_every_printed_rational_reparses(capsys):
@@ -617,7 +654,7 @@ def test_usage_errors_exit_two(capsys):
     for triple in ["6,4,-3\n", "\u0666,\u0664,-\u0663"]:
         code, out, err = run_cli(capsys, "check", "--outer", "sub", "--inner", "mul",
                                  "--triple", triple)
-        assert code == 2 and out == "" and err.startswith("usage error: malformed rational")
+        assert code == 2 and out == "" and "argument --triple: malformed rational" in err
     code, _, err = run_cli(capsys, "search", "--case", "1", "--num-bound", "0",
                            "--den-bound", "1")
     assert code == 2 and "--num-bound: must be >= 1" in err
@@ -675,13 +712,11 @@ def test_an_integer_is_a_rational_without_a_denominator(text):
         expected = parse_rational(text) if "/" not in text else None
     except cli._UsageError:
         expected = None
-    for parse, error in [(cli._integer, argparse.ArgumentTypeError),
-                         (cli._parse_int, cli._UsageError)]:
-        try:
-            got = parse(text)
-        except error:
-            got = None
-        assert got == expected
+    try:
+        got = cli._integer(text)
+    except cli._UsageError:
+        got = None
+    assert got == expected
 
 
 def test_search_output_is_identical_across_job_counts(capsys):
