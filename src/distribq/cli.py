@@ -19,7 +19,17 @@ line's prefix, or a CSV row's first cell). CSV cells are joined by ","
 unquoted, as no cell holds a comma, a quote or a newline. `_json` writes
 a document in one walk over its raw values, straight to the text that
 `json.dumps(indent=2)` would give: two-space indent, ASCII only, keys in
-the record's order. The whole text is built before anything is written.
+the record's order.
+
+`_render` returns the output as text pieces, which `run` writes one by one
+and never joins. A listing is rendered by `_listing` in chunks of `_CHUNK`
+rows, one `_rows` call each, so the bytes are those of one call on the
+whole list; in the text around it the listing is a NUL, a hole at which
+`_render` splits that text. Every piece is rendered before the first is
+written, so a value too long to print exits 3 with nothing printed, and a
+run's peak memory is its listed triples, its output text and one chunk's
+rows. A reader that closes stdout early ends the output quietly, and the
+exit code stays the command's.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
@@ -199,7 +209,7 @@ class _Record(NamedTuple):
     doc: dict  # the JSON document, without its leading "command" key
     header: list[str]  # CSV header row
     rows: list  # CSV rows: a list of values, one per cell, or a `_Rows`
-    plain: list  # plain lines; a list line is the concatenation of its parts
+    plain: list  # plain lines: a value, a list (the concatenation of its parts), or a `_Rows`
 
 
 _RATIONAL_FORMAT = "%d/%d"  # a rational from its numerator and denominator slots
@@ -208,9 +218,9 @@ _TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
 
 class _Rows(NamedTuple):
     """One list of triples that `search` or `verify` lists, written a row
-    per triple by `_rows`. A plain row starts with a newline and `pad`, so
-    the rows follow the line they are part of, and an empty list adds no
-    line."""
+    per triple by `_rows`: a JSON list, or in plain and CSV one line per
+    triple, each `pad` and the triple. A plain or CSV `_Rows` takes the
+    place of a line, and an empty one adds no line."""
 
     triples: Sequence[Triple]
     pad: str = ""
@@ -234,6 +244,18 @@ def _rows(row: str, sep: str, triples: Sequence[Triple]) -> str:
         raise _unprintable() from None
 
 
+_CHUNK = 1024  # listed rows per piece of output
+_HOLE = "\0"  # a listing's place in the rendered text, which never holds a NUL
+
+
+def _listing(row: str, sep: str, triples: Sequence[Triple], listings: list) -> str:
+    """Append to `listings` the text of `_rows(row, sep, triples)` as pieces
+    of `_CHUNK` rows each, and return the hole that stands for them."""
+    listings.append([(sep if start else "") + _rows(row, sep, triples[start:start + _CHUNK])
+                     for start in range(0, len(triples), _CHUNK)])
+    return _HOLE
+
+
 def _text(value) -> str:
     """The one value-to-text conversion outside the listed rows."""
     try:
@@ -245,10 +267,6 @@ def _text(value) -> str:
         raise _unprintable() from None
     if isinstance(value, Triple):
         return _rows(_TRIPLE_FORMAT, "", (value,))
-    if isinstance(value, _Rows):
-        return _rows("\n" + value.pad + _TRIPLE_FORMAT, "", value.triples)
-    if isinstance(value, list):
-        return "".join(map(_text, value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
@@ -259,10 +277,11 @@ def _text(value) -> str:
 format_rational = _text
 
 
-def _json(value, pad: str) -> str:
+def _json(value, pad: str, listings: list | None = None) -> str:
     """The JSON text of a raw value, byte for byte what `json.dumps(indent=2)`
     writes for it once rationals are "n/d" strings and a `Triple` or `CaseId`
-    is an object; `pad` is the indent of the line the value starts on."""
+    is an object; `pad` is the indent of the line the value starts on. The
+    rows of a `_Rows` go to `listings` through `_listing`."""
     # Rows and lists first: isinstance(x, Fraction) runs ABCMeta's Python-level check.
     if isinstance(value, _Rows):
         if not value.triples:
@@ -270,12 +289,12 @@ def _json(value, pad: str) -> str:
         inner = pad + "  "
         cell = "\n" + inner + '  "' + _RATIONAL_FORMAT + '"'
         row = "\n" + inner + "[" + ",".join([cell] * 3) + "\n" + inner + "]"
-        return "[" + _rows(row, ",", value.triples) + "\n" + pad + "]"
+        return "[" + _listing(row, ",", value.triples, listings) + "\n" + pad + "]"
     if isinstance(value, list):
         if not value:
             return "[]"
         inner = pad + "  "
-        items = [_json(v, inner) for v in value]
+        items = [_json(v, inner, listings) for v in value]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(value, Fraction):
         return '"' + _text(value) + '"'
@@ -288,7 +307,7 @@ def _json(value, pad: str) -> str:
         if not value:
             return "{}"
         inner = pad + "  "
-        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
+        items = [_quote(k) + ": " + _json(v, inner, listings) for k, v in value.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(value, str):
         return _quote(value)
@@ -297,14 +316,32 @@ def _json(value, pad: str) -> str:
     return "null" if value is None else _text(value)
 
 
-def _render(fmt: str, command: str, record: _Record) -> str:
+def _render(fmt: str, command: str, record: _Record) -> list[str]:
+    """The record's output in `fmt` as text pieces, to be written in order:
+    each listing's chunks, and the text before, between and after them."""
+    listings: list[list[str]] = []
     if fmt == "json":
-        return _json({"command": command, **record.doc}, "") + "\n"
-    if fmt == "csv":
-        return ",".join(record.header) + "".join([
-            _text(row) if isinstance(row, _Rows) else "\n" + ",".join(map(_text, row))
-            for row in record.rows]) + "\n"
-    return "\n".join(map(_text, record.plain)) + "\n"
+        text = _json({"command": command, **record.doc}, "", listings)
+    else:
+        if fmt == "csv":
+            lines, sep = [",".join(record.header), *record.rows], ","
+        else:
+            lines, sep = record.plain, ""
+        text = "".join([  # each line after a newline; the first is never a listing
+            _listing("\n" + line.pad + _TRIPLE_FORMAT, "", line.triples, listings)
+            if isinstance(line, _Rows) else
+            "\n" + sep.join(map(_text, line)) if isinstance(line, list) else
+            "\n" + _text(line)
+            for line in lines])[1:]
+    text += "\n"
+    if not listings:  # most commands: no holes to split at
+        return [text]
+    head, *tails = text.split(_HOLE)
+    pieces = [head]
+    for chunks, tail in zip(listings, tails):
+        pieces += chunks
+        pieces.append(tail)
+    return pieces
 
 
 def _case_plain(case: CaseId) -> str:
@@ -478,7 +515,7 @@ def _cmd_search(args) -> _Record:
          "triples": listed},
         ["r1", "r2", "r3"],
         [listed],
-        [[_grid_plain(args.case, bounds), listed], f"count {len(triples)}"],
+        [_grid_plain(args.case, bounds), listed, f"count {len(triples)}"],
     )
 
 
@@ -496,7 +533,9 @@ def _cmd_verify(args) -> _Record:
         f"missing {report.missing_count}  spurious {report.spurious_count}"
         f"  coverage_gap {report.coverage_gap_count}",
     ]
-    plain += [[f"{category}:", listed] for category, listed in lists.items() if listed.triples]
+    for category, listed in lists.items():
+        if listed.triples:
+            plain += [f"{category}:", listed]
     return _Record(
         0 if report.exact else 1,
         {"case": args.case, "bounds": bounds._asdict(),
@@ -607,8 +646,8 @@ def _refuse_unwritable(path: str) -> None:
         error = errno.ENOENT
     elif os.path.isdir(path):
         error = errno.EISDIR
-    elif not os.access(parent, os.W_OK | os.X_OK) or (
-            os.path.exists(path) and not os.access(path, os.W_OK)):
+    elif not (os.access(path, os.W_OK) if os.path.exists(path)
+              else os.access(parent, os.W_OK | os.X_OK)):
         error = errno.EACCES
     else:
         return
@@ -626,15 +665,23 @@ def run(argv: Sequence[str]) -> int:
         if args.output is not None:
             _refuse_unwritable(args.output)
         record = args.handler(args)
-        text = _render(args.format, args.command, record)
+        pieces = _render(args.format, args.command, record)
         if args.output is not None:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.writelines(pieces)
             except OSError as exc:
                 raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
         else:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader is gone: what is left, here and in the flush at
+                # exit, goes to the null device instead.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return record.exit
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

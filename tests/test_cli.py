@@ -11,6 +11,7 @@ import re
 import reprlib
 import subprocess
 import sys
+import tracemalloc
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -508,7 +509,8 @@ def test_search_rows_match_an_independent_renderer(case, triples):
     record = _record(["search", "--case", case.label, *_GRID_OPTIONS],
                      "search_solutions", triples)
     for fmt in ("json", "csv", "plain"):
-        assert _render(fmt, "search", record) == _search_reference(fmt, case, _BOUNDS, triples)
+        assert "".join(_render(fmt, "search", record)) == \
+            _search_reference(fmt, case, _BOUNDS, triples)
 
 
 @settings(max_examples=100, deadline=None)
@@ -524,7 +526,7 @@ def test_verify_rows_match_an_independent_renderer(case, missing, spurious, gap,
     record = _record(["verify", "--case", case.label, *_GRID_OPTIONS],
                      "verify_characterization", report)
     for fmt in ("json", "csv", "plain"):
-        assert _render(fmt, "verify", record) == _verify_reference(fmt, report)
+        assert "".join(_render(fmt, "verify", record)) == _verify_reference(fmt, report)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
@@ -536,6 +538,85 @@ def test_every_grid_triple_listed_matches_an_independent_renderer(capsys, fmt):
     code, out, err = run_cli(capsys, "search", "--case", "L1", *_GRID_OPTIONS, "--format", fmt)
     assert (code, err) == (0, "")
     assert out == _search_reference(fmt, case_from_label("L1"), _BOUNDS, triples)
+
+
+_CHUNK = cli._CHUNK
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("command", ["search", "verify"])
+def test_listings_on_each_side_of_a_chunk_boundary_match_an_independent_renderer(
+        capsys, monkeypatch, tmp_path, command, count):
+    listed = [Triple(Fraction(i), Fraction(-i, 7), Fraction(1, i + 2)) for i in range(count)]
+    report = oracle.VerificationReport(
+        case=case_from_label("13"), bounds=_BOUNDS, total_triples=27**3, holds=2 * count,
+        missing_count=count, spurious_count=min(count, 1), coverage_gap_count=count,
+        missing=tuple(listed), spurious=tuple(listed[:1]), coverage_gap=tuple(listed),
+        list_limit=None)
+    monkeypatch.setattr(oracle, "search_solutions", lambda *args, **kwargs: listed)
+    monkeypatch.setattr(oracle, "verify_characterization", lambda *args, **kwargs: report)
+    target = tmp_path / "out.txt"
+    for fmt in ("json", "csv", "plain"):
+        expected = (_search_reference(fmt, report.case, _BOUNDS, listed) if command == "search"
+                    else _verify_reference(fmt, report))
+        code = 0 if command == "search" or report.exact else 1
+        argv = [command, "--case", "13", *_GRID_OPTIONS, "--format", fmt]
+        assert run_cli(capsys, *argv) == (code, expected, "")
+        assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_rendering_a_listing_takes_little_more_memory_than_its_text(monkeypatch, fmt):
+    # The triples exist before tracing starts, as a scan's result would.
+    values = oracle.enumerate_rationals(_BOUNDS)
+    triples = [Triple(*t) for t in itertools.product(values, repeat=3)]
+    monkeypatch.setattr(oracle, "search_solutions", lambda *args, **kwargs: triples)
+    argv = ["search", "--case", "L1", *_GRID_OPTIONS, "--format", fmt]
+    monkeypatch.setattr(sys, "stdout", _CountingSink())
+    assert cli.run(argv) == 0  # builds the parser before tracing
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = cli.run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written > 250_000
+    assert peak <= 1.5 * sink.written + 256 * 1024, (peak, sink.written)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_a_reader_that_closes_the_pipe_early_leaves_no_traceback(fmt):
+    src = str(Path(distribq.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # About 0.26 to 1 MB of output: far more than a pipe holds, so the writer
+    # is still writing when the reader goes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "distribq", "search", "--case", "L1", *_GRID_OPTIONS,
+         "--format", fmt], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first != b""
+    assert (code, err) == (0, b"")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
@@ -628,6 +709,22 @@ def test_unwritable_output_path_fails_before_the_command_runs(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt", "locked"]
     assert list(locked.iterdir()) == []
     assert kept.read_bytes() == b"old bytes\n"
+
+
+def test_an_existing_writable_file_in_a_read_only_directory_is_written(
+        tmp_path, capsys, monkeypatch):
+    # A stand-in for os.access, as above: the process may write the file
+    # but not its directory, so the file can be opened but not created.
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    target = locked / "out.txt"
+    target.write_bytes(b"old bytes\n")
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(locked) and access(path, mode))
+    argv = ["solve", "--case", "13", "--r1", "3", "--r3", "-1"]
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and target.read_text(encoding="utf-8") == out
 
 
 def test_every_printed_rational_reparses(capsys):
