@@ -8,28 +8,25 @@ invocation), or CSV (fixed header row); diagnostics go to stderr.
 Each subcommand handler returns one `_Record` of raw values (`Fraction`,
 `Triple`, `CaseId`, enums, `bool`, `int`, `None`): its exit code, the JSON
 document, the CSV header and rows, and the plain lines. `_render` turns the
-record into the text of the chosen format. A rational's text is
-`_RATIONAL_FORMAT`, "%d/%d" on its numerator and denominator. `_text` uses
-it for every plain line, every cell of a single CSV row, and every number
-and rational in a document. The triples that `search` and `verify` list
-come as one `_Rows` value per list, in every format, and `_rows` writes
-each with one `%` on its six slot integers: the row format is built once
-per list from the same piece and the list's pad (the JSON indent, a plain
-line's prefix, or a CSV row's first cell). CSV cells are joined by ","
-unquoted, as no cell holds a comma, a quote or a newline. `_json` writes
-a document in one walk over its raw values, straight to the text that
+record into the text of the chosen format. `_text` is the one conversion
+of a single value, in every format; a rational's text is
+`_RATIONAL_FORMAT`, "%d/%d" on its numerator and denominator. The triples
+that `search` and `verify` list come as one `_Rows` value per list, in
+every format, and `_rows` writes each with one `%` on its six slot
+integers: the row format is built once per list from the same piece and
+the list's pad (a plain line's prefix or a CSV row's first cell). CSV
+cells are joined by "," unquoted, as no cell holds a comma, a quote or a
+newline. `_json` writes a value in one walk, straight to the text that
 `json.dumps(indent=2)` would give: two-space indent, ASCII only, keys in
 the record's order.
 
-`_render` returns the output as text pieces, which `run` writes one by one
-and never joins. A listing is rendered by `_listing` in chunks of `_CHUNK`
-rows, one `_rows` call each, so the bytes are those of one call on the
-whole list; in the text around it the listing is a NUL, a hole at which
-`_render` splits that text. Every piece is rendered before the first is
-written, so a value too long to print exits 3 with nothing printed, and a
-run's peak memory is its listed triples, its output text and one chunk's
-rows. A reader that closes stdout early ends the output quietly, and the
-exit code stays the command's.
+`_render` returns the output as text pieces in order, and `_write` writes
+them one by one, never joined, to stdout or to --output. A listing adds
+pieces of `_CHUNK` rows each. Every piece is rendered before the first is
+written, so a value too long to print exits 3 with nothing printed. A
+reader that closes stdout early ends the output quietly, and the exit code
+stays the command's; any other failed write, to either sink, is a usage
+error.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
@@ -43,7 +40,8 @@ value re-parses exactly.
 Each option value is parsed once, by its flag's argparse `type=` in
 `_COMMANDS`, so a malformed one is a parser error naming the option, and
 handlers read final values. `_UsageError` is raised after parsing only for
-`--params`, construct12's one of `--delta`/`--list`, and `--output`.
+`--params`, construct12's one of `--delta`/`--list`, `--output`, and a
+failed write.
 
 The parser is built once per process, on the first `run`, and every later
 `run` reuses it. `parse_args` returns a fresh namespace on each call and
@@ -218,9 +216,9 @@ _TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
 
 class _Rows(NamedTuple):
     """One list of triples that `search` or `verify` lists, written a row
-    per triple by `_rows`: a JSON list, or in plain and CSV one line per
-    triple, each `pad` and the triple. A plain or CSV `_Rows` takes the
-    place of a line, and an empty one adds no line."""
+    per triple by `_rows`: a list at a JSON document's top level, or in
+    plain and CSV one line per triple, each `pad` and the triple. A plain
+    or CSV `_Rows` takes the place of a line, and an empty one adds no line."""
 
     triples: Sequence[Triple]
     pad: str = ""
@@ -245,102 +243,91 @@ def _rows(row: str, sep: str, triples: Sequence[Triple]) -> str:
 
 
 _CHUNK = 1024  # listed rows per piece of output
-_HOLE = "\0"  # a listing's place in the rendered text, which never holds a NUL
-
-
-def _listing(row: str, sep: str, triples: Sequence[Triple], listings: list) -> str:
-    """Append to `listings` the text of `_rows(row, sep, triples)` as pieces
-    of `_CHUNK` rows each, and return the hole that stands for them."""
-    listings.append([(sep if start else "") + _rows(row, sep, triples[start:start + _CHUNK])
-                     for start in range(0, len(triples), _CHUNK)])
-    return _HOLE
+# The row format of a listed triple in a document, whose listings are top-level values.
+_JSON_ROW = "\n    [" + ",".join(['\n      "' + _RATIONAL_FORMAT + '"'] * 3) + "\n    ]"
 
 
 def _text(value) -> str:
-    """The one value-to-text conversion outside the listed rows."""
-    try:
-        if isinstance(value, Fraction):
-            return _RATIONAL_FORMAT % (value._numerator, value._denominator)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return str(value)
-    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
-        raise _unprintable() from None
-    if isinstance(value, Triple):
-        return _rows(_TRIPLE_FORMAT, "", (value,))
+    """The one value-to-text conversion outside the listed rows, for every
+    format; `_json` quotes it where JSON writes a string."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
-    return "" if value is None else value
+    try:
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, Fraction):
+            return _RATIONAL_FORMAT % (value._numerator, value._denominator)
+    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
+        raise _unprintable() from None
+    return _rows(_TRIPLE_FORMAT, "", (value,))  # a Triple
 
 
 format_rational = _text
 
 
-def _json(value, pad: str, listings: list | None = None) -> str:
+def _json(value, pad: str) -> str:
     """The JSON text of a raw value, byte for byte what `json.dumps(indent=2)`
     writes for it once rationals are "n/d" strings and a `Triple` or `CaseId`
-    is an object; `pad` is the indent of the line the value starts on. The
-    rows of a `_Rows` go to `listings` through `_listing`."""
-    # Rows and lists first: isinstance(x, Fraction) runs ABCMeta's Python-level check.
-    if isinstance(value, _Rows):
-        if not value.triples:
-            return "[]"
-        inner = pad + "  "
-        cell = "\n" + inner + '  "' + _RATIONAL_FORMAT + '"'
-        row = "\n" + inner + "[" + ",".join([cell] * 3) + "\n" + inner + "]"
-        return "[" + _listing(row, ",", value.triples, listings) + "\n" + pad + "]"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = [_json(v, inner, listings) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if isinstance(value, Fraction):
-        return '"' + _text(value) + '"'
+    is an object; `pad` is the indent of the line the value starts on."""
     if isinstance(value, Triple):
         value = value._asdict()
     elif isinstance(value, CaseId):
         value = {"label": value.label, "number": value.case_number,
                  "outer": value.outer, "inner": value.inner}
+    inner = pad + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [_quote(k) + ": " + _json(v, inner, listings) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, Enum):
-        return _quote(value.value)
-    return "null" if value is None else _text(value)
+        items, ends = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    elif value is None:
+        return "null"
+    else:
+        return _text(value) if isinstance(value, int) else _quote(_text(value))
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
 
 
 def _render(fmt: str, command: str, record: _Record) -> list[str]:
-    """The record's output in `fmt` as text pieces, to be written in order:
-    each listing's chunks, and the text before, between and after them."""
-    listings: list[list[str]] = []
-    if fmt == "json":
-        text = _json({"command": command, **record.doc}, "", listings)
+    """The record's output in `fmt` as text pieces, to be written in order.
+    Text accumulates into one piece, and a listing adds its rows as pieces
+    of `_CHUNK` rows each, so the bytes are those of one `_rows` call."""
+    pieces: list[str] = []
+    text: list[str] = []  # the text since the last listing
+
+    def add_rows(row: str, sep: str, triples: Sequence[Triple]) -> None:
+        pieces.append("".join(text))
+        text.clear()
+        pieces.extend([(sep if start else "") + _rows(row, sep, triples[start:start + _CHUNK])
+                       for start in range(0, len(triples), _CHUNK)])
+
+    if fmt == "json":  # a listing is only ever a value of the top level
+        text.append('{\n  "command": ' + _quote(command))
+        for key, value in record.doc.items():
+            text.append(",\n  " + _quote(key) + ": ")
+            if isinstance(value, _Rows):
+                text.append("[")
+                add_rows(_JSON_ROW, ",", value.triples)
+                text.append("\n  ]" if value.triples else "]")
+            else:
+                text.append(_json(value, "  "))
+        text.append("\n}\n")
     else:
-        if fmt == "csv":
-            lines, sep = [",".join(record.header), *record.rows], ","
-        else:
-            lines, sep = record.plain, ""
-        text = "".join([  # each line after a newline; the first is never a listing
-            _listing("\n" + line.pad + _TRIPLE_FORMAT, "", line.triples, listings)
-            if isinstance(line, _Rows) else
-            "\n" + sep.join(map(_text, line)) if isinstance(line, list) else
-            "\n" + _text(line)
-            for line in lines])[1:]
-    text += "\n"
-    if not listings:  # most commands: no holes to split at
-        return [text]
-    head, *tails = text.split(_HOLE)
-    pieces = [head]
-    for chunks, tail in zip(listings, tails):
-        pieces += chunks
-        pieces.append(tail)
+        lines, sep = (([",".join(record.header), *record.rows], ",") if fmt == "csv"
+                      else (record.plain, ""))
+        for line in lines:
+            if isinstance(line, _Rows):
+                add_rows(line.pad + _TRIPLE_FORMAT + "\n", "", line.triples)
+            else:
+                text.append((sep.join(map(_text, line)) if isinstance(line, list)
+                             else _text(line)) + "\n")
+    pieces.append("".join(text))
     return pieces
 
 
@@ -654,6 +641,33 @@ def _refuse_unwritable(path: str) -> None:
     raise _UsageError(f"cannot write {path}: {os.strerror(error)}")
 
 
+def _write(pieces: list[str], path: str | None) -> None:
+    """Write the pieces in order to the file at `path`, or to stdout if
+    `path` is None. A reader that closes stdout early ends the output
+    quietly; any other failure is a `_UsageError`."""
+    try:
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except OSError:
+                # What is left, here and in the flush at exit, goes to the
+                # null device instead.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise
+    except OSError as exc:
+        if path is None and exc.errno == errno.EPIPE:
+            return
+        raise _UsageError(f"cannot write {path or 'stdout'}: {exc.strerror}") from None
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     parser = _build_parser()
@@ -665,23 +679,7 @@ def run(argv: Sequence[str]) -> int:
         if args.output is not None:
             _refuse_unwritable(args.output)
         record = args.handler(args)
-        pieces = _render(args.format, args.command, record)
-        if args.output is not None:
-            try:
-                with open(args.output, "w", encoding="utf-8") as fh:
-                    fh.writelines(pieces)
-            except OSError as exc:
-                raise _UsageError(f"cannot write {args.output}: {exc.strerror}") from None
-        else:
-            try:
-                sys.stdout.writelines(pieces)
-                sys.stdout.flush()
-            except BrokenPipeError:
-                # The reader is gone: what is left, here and in the flush at
-                # exit, goes to the null device instead.
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+        _write(_render(args.format, args.command, record), args.output)
         return record.exit
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -619,6 +619,42 @@ def test_a_reader_that_closes_the_pipe_early_leaves_no_traceback(fmt):
     assert (code, err) == (0, b"")
 
 
+def _entry_point_env() -> dict:
+    """The environment in which `python -m distribq` imports this checkout,
+    with stdout buffered as by default, so that the flush at exit still has
+    text to write after a failed write."""
+    src = str(Path(distribq.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
+_CHECK_ARGV = ["check", "--outer", "mul", "--inner", "add", "--triple", "1,2,3"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("argv", [_CHECK_ARGV, ["search", "--case", "L1", *_GRID_OPTIONS]])
+def test_a_failed_write_to_stdout_is_a_usage_error(argv, fmt):
+    # A short output fails in the flush, a long one in a write; either way
+    # one line on stderr, and the flush at exit adds nothing.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "distribq", *argv, "--format", fmt],
+                              env=_entry_point_env(), stdout=full, stderr=subprocess.PIPE,
+                              timeout=60)
+    message = f"usage error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert (proc.returncode, proc.stderr.decode()) == (2, message)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX shell")
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_stdout_closed_from_the_start_is_a_usage_error(fmt):
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m distribq "$@" >&-', sys.executable,
+                           *_CHECK_ARGV, "--format", fmt],
+                          env=_entry_point_env(), stderr=subprocess.PIPE, timeout=60)
+    message = f"usage error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    assert (proc.returncode, proc.stderr.decode()) == (2, message)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 @pytest.mark.parametrize("command", ["search", "verify"])
 def test_a_listed_component_past_the_digit_limit_fails_as_one_value_does(
