@@ -6,8 +6,15 @@ grid cubed and compare three views of each case: the identity checker, the
 membership predicate, and the union of listed families. Work is
 partitioned by the first component; partitions share no mutable state and
 are merged in first-component order, so the output is identical whether it
-was produced by one worker or many. The process-pool machinery is imported
-only when a pool starts, so one-shot commands and `--jobs 1` runs never load it.
+was produced by one worker or many.
+
+A pool gives each worker the case, the grid and the partition function once,
+through its initializer. A task is then a first-component position, mapped in
+chunks of about a quarter of each worker's share, and a worker sends each
+listed triple back as the grid positions of its r2 and r3, from which the
+parent rebuilds it with its own grid values. The process-pool machinery and
+`array` are imported only when a pool starts, so one-shot commands and
+`--jobs 1` runs never load them.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -119,17 +127,63 @@ def _verify_partition(
     return _VerifyPartial(holds, missing, spurious, gap)
 
 
+# (worker, case, values, position of each value by id) in a pool worker,
+# set once by _start_worker.
+_pool_state: tuple | None = None
+
+
+def _start_worker(worker, case: CaseId, values: list[Fraction]) -> None:
+    global _pool_state
+    _pool_state = (worker, case, values, {id(q): i for i, q in enumerate(values)})
+
+
+def _positions(triples: list[Triple], index: dict[int, int]):
+    """The grid positions of each triple's r2 and r3, in one flat array.
+
+    Every component is an element of the worker's grid, so its id finds it.
+    """
+    from array import array
+
+    return array("I", [index[id(q)] for t in triples for q in t[1:]])
+
+
+def _triples(r1: Fraction, values: list[Fraction], positions) -> list[Triple]:
+    """The inverse of _positions, with the given grid's own values."""
+    q = map(values.__getitem__, positions)
+    return list(map(_new, repeat(Triple), zip(repeat(r1), q, q)))
+
+
+def _convert_listed(result, convert):
+    """A partition's result with `convert` applied to each list of triples:
+    a search partition's whole result, or a verify partition's listings."""
+    if not isinstance(result, _VerifyPartial):
+        return convert(result)
+    for listing in result[1:]:
+        listing.triples = convert(listing.triples)
+    return result
+
+
+def _pool_partition(i: int):
+    """Partition i in a pool worker, its listed triples sent as positions."""
+    worker, case, values, index = _pool_state
+    return _convert_listed(worker((case, values[i], values)), partial(_positions, index=index))
+
+
 def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int) -> list:
-    tasks = [(case, r1, values) for r1 in values]
     # The CPUs this process may run on; taskset or a container can pin fewer.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(jobs, cpus or 1, len(tasks))
+    workers = min(jobs, cpus or 1, len(values))
     if workers <= 1:
-        return [worker(task) for task in tasks]
+        return [worker((case, r1, values)) for r1 in values]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+    # About four chunks per worker: few round trips, yet an even finish.
+    chunksize = -(-len(values) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(worker, case, values)) as pool:
+        results = pool.map(_pool_partition, range(len(values)), chunksize=chunksize)
+        return [_convert_listed(result, partial(_triples, r1, values))
+                for r1, result in zip(values, results)]
 
 
 def search_solutions(case: CaseId, bounds: SearchBounds, jobs: int = 1) -> list[Triple]:

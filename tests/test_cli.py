@@ -599,14 +599,12 @@ def test_rendering_a_listing_takes_little_more_memory_than_its_text(monkeypatch,
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_a_reader_that_closes_the_pipe_early_leaves_no_traceback(fmt):
-    src = str(Path(distribq.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     # About 0.26 to 1 MB of output: far more than a pipe holds, so the writer
     # is still writing when the reader goes.
     proc = subprocess.Popen(
         [sys.executable, "-m", "distribq", "search", "--case", "L1", *_GRID_OPTIONS,
-         "--format", fmt], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+         "--format", fmt], env=_entry_point_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
     try:
         first = proc.stdout.readline()
         proc.stdout.close()

@@ -177,13 +177,16 @@ def test_each_scan_enumerates_the_grid_once(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the worker count and maps
-    in-process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor: records the worker count and the
+    chunks of tasks, and runs the initializer and the tasks in-process, so no
+    worker is ever started."""
 
     created: list = []
+    chunks: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.created.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -191,8 +194,29 @@ class _RecordingPool:
     def __exit__(self, *exc_info):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize):
+        tasks = list(tasks)
+        self.chunks.append([tasks[i:i + chunksize] for i in range(0, len(tasks), chunksize)])
         return map(fn, tasks)
+
+
+def _pin_cpus(monkeypatch, cpus, affinity):
+    """Report `cpus` cores and the `affinity` set; `affinity` None stands
+    for a platform without os.sched_getaffinity."""
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+
+
+def _record_pools(monkeypatch, cpus, affinity=None):
+    """Make every pool a _RecordingPool, on `cpus` CPUs."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(oracle, "_pool_state", None)
+    _pin_cpus(monkeypatch, cpus, affinity)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(_RecordingPool, "chunks", [])
 
 
 @pytest.mark.parametrize(
@@ -206,26 +230,96 @@ class _RecordingPool:
         (1, 8, None, SearchBounds(2, 2), None),
         (8, 8, {5}, SearchBounds(2, 2), None),  # affinity 1 of 8 CPUs: no pool
         (8, 8, {0, 3}, SearchBounds(2, 2), 2),  # affinity 2 of 8 CPUs
+        (2, 2, None, SearchBounds(6, 3), 2),  # 27 partitions in chunks of 4
     ],
 )
 def test_worker_count_is_clamped_to_cores_and_partitions(
     monkeypatch, jobs, cpus, affinity, bounds, workers
 ):
-    """`affinity` None stands for a platform without os.sched_getaffinity,
-    where the cap falls back to os.cpu_count()."""
     case = case_from_label(12)
     serial_search = search_solutions(case, bounds)
     serial_verify = verify_characterization(case, bounds)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
-    if affinity is None:
-        monkeypatch.delattr(oracle.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    monkeypatch.setattr(_RecordingPool, "created", [])
+    _record_pools(monkeypatch, cpus, affinity)
     assert search_solutions(case, bounds, jobs=jobs) == serial_search
     assert verify_characterization(case, bounds, jobs=jobs) == serial_verify
     assert _RecordingPool.created == ([] if workers is None else [workers, workers])
+    # A task is a first-component position; each pool maps every position
+    # once, in order, in at most about four chunks per worker.
+    volume = len(enumerate_rationals(bounds))
+    for chunks in _RecordingPool.chunks:
+        assert [i for chunk in chunks for i in chunk] == list(range(volume))
+        assert all(type(i) is int for chunk in chunks for i in chunk)
+        assert workers <= len(chunks) <= 4 * workers
+
+
+def test_listings_cross_the_pool_as_positions_into_the_parents_grid(monkeypatch):
+    """Missing and spurious triples, which an exact characterization never
+    lists, forced here by a wrong membership predicate: every listing and
+    count is the same through the pool, and every listed component is one
+    of the parent's grid values."""
+    monkeypatch.setattr(oracle, "member", lambda case, t: t.r2 > 0)
+    case, bounds = case_from_label(13), SearchBounds(3, 2)
+    serial = [verify_characterization(case, bounds, list_limit=limit) for limit in (2, None)]
+    grids = _capture_grids(monkeypatch)
+    _record_pools(monkeypatch, cpus=2)
+    pooled = [verify_characterization(case, bounds, jobs=2, list_limit=limit)
+              for limit in (2, None)]
+    assert _RecordingPool.created == [2, 2]
+    assert pooled == serial
+    assert all(r.missing and r.spurious and r.coverage_gap for r in pooled)
+    for report, grid in zip(pooled, grids):
+        _assert_components_are_grid_values(
+            report.missing + report.spurious + report.coverage_gap, grid)
+
+
+def _capture_grids(monkeypatch) -> list:
+    """Keep every grid that oracle enumerates, in order."""
+    grids = []
+    original = oracle.enumerate_rationals
+
+    def keeping(bounds):
+        grids.append(original(bounds))
+        return grids[-1]
+
+    monkeypatch.setattr(oracle, "enumerate_rationals", keeping)
+    return grids
+
+
+def _assert_components_are_grid_values(triples, grid):
+    ids = {id(q) for q in grid}
+    assert all(id(q) in ids for t in triples for q in t)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_a_real_pool_searches_as_one_process_does(monkeypatch, case):
+    bounds = SearchBounds(3, 2)
+    serial = search_solutions(case, bounds, jobs=1)
+    _pin_cpus(monkeypatch, 2, {0, 1})  # a real pool of two on any machine
+    grids = _capture_grids(monkeypatch)
+    pooled = search_solutions(case, bounds, jobs=2)
+    assert pooled == serial and type(pooled[0]) is Triple
+    _assert_components_are_grid_values(pooled, grids[0])
+
+
+@pytest.mark.parametrize("limit", [oracle.DEFAULT_LIST_LIMIT, 2, None])
+def test_a_real_pool_verifies_as_one_process_does(monkeypatch, limit):
+    # Cases 12 to 14 list coverage gaps at (6,3); 12's and 14's run past 100.
+    bounds = SearchBounds(6, 3)
+    cases = [case_from_label(label) for label in ("12", "13", "14", "L1")]
+    serial = [verify_characterization(c, bounds, list_limit=limit) for c in cases]
+    _pin_cpus(monkeypatch, 2, {0, 1})
+    grids = _capture_grids(monkeypatch)
+    pooled = [verify_characterization(c, bounds, jobs=2, list_limit=limit) for c in cases]
+    assert pooled == serial
+    for report, grid in zip(pooled, grids):
+        _assert_components_are_grid_values(report.coverage_gap, grid)
+
+
+def _child_env() -> dict:
+    """The environment in which a fresh interpreter imports this checkout."""
+    src = str(Path(distribq.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 _ONE_SHOT = """
@@ -248,7 +342,7 @@ runs = [
 ]
 codes = [cli.run(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
-loaded = sorted({"concurrent.futures", "multiprocessing", "dataclasses", "csv"}
+loaded = sorted({"concurrent.futures", "multiprocessing", "array", "dataclasses", "csv"}
                 & set(sys.modules))
 assert not loaded, loaded
 """
@@ -258,12 +352,44 @@ def test_one_shot_commands_never_load_the_process_pool():
     """Every command, and search and verify at --jobs 1, in a fresh
     interpreter: the pool's imports come only with a pool, and no command
     loads dataclasses (and with it inspect, ast and dis) or csv."""
-    src = str(Path(distribq.__file__).resolve().parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _ONE_SHOT], env=env,
+    done = subprocess.run([sys.executable, "-c", _ONE_SHOT], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+_START_METHOD = """
+import multiprocessing, os, sys
+from distribq import cli
+
+if __name__ == "__main__":
+    method, out1, out2 = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    os.sched_getaffinity = lambda pid: {0, 1}  # a pool of two on any machine
+    os.cpu_count = lambda: 2
+    argv = ["search", "--case", "L1", "--num-bound", "3", "--den-bound", "2", "--format", "csv"]
+    assert cli.run([*argv, "--jobs", "1", "--output", out1]) == 0
+    assert "concurrent.futures" not in sys.modules
+    assert cli.run([*argv, "--jobs", "2", "--output", out2]) == 0
+    assert "concurrent.futures" in sys.modules
+    assert multiprocessing.get_start_method() == method
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_the_pool_needs_no_fork_to_see_the_grid(tmp_path, method):
+    """Under spawn (macOS's default) and forkserver (Linux's from Python
+    3.14) a worker inherits nothing from the parent: the initializer alone
+    gives it the case and the grid."""
+    import multiprocessing
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    out1, out2 = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
+    done = subprocess.run([sys.executable, "-c", _START_METHOD, method, str(out1), str(out2)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert out1.read_bytes().count(b"\n") == 1 + 11**3
+    assert out2.read_bytes() == out1.read_bytes()
 
 
 def test_partitions_keep_exact_counts_but_at_most_list_limit_triples():
