@@ -8,13 +8,12 @@ partitioned by the first component; partitions share no mutable state and
 are merged in first-component order, so the output is identical whether it
 was produced by one worker or many.
 
-A pool gives each worker the case, the grid and the partition function once,
-through its initializer. A task is then a first-component position, mapped in
-chunks of about a quarter of each worker's share, and a worker sends each
-listed triple back as the grid positions of its r2 and r3, from which the
-parent rebuilds it with its own grid values. The process-pool machinery and
-`array` are imported only when a pool starts, so one-shot commands and
-`--jobs 1` runs never load them.
+In this process or in a pool, a partition lists a triple as j*V + k for
+(values[j], values[k]) as r2 and r3, and `_triples` alone rebuilds triples
+from the parent's grid. A pool gets the case, the grid and the partition
+function once per worker, through its initializer, and tasks are
+first-component positions. The process-pool machinery is imported only
+when a pool starts, so one-shot commands and `--jobs 1` runs never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -69,31 +68,26 @@ def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
     return values
 
 
-def _search_partition(task: tuple[CaseId, Fraction, list[Fraction]]) -> list[Triple]:
-    case, r1, values = task
-    found = []
-    for r2 in values:
-        for r3 in values:
-            t = _new(Triple, (r1, r2, r3))
-            if check(case, t).verdict is _HOLDS:
-                found.append(t)
-    return found
+def _search_partition(case: CaseId, r1: Fraction, values: list[Fraction]) -> list[int]:
+    # check reads a triple only as `r1, r2, r3 = t`, so plain tuples serve.
+    return [p for p, t in enumerate(product((r1,), values, values))
+            if check(case, t).verdict is _HOLDS]
 
 
 class _Listing:
-    """Counts every triple added and keeps the first `limit` of them."""
+    """Counts every triple added and keeps the positions of the first `limit`."""
 
-    __slots__ = ("count", "limit", "triples")
+    __slots__ = ("count", "limit", "positions")
 
     def __init__(self, limit: int | None) -> None:
         self.count = 0
         self.limit = limit
-        self.triples: list[Triple] = []
+        self.positions: list[int] = []
 
-    def add(self, t: Triple) -> None:
+    def add(self, p: int) -> None:
         self.count += 1
-        if self.limit is None or len(self.triples) < self.limit:
-            self.triples.append(t)
+        if self.limit is None or len(self.positions) < self.limit:
+            self.positions.append(p)
 
 
 class _VerifyPartial(NamedTuple):
@@ -104,93 +98,74 @@ class _VerifyPartial(NamedTuple):
 
 
 def _verify_partition(
-    task: tuple[CaseId, Fraction, list[Fraction]], list_limit: int | None = None
+    case: CaseId, r1: Fraction, values: list[Fraction], list_limit: int | None = None
 ) -> _VerifyPartial:
-    case, r1, values = task
     holds = 0
     missing = _Listing(list_limit)
     spurious = _Listing(list_limit)
     gap = _Listing(list_limit)
-    for r2 in values:
-        for r3 in values:
-            t = _new(Triple, (r1, r2, r3))
-            holds_here = check(case, t).verdict is _HOLDS
-            is_member = member(case, t)
-            if holds_here:
-                holds += 1
-                if not is_member:
-                    missing.add(t)
-                if not family_union_member(case, t):
-                    gap.add(t)
-            elif is_member:
-                spurious.add(t)
+    # Family shapes read the triple's fields by name, so these are Triples.
+    for p, t in enumerate(map(_new, repeat(Triple), product((r1,), values, values))):
+        holds_here = check(case, t).verdict is _HOLDS
+        is_member = member(case, t)
+        if holds_here:
+            holds += 1
+            if not is_member:
+                missing.add(p)
+            if not family_union_member(case, t):
+                gap.add(p)
+        elif is_member:
+            spurious.add(p)
     return _VerifyPartial(holds, missing, spurious, gap)
 
 
-# (worker, case, values, position of each value by id) in a pool worker,
-# set once by _start_worker.
+def _triples(values: list[Fraction], partitions) -> list[Triple]:
+    """The triples that `partitions` list, in order: the i-th partition's
+    j*V + k stands for (values[i], values[j], values[k])."""
+    size = len(values)
+    found = []
+    for r1, positions in zip(values, partitions):
+        for p in positions:
+            j, k = divmod(p, size)
+            found.append(_new(Triple, (r1, values[j], values[k])))
+    return found
+
+
+# (worker, case, values) in a pool worker, set once by _start_worker.
 _pool_state: tuple | None = None
 
 
-def _start_worker(worker, case: CaseId, values: list[Fraction]) -> None:
+def _start_worker(*state) -> None:
     global _pool_state
-    _pool_state = (worker, case, values, {id(q): i for i, q in enumerate(values)})
-
-
-def _positions(triples: list[Triple], index: dict[int, int]):
-    """The grid positions of each triple's r2 and r3, in one flat array.
-
-    Every component is an element of the worker's grid, so its id finds it.
-    """
-    from array import array
-
-    return array("I", [index[id(q)] for t in triples for q in t[1:]])
-
-
-def _triples(r1: Fraction, values: list[Fraction], positions) -> list[Triple]:
-    """The inverse of _positions, with the given grid's own values."""
-    q = map(values.__getitem__, positions)
-    return list(map(_new, repeat(Triple), zip(repeat(r1), q, q)))
-
-
-def _convert_listed(result, convert):
-    """A partition's result with `convert` applied to each list of triples:
-    a search partition's whole result, or a verify partition's listings."""
-    if not isinstance(result, _VerifyPartial):
-        return convert(result)
-    for listing in result[1:]:
-        listing.triples = convert(listing.triples)
-    return result
+    _pool_state = state
 
 
 def _pool_partition(i: int):
-    """Partition i in a pool worker, its listed triples sent as positions."""
-    worker, case, values, index = _pool_state
-    return _convert_listed(worker((case, values[i], values)), partial(_positions, index=index))
+    worker, case, values = _pool_state
+    return worker(case, values[i], values)
 
 
-def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int) -> list:
+def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int):
+    """Yield `worker(case, r1, values)` for each r1 of the grid, in order."""
     # The CPUs this process may run on; taskset or a container can pin fewer.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, cpus or 1, len(values))
     if workers <= 1:
-        return [worker((case, r1, values)) for r1 in values]
+        yield from map(worker, repeat(case), values, repeat(values))
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     # About four chunks per worker: few round trips, yet an even finish.
     chunksize = -(-len(values) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                              initargs=(worker, case, values)) as pool:
-        results = pool.map(_pool_partition, range(len(values)), chunksize=chunksize)
-        return [_convert_listed(result, partial(_triples, r1, values))
-                for r1, result in zip(values, results)]
+        yield from pool.map(_pool_partition, range(len(values)), chunksize=chunksize)
 
 
 def search_solutions(case: CaseId, bounds: SearchBounds, jobs: int = 1) -> list[Triple]:
     """All triples on the grid whose identity check HOLDS, in grid order."""
     values = enumerate_rationals(bounds)
-    partials = _run_partitions(_search_partition, case, values, jobs)
-    return [t for partial in partials for t in partial]
+    return _triples(values, _run_partitions(_search_partition, case, values, jobs))
 
 
 class VerificationReport(NamedTuple):
@@ -228,14 +203,14 @@ def verify_characterization(
 ) -> VerificationReport:
     """Exhaustively compare check, member, and family_union_member on the grid."""
     values = enumerate_rationals(bounds)
-    partials: list[_VerifyPartial] = _run_partitions(
+    partials: list[_VerifyPartial] = list(_run_partitions(
         partial(_verify_partition, list_limit=list_limit), case, values, jobs
-    )
+    ))
 
     def merge(listings: list[_Listing]) -> tuple[int, tuple[Triple, ...]]:
         # Each partition kept its first list_limit triples in grid order, so
         # the first list_limit of their concatenation are the grid's first.
-        triples = [t for listing in listings for t in listing.triples]
+        triples = _triples(values, [listing.positions for listing in listings])
         if list_limit is not None:
             del triples[list_limit:]
         return sum(listing.count for listing in listings), tuple(triples)

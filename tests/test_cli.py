@@ -599,22 +599,25 @@ def test_rendering_a_listing_takes_little_more_memory_than_its_text(monkeypatch,
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_a_reader_that_closes_the_pipe_early_leaves_no_traceback(fmt):
-    # About 0.26 to 1 MB of output: far more than a pipe holds, so the writer
-    # is still writing when the reader goes.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "distribq", "search", "--case", "L1", *_GRID_OPTIONS,
-         "--format", fmt], env=_entry_point_env(), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE)
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    finally:
-        proc.kill()
-        proc.stderr.close()
-    assert first != b""
-    assert (code, err) == (0, b"")
+    # The first reader goes after one line of about 0.26 to 1 MB of output,
+    # far more than a pipe holds, so a write fails. The second goes before
+    # the writer starts, so its 27 rows fail in the flush and are still in
+    # stdout's buffer at exit.
+    for grid, lines in [(_GRID_OPTIONS, 1), (["--num-bound", "1", "--den-bound", "1"], 0)]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distribq", "search", "--case", "L1", *grid,
+             "--format", fmt], env=_entry_point_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        try:
+            read = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert b"" not in read
+        assert (code, err) == (0, b""), grid
 
 
 def _entry_point_env() -> dict:

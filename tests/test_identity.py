@@ -224,6 +224,14 @@ def test_check_matches_the_fraction_reference_on_every_case(r1, r2, r3):
         assert _as_reference(check(case, t)) == _reference_check(case, t), case.label
 
 
+@given(components, components, components)
+def test_check_reads_a_plain_tuple_as_it_reads_a_triple(r1, r2, r3):
+    # The search scan hands check the plain tuples of itertools.product.
+    t = Triple(r1, r2, r3)
+    for case in ALL_CASES:
+        assert check(case, tuple(t)) == check(case, t), case.label
+
+
 def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
     values = enumerate_rationals(SearchBounds(2, 2))
     assert 0 in values

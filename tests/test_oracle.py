@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -272,6 +273,29 @@ def test_listings_cross_the_pool_as_positions_into_the_parents_grid(monkeypatch)
             report.missing + report.spurious + report.coverage_gap, grid)
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["jobs1", "pool"])
+def test_a_search_holds_one_partitions_positions_at_a_time(monkeypatch, pooled):
+    """Each partition's positions become triples as the partition arrives, so
+    the peak is the returned list and about one partition's positions."""
+    case, bounds, jobs = case_from_label("L1"), SearchBounds(6, 3), 1
+    if pooled:
+        _record_pools(monkeypatch, cpus=2)
+        jobs = 2
+    size = len(enumerate_rationals(bounds))
+    search_solutions(case, bounds, jobs=jobs)  # generates the case's kernel
+    tracemalloc.start()
+    try:
+        solutions = search_solutions(case, bounds, jobs=jobs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A position is an int object and a list slot; L1 lists the whole plane.
+    partition = size**2 * (sys.getsizeof(size**2) + 8)
+    assert len(solutions) == size**3
+    assert _RecordingPool.created == ([2, 2] if pooled else [])
+    assert peak - kept <= 2 * partition, (peak - kept, partition)
+
+
 def _capture_grids(monkeypatch) -> list:
     """Keep every grid that oracle enumerates, in order."""
     grids = []
@@ -397,11 +421,11 @@ def test_partitions_keep_exact_counts_but_at_most_list_limit_triples():
     values = enumerate_rationals(SearchBounds(6, 1))
     longest = 0
     for r1 in values:
-        full = oracle._verify_partition((case, r1, values))
-        capped = oracle._verify_partition((case, r1, values), list_limit=2)
+        full = oracle._verify_partition(case, r1, values)
+        capped = oracle._verify_partition(case, r1, values, list_limit=2)
         assert capped.holds == full.holds
         for kept, every in zip(capped[1:], full[1:]):
-            assert kept.count == every.count == len(every.triples)
-            assert kept.triples == every.triples[:2]
+            assert kept.count == every.count == len(every.positions)
+            assert kept.positions == every.positions[:2]
             longest = max(longest, every.count)
     assert longest > 2
