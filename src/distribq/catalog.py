@@ -129,7 +129,9 @@ def member(case: CaseId, t: Triple) -> bool:
     either side of the identity is undefined is never a member. The integer
     equation is tested first, so definedness is evaluated only on the
     triples that solve it. t is a `Triple` of Fractions, as `Triple.of`
-    builds it; each component's integers are read from its slots.
+    builds it, or a plain 3-tuple of Fractions, as a grid scan hands it:
+    t is read only as `r1, r2, r3 = t`, and each component's integers are
+    read from its slots.
     """
     r1, r2, r3 = t
     coef, const = _LINEAR[case](r1._numerator, r1._denominator,

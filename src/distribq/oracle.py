@@ -8,12 +8,20 @@ partitioned by the first component; partitions share no mutable state and
 are merged in first-component order, so the output is identical whether it
 was produced by one worker or many.
 
+Both scans walk `product((r1,), values, values)` and hand `check` and
+`member` its plain tuples, which they read only as `r1, r2, r3 = t`.
+Family shapes read a triple's fields by name, so verify builds a `Triple`
+for `family_union_member` alone, and only for the triples that hold.
+
 In this process or in a pool, a partition lists a triple as j*V + k for
 (values[j], values[k]) as r2 and r3, and `_triples` alone rebuilds triples
-from the parent's grid. A pool gets the case, the grid and the partition
-function once per worker, through its initializer, and tasks are
-first-component positions. The process-pool machinery is imported only
-when a pool starts, so one-shot commands and `--jobs 1` runs never load it.
+from the parent's grid. A verify partition returns its holding count and,
+for each of missing, spurious and coverage gap, the category's count and
+its first `list_limit` positions. A pool gets the case, the grid and the
+partition function once per worker, through its initializer, and tasks
+are first-component positions. The process-pool machinery is imported
+only when a pool starts, so one-shot commands and `--jobs 1` runs never
+load it.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from .catalog import family_union_member, member
 from .identity import CaseId, DomainError, Triple, Verdict, check
 
 # Per-triple shortcuts: an Enum class lookup costs more than the comparison
-# it feeds, and tuple.__new__ skips the NamedTuple's Python-level __new__.
+# it feeds, and tuple.__new__ skips the NamedTuple's Python-level __new__
+# where a Triple is built (in `_triples`, and for `family_union_member`).
 _HOLDS = Verdict.HOLDS
 _new = tuple.__new__
 
@@ -49,15 +58,10 @@ class SearchBounds(NamedTuple):
     den_bound: int
 
 
-def _validate(bounds: SearchBounds) -> SearchBounds:
-    if bounds.num_bound < 1 or bounds.den_bound < 1:
-        raise DomainError("bounds must be >= 1")
-    return bounds
-
-
 def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
     """All canonical n/d with |n| <= num_bound, d <= den_bound, ascending."""
-    _validate(bounds)
+    if bounds.num_bound < 1 or bounds.den_bound < 1:
+        raise DomainError("bounds must be >= 1")
     values = [
         Fraction(n, d)
         for d in range(1, bounds.den_bound + 1)
@@ -69,54 +73,29 @@ def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
 
 
 def _search_partition(case: CaseId, r1: Fraction, values: list[Fraction]) -> list[int]:
-    # check reads a triple only as `r1, r2, r3 = t`, so plain tuples serve.
     return [p for p, t in enumerate(product((r1,), values, values))
             if check(case, t).verdict is _HOLDS]
 
 
-class _Listing:
-    """Counts every triple added and keeps the positions of the first `limit`."""
-
-    __slots__ = ("count", "limit", "positions")
-
-    def __init__(self, limit: int | None) -> None:
-        self.count = 0
-        self.limit = limit
-        self.positions: list[int] = []
-
-    def add(self, p: int) -> None:
-        self.count += 1
-        if self.limit is None or len(self.positions) < self.limit:
-            self.positions.append(p)
-
-
-class _VerifyPartial(NamedTuple):
-    holds: int
-    missing: _Listing
-    spurious: _Listing
-    coverage_gap: _Listing
-
-
 def _verify_partition(
     case: CaseId, r1: Fraction, values: list[Fraction], list_limit: int | None = None
-) -> _VerifyPartial:
+) -> tuple:
+    """The holding count, then (count, first `list_limit` positions) of the
+    missing, spurious and coverage-gap triples whose first component is r1."""
     holds = 0
-    missing = _Listing(list_limit)
-    spurious = _Listing(list_limit)
-    gap = _Listing(list_limit)
-    # Family shapes read the triple's fields by name, so these are Triples.
-    for p, t in enumerate(map(_new, repeat(Triple), product((r1,), values, values))):
+    missing, spurious, gap = [], [], []
+    for p, t in enumerate(product((r1,), values, values)):
         holds_here = check(case, t).verdict is _HOLDS
         is_member = member(case, t)
         if holds_here:
             holds += 1
             if not is_member:
-                missing.add(p)
-            if not family_union_member(case, t):
-                gap.add(p)
+                missing.append(p)
+            if not family_union_member(case, _new(Triple, t)):
+                gap.append(p)
         elif is_member:
-            spurious.add(p)
-    return _VerifyPartial(holds, missing, spurious, gap)
+            spurious.append(p)
+    return holds, *((len(found), found[:list_limit]) for found in (missing, spurious, gap))
 
 
 def _triples(values: list[Fraction], partitions) -> list[Triple]:
@@ -203,26 +182,22 @@ def verify_characterization(
 ) -> VerificationReport:
     """Exhaustively compare check, member, and family_union_member on the grid."""
     values = enumerate_rationals(bounds)
-    partials: list[_VerifyPartial] = list(_run_partitions(
+    holds, *listings = zip(*_run_partitions(
         partial(_verify_partition, list_limit=list_limit), case, values, jobs
     ))
 
-    def merge(listings: list[_Listing]) -> tuple[int, tuple[Triple, ...]]:
+    def merge(listing) -> tuple[int, tuple[Triple, ...]]:
         # Each partition kept its first list_limit triples in grid order, so
         # the first list_limit of their concatenation are the grid's first.
-        triples = _triples(values, [listing.positions for listing in listings])
-        if list_limit is not None:
-            del triples[list_limit:]
-        return sum(listing.count for listing in listings), tuple(triples)
+        counts, positions = zip(*listing)
+        return sum(counts), tuple(_triples(values, positions)[:list_limit])
 
-    missing_count, missing = merge([p.missing for p in partials])
-    spurious_count, spurious = merge([p.spurious for p in partials])
-    gap_count, gap = merge([p.coverage_gap for p in partials])
+    (missing_count, missing), (spurious_count, spurious), (gap_count, gap) = map(merge, listings)
     return VerificationReport(
         case=case,
         bounds=bounds,
         total_triples=len(values) ** 3,
-        holds=sum(p.holds for p in partials),
+        holds=sum(holds),
         missing_count=missing_count,
         spurious_count=spurious_count,
         coverage_gap_count=gap_count,

@@ -135,6 +135,14 @@ def test_hard_case_member_matches_the_rational_polynomials(r1, r2, r3, r1_at, r2
         assert member(case, t) == _REFERENCE_MEMBER[case.label](t), (case.label, t)
 
 
+@given(_components, _components, _components)
+def test_member_reads_a_plain_tuple_as_it_reads_a_triple(r1, r2, r3):
+    # The verify scan hands member the plain tuples of itertools.product.
+    t = Triple(r1, r2, r3)
+    for case in ALL_CASES:
+        assert member(case, tuple(t)) == member(case, t), case.label
+
+
 # ---------------------------------------------------------------------------
 # families
 

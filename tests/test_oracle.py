@@ -146,11 +146,23 @@ def _count_per_triple_calls(monkeypatch) -> dict:
 
 def test_verify_calls_check_and_member_once_per_triple(monkeypatch):
     calls = _count_per_triple_calls(monkeypatch)
+    family_args = []
+    original = oracle.family_union_member
+
+    def recording(case, t):
+        family_args.append(t)
+        return original(case, t)
+
+    monkeypatch.setattr(oracle, "family_union_member", recording)
     bounds = SearchBounds(3, 2)
     report = verify_characterization(case_from_label(13), bounds, jobs=1)
     volume = len(enumerate_rationals(bounds)) ** 3
     assert report.total_triples == volume
     assert calls == {"check": volume, "member": volume}
+    # Family shapes read fields by name: they see the holding triples alone,
+    # each as a Triple.
+    assert len(family_args) == report.holds > 0
+    assert all(type(t) is Triple for t in family_args)
 
 
 @pytest.mark.parametrize("label", ["12", "4", "L1"])
@@ -258,7 +270,7 @@ def test_listings_cross_the_pool_as_positions_into_the_parents_grid(monkeypatch)
     lists, forced here by a wrong membership predicate: every listing and
     count is the same through the pool, and every listed component is one
     of the parent's grid values."""
-    monkeypatch.setattr(oracle, "member", lambda case, t: t.r2 > 0)
+    monkeypatch.setattr(oracle, "member", lambda case, t: t[1] > 0)
     case, bounds = case_from_label(13), SearchBounds(3, 2)
     serial = [verify_characterization(case, bounds, list_limit=limit) for limit in (2, None)]
     grids = _capture_grids(monkeypatch)
@@ -423,9 +435,9 @@ def test_partitions_keep_exact_counts_but_at_most_list_limit_triples():
     for r1 in values:
         full = oracle._verify_partition(case, r1, values)
         capped = oracle._verify_partition(case, r1, values, list_limit=2)
-        assert capped.holds == full.holds
-        for kept, every in zip(capped[1:], full[1:]):
-            assert kept.count == every.count == len(every.positions)
-            assert kept.positions == every.positions[:2]
-            longest = max(longest, every.count)
+        assert capped[0] == full[0]
+        for (kept_count, kept), (count, every) in zip(capped[1:], full[1:]):
+            assert kept_count == count == len(every)
+            assert kept == every[:2]
+            longest = max(longest, count)
     assert longest > 2
