@@ -8,17 +8,19 @@ invocation), or CSV (fixed header row); diagnostics go to stderr.
 Each subcommand handler returns one `_Record` of raw values (`Fraction`,
 `Triple`, `CaseId`, enums, `bool`, `int`, `None`): its exit code, the JSON
 document, the CSV header and rows, and the plain lines. `_render` turns the
-record into the text of the chosen format. `_text` is the one conversion
-of a single value, in every format; a rational's text is
-`_RATIONAL_FORMAT`, "%d/%d" on its numerator and denominator. The triples
-that `search` and `verify` list come as one `_Rows` value per list, in
-every format, and `_rows` writes each with one `%` on its six slot
-integers: the row format is built once per list from the same piece and
-the list's pad (a plain line's prefix or a CSV row's first cell). CSV
-cells are joined by "," unquoted, as no cell holds a comma, a quote or a
-newline. `_json` writes a value in one walk, straight to the text that
-`json.dumps(indent=2)` would give: two-space indent, ASCII only, keys in
-the record's order.
+record into the text of the chosen format. `_text` (a value's text, in every
+format) and `_json` (its JSON text) look up the value's exact type in one
+table, `_WRITERS`; a subclass takes the writers of its first base there. A
+rational's text is `_RATIONAL_FORMAT`, "%d/%d" on its slot integers. `_json`
+writes the text of `json.dumps(indent=2)`: two-space indent, ASCII only,
+keys in the record's order. Text that never changes is cached: a case's JSON
+object per indent, a triple's per indent as one `%` format on its six slot
+integers, and a case's CSV cells and `classify` prefix. The triples that
+`search` and `verify` list come as one `_Rows` value per list, and `_rows`
+writes each with one `%` on its six slot integers, in a row format built
+once per list from the list's pad (a plain line's prefix or a CSV row's
+first cell). CSV cells are joined by "," unquoted, as no cell holds a
+comma, a quote or a newline.
 
 `_render` returns the output as text pieces in order, and `_write` writes
 them one by one, never joined, to stdout or to --output. A listing adds
@@ -62,7 +64,6 @@ import os
 import re
 import reprlib
 import sys
-from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Sequence
@@ -212,6 +213,7 @@ class _Record(NamedTuple):
 
 _RATIONAL_FORMAT = "%d/%d"  # a rational from its numerator and denominator slots
 _TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
+_JSON_RATIONAL = f'"{_RATIONAL_FORMAT}"'
 
 
 class _Rows(NamedTuple):
@@ -247,51 +249,67 @@ _CHUNK = 1024  # listed rows per piece of output
 _JSON_ROW = "\n    [" + ",".join(['\n      "' + _RATIONAL_FORMAT + '"'] * 3) + "\n    ]"
 
 
-def _text(value) -> str:
-    """The one value-to-text conversion outside the listed rows, for every
-    format; `_json` quotes it where JSON writes a string."""
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Enum):
-        return value.value
+def _digits(fmt: str, *ints: int) -> str:
     try:
-        if isinstance(value, int):
-            return str(value)
-        if isinstance(value, Fraction):
-            return _RATIONAL_FORMAT % (value._numerator, value._denominator)
+        return fmt % ints
     except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
         raise _unprintable() from None
-    return _rows(_TRIPLE_FORMAT, "", (value,))  # a Triple
+
+
+def _json_block(items: list[str], ends: str, pad: str) -> str:
+    """A JSON object or array (`ends` "{}" or "[]") of item texts indented `pad + "  "`."""
+    inner = ",\n" + pad + "  "
+    return ends[0] + inner[1:] + inner.join(items) + "\n" + pad + ends[1] if items else ends
+
+
+@functools.cache
+def _triple_json(pad: str) -> str:  # a format on the triple's six slot integers
+    return "{" + ",".join(f'\n{pad}  "{name}": {_JSON_RATIONAL}'
+                          for name in Triple._fields) + "\n" + pad + "}"
+
+
+# type -> (its text, its JSON text at the indent `pad`), where a case, dict or
+# list has no text; a subclass takes the writers of its first base in this order.
+_WRITERS = {
+    type(None): (lambda v: "", lambda v, pad: "null"),
+    str: (str.__str__, lambda v, pad: _quote(v)),
+    bool: (lambda v: "true" if v else "false", lambda v, pad: "true" if v else "false"),
+    **dict.fromkeys((Verdict, BinOp, SolveOutcome),
+                    (lambda v: v._value_, lambda v, pad: _quote(v._value_))),
+    int: (lambda v: _digits("%d", v), lambda v, pad: _digits("%d", v)),
+    Fraction: (lambda q: _digits(_RATIONAL_FORMAT, q._numerator, q._denominator),
+               lambda q, pad: _digits(_JSON_RATIONAL, q._numerator, q._denominator)),
+    Triple: (lambda t: _rows(_TRIPLE_FORMAT, "", (t,)),
+             lambda t, pad: _rows(_triple_json(pad), "", (t,))),
+    CaseId: (None, functools.cache(lambda case, pad: _json(
+        {"label": case.label, "number": case.case_number, "outer": case.outer,
+         "inner": case.inner}, pad))),
+    dict: (None, lambda v, pad: _json_block(
+        [_quote(k) + ": " + _json(x, pad + "  ") for k, x in v.items()], "{}", pad)),
+    list: (None, lambda v, pad: _json_block([_json(x, pad + "  ") for x in v], "[]", pad)),
+}
+
+
+def _writers(value) -> tuple:
+    """The `_WRITERS` entry of a subclass of one of its types."""
+    for kind, writers in _WRITERS.items():
+        if isinstance(value, kind):
+            return writers
+    raise TypeError(f"cannot print a {type(value).__name__}")
+
+
+def _text(value) -> str:
+    """The one value-to-text conversion outside the listed rows, for every format."""
+    return (_WRITERS.get(type(value)) or _writers(value))[0](value)
 
 
 format_rational = _text
 
 
 def _json(value, pad: str) -> str:
-    """The JSON text of a raw value, byte for byte what `json.dumps(indent=2)`
-    writes for it once rationals are "n/d" strings and a `Triple` or `CaseId`
-    is an object; `pad` is the indent of the line the value starts on."""
-    if isinstance(value, Triple):
-        value = value._asdict()
-    elif isinstance(value, CaseId):
-        value = {"label": value.label, "number": value.case_number,
-                 "outer": value.outer, "inner": value.inner}
-    inner = pad + "  "
-    if isinstance(value, dict):
-        items, ends = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()], "{}"
-    elif isinstance(value, list):
-        items, ends = [_json(v, inner) for v in value], "[]"
-    elif value is None:
-        return "null"
-    else:
-        return _text(value) if isinstance(value, int) else _quote(_text(value))
-    if not items:
-        return ends
-    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
+    """A raw value's JSON text, that of `json.dumps(indent=2)` once rationals are "n/d"
+    strings and a `Triple` or `CaseId` an object, at the indent `pad` of its first line."""
+    return (_WRITERS.get(type(value)) or _writers(value))[1](value, pad)
 
 
 def _render(fmt: str, command: str, record: _Record) -> list[str]:
@@ -356,8 +374,15 @@ def _verdict_plain(fields: dict) -> list:
     return [fields["verdict"], "  lhs=", fields["lhs"], "  rhs=", fields["rhs"]]
 
 
+@functools.cache
+def _case_text(case: CaseId) -> tuple[str, str]:
+    """A case's label, outer and inner CSV cells as one, and its prefix in `classify`."""
+    return (f"{case.label},{case.outer.value},{case.inner.value}",
+            f"{case.label:>3} {case.outer.value}/{case.inner.value}: ")
+
+
 def _check_row(case: CaseId, t: Triple, fields: dict) -> list:
-    return [case.label, case.outer, case.inner, *t, *fields.values()]
+    return [_case_text(case)[0], *t, *fields.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +410,7 @@ def _cmd_classify(args) -> _Record:
         _CHECK_HEADER,
         [_check_row(case, t, fields) for case, fields in results],
         [["triple ", t]] + [
-            [f"{case.label:>3} {case.outer.value}/{case.inner.value}: ",
-             *_verdict_plain(fields)]
+            [_case_text(case)[1], *_verdict_plain(fields)]
             for case, fields in results
         ],
     )

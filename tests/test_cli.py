@@ -405,10 +405,47 @@ _STRINGS = st.text() | st.sampled_from(
     ['', '"quoted"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\u00e9 \u2203 \U0001f600"])
 _BIG = 10**40
 _FRACTIONS = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)
+_TRIPLES = st.builds(Triple, _FRACTIONS, _FRACTIONS, _FRACTIONS)
+
+
+# Plain subclasses, which the writers' table does not list: each must be
+# written as its base is.
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Triple(Triple):
+    pass
+
+
+def _nest(value, depth: int):
+    """`value` inside `depth` alternate one-item lists and dicts."""
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
 _LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(-_BIG, _BIG), _STRINGS, _FRACTIONS,
-    st.builds(Triple, _FRACTIONS, _FRACTIONS, _FRACTIONS), st.sampled_from(ALL_CASES),
-    st.sampled_from([*Verdict, *BinOp, *SolveOutcome]),
+    st.none(), st.booleans(), st.integers(-_BIG, _BIG), _STRINGS, _FRACTIONS, _TRIPLES,
+    st.sampled_from(ALL_CASES), st.sampled_from([*Verdict, *BinOp, *SolveOutcome]),
+    st.builds(_Int, st.integers(-_BIG, _BIG)), st.builds(_Str, _STRINGS),
+    st.builds(_Fraction, _FRACTIONS),
+    st.builds(_Dict, st.dictionaries(_STRINGS, _FRACTIONS | st.integers(), max_size=3)),
+    st.builds(_Triple, _FRACTIONS, st.builds(_Fraction, _FRACTIONS), _FRACTIONS),
+    # A case or triple at several indents: their JSON text is cached per indent.
+    st.builds(_nest, st.sampled_from(ALL_CASES) | _TRIPLES, st.integers(0, 4)),
 )
 _VALUES = st.recursive(
     _LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
@@ -431,10 +468,25 @@ def test_json_writer_covers_every_kind_of_value():
     assert text.isascii() and '"\\u00e9\\ud83d\\ude00"' in text
 
 
-def test_unprintable_nested_rational_is_a_domain_error():
-    record = _Record(0, {"outer": [1, {"inner": [Fraction(10**5000 + 1, 3)]}]}, [], [], [])
+_HUGE = Fraction(10**5000 + 1, 3)  # more digits than str() converts
+
+
+@pytest.mark.parametrize("fmt", ["json", "plain", "csv"])
+@pytest.mark.parametrize("value", [_HUGE, Triple(Fraction(1), _HUGE, Fraction(-2, 3))],
+                         ids=["rational", "triple"])
+def test_unprintable_nested_rational_is_a_domain_error(capsys, monkeypatch, fmt, value):
+    # In JSON nested in a document (a triple as an object), in plain as a
+    # line (a triple alone), in CSV as cells (a triple as three).
+    cells = list(value) if isinstance(value, Triple) else [value]
+    record = _Record(0, {"outer": [1, {"inner": [value]}]}, ["a"] * (len(cells) + 1),
+                     [[1, *cells]], [value if isinstance(value, Triple) else ["r2 = ", value]])
     with pytest.raises(DomainError, match="digits"):
-        _render("json", "check", record)
+        _render(fmt, "check", record)
+    # Through run, the command exits 3 and prints nothing.
+    monkeypatch.setattr(cli, "_render", lambda *args: _render(fmt, "check", record))
+    code, out, err = run_cli(capsys, "check", "--outer", "add", "--inner", "add",
+                             "--triple", "1,1,1", "--format", fmt)
+    assert (code, out) == (3, "") and err.startswith("error:") and "digits" in err
 
 
 def _n_d(q: Fraction) -> str:

@@ -361,7 +361,8 @@ def test_triple_of_refuses_a_float_in_any_position():
 
 
 def test_fraction_keeps_its_integers_in_its_slots():
-    # The check kernels, catalog.member, catalog.solve_r2 and cli._text read
+    # The check kernels, catalog.member, catalog.solve_r2, and cli's
+    # `_WRITERS` (through `_text` and `_json`) and `_rows` read
     # q._numerator and q._denominator directly (the slots of
     # fractions.Fraction), because as_integer_ratio and the numerator and
     # denominator properties are Python-level calls. If CPython renames the
@@ -394,3 +395,11 @@ def test_fraction_keeps_its_integers_in_its_slots():
     assert catalog.solve_r2("12", sub.r1, sub.r3) == Fraction(4)
     assert [_text(v) for v in sub] == ["6/1", "4/1", "-3/1"]
     assert _text(Sub(3, -6)) == "-1/2"
+
+
+def test_enum_members_keep_their_values_in_value_():
+    # cli's `_WRITERS` reads member._value_, an instance attribute, because
+    # .value is a Python-level descriptor. If CPython renames the attribute,
+    # this test names the cause.
+    for member in [*Verdict, *BinOp, *catalog.SolveOutcome]:
+        assert member._value_ == member.value and type(member._value_) is str, member
