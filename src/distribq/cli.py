@@ -2,42 +2,22 @@
 
 Subcommands map one-to-one onto the library: check, classify, member,
 generate, solve, diophantine, construct12, family5, search, verify.
-Output goes to stdout (or --output) as plain text, JSON (one document per
-invocation), or CSV (fixed header row); diagnostics go to stderr.
-
-Each subcommand handler returns one `_Record` of raw values (`Fraction`,
-`Triple`, `CaseId`, enums, `bool`, `int`, `None`): its exit code, the JSON
-document, the CSV header and rows, and the plain lines. `_render` turns the
-record into the text of the chosen format. `_text` (a value's text, in every
-format) and `_json` (its JSON text) look up the value's exact type in one
-table, `_WRITERS`; a subclass takes the writers of its first base there. A
-rational's text is `_RATIONAL_FORMAT`, "%d/%d" on its slot integers. `_json`
-writes the text of `json.dumps(indent=2)`: two-space indent, ASCII only,
-keys in the record's order. Text that never changes is cached: a case's JSON
-object per indent, a triple's per indent as one `%` format on its six slot
-integers, and a case's CSV cells and `classify` prefix. The triples that
-`search` and `verify` list come as one `_Rows` value per list, and `_rows`
-writes each with one `%` on its six slot integers, in a row format built
-once per list from the list's pad (a plain line's prefix or a CSV row's
-first cell). CSV cells are joined by "," unquoted, as no cell holds a
-comma, a quote or a newline.
-
-`_render` returns the output as text pieces in order, and `_write` writes
-them one by one, never joined, to stdout or to --output. A listing adds
-pieces of `_CHUNK` rows each. Every piece is rendered before the first is
-written, so a value too long to print exits 3 with nothing printed. A
-reader that closes stdout early ends the output quietly, and the exit code
-stays the command's; any other failed write, to either sink, is a usage
-error.
+Each handler returns one `_Record` of raw values, and `_render` writes it
+to stdout (or --output) as plain text, JSON (one document per invocation,
+laid out as `json.dumps(indent=2)` lays it out: two-space indent, ASCII
+only, keys in the record's order), or CSV (a fixed header row, and cells
+joined by "," unquoted, as no cell holds a comma, a quote or a newline);
+diagnostics go to stderr. Rationals are always serialized as "n/d"
+(including "/1") so every printed value re-parses exactly.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
 3 domain or constraint error (also a result with more digits than str()
 converts, in which case nothing is printed). Computational answers such as
 NONE, ALL, or an empty solution set are successes, not negative verdicts.
-
-Rationals are always serialized as "n/d" (including "/1") so every printed
-value re-parses exactly.
+A reader that closes stdout early ends the output quietly, and the exit
+code stays the command's; any other failed write, to stdout or to
+--output, is a usage error. A failed write to stderr is ignored.
 
 Each option value is parsed once, by its flag's argparse `type=` in
 `_COMMANDS`, so a malformed one is a parser error naming the option, and
@@ -58,6 +38,7 @@ replacement installed after the first `run` is still called.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -206,8 +187,7 @@ class _Record(NamedTuple):
 
     exit: int
     doc: dict  # the JSON document, without its leading "command" key
-    header: list[str]  # CSV header row
-    rows: list  # CSV rows: a list of values, one per cell, or a `_Rows`
+    csv: list  # CSV lines, the header first: a value, a list of cells, or a `_Rows`
     plain: list  # plain lines: a value, a list (the concatenation of its parts), or a `_Rows`
 
 
@@ -268,8 +248,9 @@ def _triple_json(pad: str) -> str:  # a format on the triple's six slot integers
                           for name in Triple._fields) + "\n" + pad + "}"
 
 
-# type -> (its text, its JSON text at the indent `pad`), where a case, dict or
-# list has no text; a subclass takes the writers of its first base in this order.
+# type -> (its text, its JSON text at the indent `pad`), where a dict or list
+# has no text and a case's text is its CSV cells label,outer,inner; a
+# subclass takes the writers of its first base in this order.
 _WRITERS = {
     type(None): (lambda v: "", lambda v, pad: "null"),
     str: (str.__str__, lambda v, pad: _quote(v)),
@@ -281,7 +262,9 @@ _WRITERS = {
                lambda q, pad: _digits(_JSON_RATIONAL, q._numerator, q._denominator)),
     Triple: (lambda t: _rows(_TRIPLE_FORMAT, "", (t,)),
              lambda t, pad: _rows(_triple_json(pad), "", (t,))),
-    CaseId: (None, functools.cache(lambda case, pad: _json(
+    CaseId: (functools.cache(
+                 lambda case: f"{case.label},{case.outer._value_},{case.inner._value_}"),
+             functools.cache(lambda case, pad: _json(
         {"label": case.label, "number": case.case_number, "outer": case.outer,
          "inner": case.inner}, pad))),
     dict: (None, lambda v, pad: _json_block(
@@ -337,8 +320,7 @@ def _render(fmt: str, command: str, record: _Record) -> list[str]:
                 text.append(_json(value, "  "))
         text.append("\n}\n")
     else:
-        lines, sep = (([",".join(record.header), *record.rows], ",") if fmt == "csv"
-                      else (record.plain, ""))
+        lines, sep = (record.csv, ",") if fmt == "csv" else (record.plain, "")
         for line in lines:
             if isinstance(line, _Rows):
                 add_rows(line.pad + _TRIPLE_FORMAT + "\n", "", line.triples)
@@ -357,8 +339,8 @@ def _grid_plain(case: CaseId, bounds: oracle.SearchBounds) -> str:
     return f"{_case_plain(case)}  grid |num|<={bounds.num_bound} den<={bounds.den_bound}"
 
 
-_CHECK_HEADER = ["case", "outer", "inner", "r1", "r2", "r3",
-                 "verdict", "lhs", "rhs", "undefined_site"]
+_CASE_TRIPLE_HEADER = "case,outer,inner,r1,r2,r3"
+_CHECK_HEADER = _CASE_TRIPLE_HEADER + ",verdict,lhs,rhs,undefined_site"
 
 
 def _result_fields(result: CheckResult) -> dict:
@@ -375,14 +357,9 @@ def _verdict_plain(fields: dict) -> list:
 
 
 @functools.cache
-def _case_text(case: CaseId) -> tuple[str, str]:
-    """A case's label, outer and inner CSV cells as one, and its prefix in `classify`."""
-    return (f"{case.label},{case.outer.value},{case.inner.value}",
-            f"{case.label:>3} {case.outer.value}/{case.inner.value}: ")
-
-
-def _check_row(case: CaseId, t: Triple, fields: dict) -> list:
-    return [_case_text(case)[0], *t, *fields.values()]
+def _case_text(case: CaseId) -> str:
+    """A case's line prefix in `classify`."""
+    return f"{case.label:>3} {case.outer.value}/{case.inner.value}: "
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +372,7 @@ def _cmd_check(args) -> _Record:
     return _Record(
         0 if fields["verdict"] is Verdict.HOLDS else 1,
         {"case": case, "triple": t, **fields},
-        _CHECK_HEADER,
-        [_check_row(case, t, fields)],
+        [_CHECK_HEADER, [case, t, *fields.values()]],
         [[_case_plain(case), "  triple ", t], _verdict_plain(fields)],
     )
 
@@ -407,10 +383,9 @@ def _cmd_classify(args) -> _Record:
     return _Record(
         0,
         {"triple": t, "results": [{"case": case, **fields} for case, fields in results]},
-        _CHECK_HEADER,
-        [_check_row(case, t, fields) for case, fields in results],
+        [_CHECK_HEADER, *[[case, t, *fields.values()] for case, fields in results]],
         [["triple ", t]] + [
-            [_case_text(case)[1], *_verdict_plain(fields)]
+            [_case_text(case), *_verdict_plain(fields)]
             for case, fields in results
         ],
     )
@@ -422,8 +397,7 @@ def _cmd_member(args) -> _Record:
     return _Record(
         0 if verdict else 1,
         {"case": case, "triple": t, "member": verdict},
-        ["case", "outer", "inner", "r1", "r2", "r3", "member"],
-        [[case.label, case.outer, case.inner, *t, verdict]],
+        [_CASE_TRIPLE_HEADER + ",member", [case, t, verdict]],
         [[_case_plain(case), "  triple ", t], ["member ", verdict]],
     )
 
@@ -434,8 +408,7 @@ def _cmd_generate(args) -> _Record:
     return _Record(
         0,
         {"case": args.case, "family": args.family, "params": params, "triple": t},
-        ["case", "family", "r1", "r2", "r3"],
-        [[args.case.label, args.family, *t]],
+        ["case,family,r1,r2,r3", [args.case.label, args.family, *t]],
         [t],
     )
 
@@ -450,8 +423,7 @@ def _cmd_solve(args) -> _Record:
     return _Record(
         0,
         {"case": case, "r1": r1, "r3": r3, "result": result, "r2": r2},
-        ["case", "r1", "r3", "result", "r2"],
-        [[case.label, r1, r3, result, r2]],
+        ["case,r1,r3,result,r2", [case.label, r1, r3, result, r2]],
         [plain],
     )
 
@@ -469,8 +441,7 @@ def _cmd_diophantine(args) -> _Record:
         0,
         {"p": args.p, "q": args.q, "t": args.t, "empty": sols.empty,
          "base": base, "step": step},
-        ["p", "q", "t", "empty", "x0", "y0", "dx", "dy"],
-        [[args.p, args.q, args.t, sols.empty, *cells]],
+        ["p,q,t,empty,x0,y0,dx,dy", [args.p, args.q, args.t, sols.empty, *cells]],
         [plain],
     )
 
@@ -478,7 +449,7 @@ def _cmd_diophantine(args) -> _Record:
 def _cmd_construct12(args) -> _Record:
     if (args.delta is None) == (args.list is None):
         raise _UsageError("provide exactly one of --delta and --list")
-    header = ["n1", "n2", "delta", "r1", "r2", "r3"]
+    header = "n1,n2,delta,r1,r2,r3"
     if args.delta is not None:
         t = number_theory.case12_construct(
             args.n1, args.n2, args.delta, allow_degenerate=args.allow_degenerate
@@ -486,8 +457,7 @@ def _cmd_construct12(args) -> _Record:
         return _Record(
             0,
             {"n1": args.n1, "n2": args.n2, "delta": args.delta, "triple": t},
-            header,
-            [[args.n1, args.n2, args.delta, *(t or [None] * 3)]],
+            [header, [args.n1, args.n2, args.delta, *(t or [None] * 3)]],
             ["NONE" if t is None else t],
         )
     results = list(number_theory.case12_enumerate(
@@ -496,8 +466,7 @@ def _cmd_construct12(args) -> _Record:
         0,
         {"n1": args.n1, "n2": args.n2,
          "results": [{"delta": delta, "triple": t} for delta, t in results]},
-        header,
-        [[args.n1, args.n2, delta, *t] for delta, t in results],
+        [header, *[[args.n1, args.n2, delta, *t] for delta, t in results]],
         [["delta=", delta, " -> ", t] for delta, t in results],
     )
 
@@ -508,8 +477,7 @@ def _cmd_family5(args) -> _Record:
     return _Record(
         0,
         {"a": args.a, "f": args.f, "k": args.k, "sign": sign_text, "triple": t},
-        ["a", "f", "k", "sign", "r1", "r2", "r3"],
-        [[args.a, args.f, args.k, sign_text, *t]],
+        ["a,f,k,sign,r1,r2,r3", [args.a, args.f, args.k, sign_text, *t]],
         [t],
     )
 
@@ -524,8 +492,7 @@ def _cmd_search(args) -> _Record:
         0,
         {"case": args.case, "bounds": bounds._asdict(), "count": len(triples),
          "triples": listed},
-        ["r1", "r2", "r3"],
-        [listed],
+        ["r1,r2,r3", listed],
         [_grid_plain(args.case, bounds), listed, f"count {len(triples)}"],
     )
 
@@ -555,8 +522,8 @@ def _cmd_verify(args) -> _Record:
          "spurious_count": report.spurious_count,
          "coverage_gap_count": report.coverage_gap_count,
          "exact": report.exact, "list_limit": report.list_limit, **lists},
-        ["category", "r1", "r2", "r3"],
-        [_Rows(listed.triples, category + ",") for category, listed in lists.items()],
+        ["category,r1,r2,r3",
+         *[_Rows(listed.triples, category + ",") for category, listed in lists.items()]],
         plain,
     )
 
@@ -692,6 +659,21 @@ def _write(pieces: list[str], path: str | None) -> None:
         raise _UsageError(f"cannot write {path or 'stdout'}: {exc.strerror}") from None
 
 
+def _report(message: str) -> None:
+    """Write `message` as a line to stderr. A failed write is ignored, as
+    argparse ignores one, so it never changes the exit code."""
+    try:
+        sys.stderr.write(message + "\n")  # line-buffered, so a failure shows here
+    except (OSError, AttributeError):  # stderr is None when the process started without it
+        # What is left goes to the null device in the flush at exit, which
+        # would otherwise fail again and make the exit code 120.
+        with contextlib.suppress(OSError, AttributeError):  # no stream, or no descriptor
+            fd = sys.stderr.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+
+
 def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     parser = _build_parser()
@@ -706,10 +688,10 @@ def run(argv: Sequence[str]) -> int:
         _write(_render(args.format, args.command, record), args.output)
         return record.exit
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return 2
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 3
 
 

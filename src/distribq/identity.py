@@ -6,9 +6,10 @@ For an ordered pair of binary operations (outer, inner) and a triple
     r1 outer (r2 inner r3)  ==  (r1 outer r2) inner (r1 outer r3)
 
 Values are `fractions.Fraction` at every interface: `check` takes a
-`Triple` of Fractions, as `Triple.of` builds it. `check` is one
-straight-line kernel per case, generated from one integer template per
-operation when the case is first checked. It reads each component's
+`Triple` of Fractions, as `Triple.of` builds it, or a plain 3-tuple of
+Fractions, as a grid scan hands it. `check` is one straight-line kernel
+per case, generated from one integer template per operation when the case
+is first checked. It reads each component's
 numerator and denominator straight from the Fraction's `_numerator` and
 `_denominator` slots and builds no Fraction: its result keeps each side as a
 numerator/denominator pair and builds the side's Fraction when it is read.

@@ -1,6 +1,7 @@
 """Command-line contracts: parsing, formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -478,8 +479,8 @@ def test_unprintable_nested_rational_is_a_domain_error(capsys, monkeypatch, fmt,
     # In JSON nested in a document (a triple as an object), in plain as a
     # line (a triple alone), in CSV as cells (a triple as three).
     cells = list(value) if isinstance(value, Triple) else [value]
-    record = _Record(0, {"outer": [1, {"inner": [value]}]}, ["a"] * (len(cells) + 1),
-                     [[1, *cells]], [value if isinstance(value, Triple) else ["r2 = ", value]])
+    record = _Record(0, {"outer": [1, {"inner": [value]}]}, ["a", [1, *cells]],
+                     [value if isinstance(value, Triple) else ["r2 = ", value]])
     with pytest.raises(DomainError, match="digits"):
         _render(fmt, "check", record)
     # Through run, the command exits 3 and prints nothing.
@@ -491,6 +492,30 @@ def test_unprintable_nested_rational_is_a_domain_error(capsys, monkeypatch, fmt,
 
 def _n_d(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ALL_CASES), _TRIPLES)
+def test_case_and_triple_cells_read_back_as_given(case, t):
+    # check, member and classify write a case as its three cells and the
+    # triple as three "n/d" cells after them, in every row.
+    triple = ",".join(map(_n_d, t))
+    for argv, cases in [
+        (["check", "--outer", case.outer.value, "--inner", case.inner.value,
+          "--triple", triple], [case]),
+        (["member", "--case", case.label, "--triple", triple], [case]),
+        (["classify", "--triple", triple], ALL_CASES),
+    ]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run([*argv, "--format", "csv"]) in (0, 1)
+        header, *rows = csv.reader(io.StringIO(out.getvalue()))
+        assert header[:6] == ["case", "outer", "inner", "r1", "r2", "r3"], argv
+        assert [row[:3] for row in rows] == [
+            [c.label, c.outer.value, c.inner.value] for c in cases], argv
+        for row in rows:
+            assert all(re.fullmatch(r"-?[0-9]+/[0-9]+", cell) for cell in row[3:6]), row
+            assert [parse_rational(cell) for cell in row[3:6]] == list(t), row
 
 
 def _reference_text(fmt: str, doc: dict, header: list, rows: list, lines: list) -> str:
@@ -706,6 +731,43 @@ def test_stdout_closed_from_the_start_is_a_usage_error(fmt):
                           env=_entry_point_env(), stderr=subprocess.PIPE, timeout=60)
     message = f"usage error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
     assert (proc.returncode, proc.stderr.decode()) == (2, message)
+
+
+# A domain error (exit 3) and a usage error found after parsing (exit 2).
+_REPORTED_ERRORS = [(["solve", "--case", "14", "--r1", "0", "--r3", "0"], 3),
+                    (["generate", "--case", "1", "--family", "1", "--params", "x"], 2)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, code", _REPORTED_ERRORS)
+def test_a_failed_write_to_stderr_keeps_the_exit_code(argv, code):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "distribq", *argv],
+                              env=_entry_point_env(), stdout=subprocess.PIPE, stderr=full,
+                              timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX shell")
+@pytest.mark.parametrize("argv, code", _REPORTED_ERRORS)
+def test_stderr_closed_from_the_start_keeps_the_exit_code(argv, code):
+    proc = subprocess.run(["sh", "-c", 'exec "$0" -m distribq "$@" 2>&-', sys.executable,
+                           *argv], env=_entry_point_env(), stdout=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
+class _FullStream(io.TextIOBase):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv, code", _REPORTED_ERRORS)
+def test_run_ignores_a_failed_write_to_stderr(monkeypatch, argv, code):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert cli.run(argv) == code
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
