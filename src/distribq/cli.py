@@ -19,15 +19,24 @@ A reader that closes stdout early ends the output quietly, and the exit
 code stays the command's; any other failed write, to stdout or to
 --output, is a usage error. A failed write to stderr is ignored.
 
-Each option value is parsed once, by its flag's argparse `type=` in
-`_COMMANDS`, so a malformed one is a parser error naming the option, and
-handlers read final values. `_UsageError` is raised after parsing only for
-`--params`, construct12's one of `--delta`/`--list`, `--output`, and a
+Each option value is typed by its flag's argparse `type=` in `_COMMANDS`,
+so handlers read final values. `_UsageError` is raised after parsing only
+for `--params`, construct12's one of `--delta`/`--list`, `--output`, and a
 failed write.
 
-The parser is built once per process, on the first `run`, and every later
-`run` reuses it. `parse_args` returns a fresh namespace on each call and
-writes help and errors, wrapped to the terminal width, to the
+The parser is built once per process, on the first `run`, and so is a
+table read from its subparsers' own actions: each store and store-true
+action by flag, with its dest, type, choices, required, default and const,
+and each subparser's `set_defaults`. `run` first parses argv from that
+table (`_parse`), which accepts only COMMAND followed by `--flag VALUE`,
+`--flag=VALUE` or a store-true `--flag`, every flag spelled in full, and
+gives the namespace `parse_args` would. Any other argv (help, an unknown
+or abbreviated flag, a stray word, a missing required flag) and any value
+that its type or choices refuse make it return None, and then
+`parse_args` runs as the only writer of help, usage and parser errors: a
+malformed value is typed once by the table and again by argparse, which
+names the option in its error. `parse_args` returns a fresh namespace on
+each call and writes, wrapped to the terminal width, to the
 `sys.stdout`/`sys.stderr` current at that call, so the handlers and the
 argument tables must hold no per-call state either: no argument takes a
 mutable default or an `append` action. Handlers look up `check`,
@@ -47,7 +56,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import catalog, number_theory, oracle
 from .catalog import FamilyId, SolveOutcome
@@ -615,6 +624,77 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Command(NamedTuple):
+    """What the fast path reads of one subcommand's parser, from argparse's
+    own actions and defaults."""
+
+    options: dict  # each store or store-true action, by each of its flags
+    defaults: dict  # the namespace of an argv that gives no option
+    required: frozenset  # the dests of the options that must be given
+    number: Callable  # the `match` of the parser's `_negative_number_matcher`
+
+
+@functools.cache
+def _commands() -> dict[str, _Command]:
+    """`_Command` by subcommand name, read once from `_build_parser`'s subparsers."""
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = {}
+    for name, p in sub.choices.items():
+        actions = [a for a in p._actions if a.dest is not argparse.SUPPRESS]
+        commands[name] = _Command(
+            {flag: a for a in actions
+             if isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))
+             and a.nargs in (None, 0) for flag in a.option_strings},
+            {**p._defaults, **{a.dest: a.default for a in actions
+                               if a.default is not argparse.SUPPRESS}, sub.dest: name},
+            frozenset(a.dest for a in actions if a.required),
+            p._negative_number_matcher.match)
+    return commands
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace `parse_args(argv)` returns, for an argv of the form
+    COMMAND (--flag VALUE | --flag=VALUE | --store-true-flag)*, with every flag
+    spelled in full, a separate VALUE that starts with "-" only if it reads as
+    a negative number, no VALUE "--", and every required flag given; each
+    copy of a repeated flag is typed, and the last one wins. For any other
+    argv, and when a type rejects a value or a value is not among its choices,
+    it returns None, so that `parse_args` runs and writes every message."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options, values, seen = command.options, dict(command.defaults), set()
+    i, end = 1, len(argv)
+    while i < end:
+        action = options.get(argv[i])
+        if action is None:  # --flag=VALUE
+            flag, eq, text = argv[i].partition("=")
+            action = options.get(flag)
+            if not eq or action is None or action.nargs == 0 or text == "--":
+                return None
+            i += 1
+        elif action.nargs == 0:  # --store-true-flag
+            values[action.dest] = action.const
+            seen.add(action.dest)
+            i += 1
+            continue
+        elif i + 1 < end and (argv[i + 1][:1] != "-" or command.number(argv[i + 1])):
+            text = argv[i + 1]  # --flag VALUE
+            i += 2
+        else:
+            return None
+        if action.type is not None:
+            try:
+                text = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and text not in action.choices:
+            return None
+        values[action.dest] = text
+        seen.add(action.dest)
+    return argparse.Namespace(**values) if command.required <= seen else None
+
+
 def _refuse_unwritable(path: str) -> None:
     """Reject an --output path that cannot be written before the command
     runs, so a long scan does not end in a usage error. Nothing is created
@@ -647,11 +727,7 @@ def _write(pieces: list[str], path: str | None) -> None:
                 sys.stdout.writelines(pieces)
                 sys.stdout.flush()
             except OSError:
-                # What is left, here and in the flush at exit, goes to the
-                # null device instead.
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+                _flush(sys.stdout)
                 raise
     except OSError as exc:
         if path is None and exc.errno == errno.EPIPE:
@@ -659,28 +735,41 @@ def _write(pieces: list[str], path: str | None) -> None:
         raise _UsageError(f"cannot write {path or 'stdout'}: {exc.strerror}") from None
 
 
+def _flush(stream) -> None:
+    """Flush `stream`, None when the process started without it. If that
+    fails, the stream's descriptor is pointed at the null device: the text
+    left in its buffer would otherwise fail again in the flush at exit, and
+    make the exit code 120. A stream without a descriptor is left as it is."""
+    try:
+        stream.flush()
+    except (OSError, AttributeError):
+        with contextlib.suppress(OSError, AttributeError):  # no stream, or no descriptor
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, fd)
+            finally:
+                os.close(devnull)
+
+
 def _report(message: str) -> None:
     """Write `message` as a line to stderr. A failed write is ignored, as
     argparse ignores one, so it never changes the exit code."""
-    try:
-        sys.stderr.write(message + "\n")  # line-buffered, so a failure shows here
-    except (OSError, AttributeError):  # stderr is None when the process started without it
-        # What is left goes to the null device in the flush at exit, which
-        # would otherwise fail again and make the exit code 120.
-        with contextlib.suppress(OSError, AttributeError):  # no stream, or no descriptor
-            fd = sys.stderr.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+    with contextlib.suppress(OSError, AttributeError):  # a failure, or no stderr
+        sys.stderr.write(message + "\n")
+    _flush(sys.stderr)
 
 
 def run(argv: Sequence[str]) -> int:
     """Parse argv, dispatch, and return the process exit code."""
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # help, usage or a parser error has been written
+            _flush(sys.stdout)
+            _flush(sys.stderr)
+            return int(exc.code or 0)
     try:
         if args.output is not None:
             _refuse_unwritable(args.output)

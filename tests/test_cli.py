@@ -770,6 +770,37 @@ def test_run_ignores_a_failed_write_to_stderr(monkeypatch, argv, code):
     assert out.getvalue() == ""
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_failed_write_to_a_stdout_without_a_descriptor_reports_its_own_error(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _FullStream())
+    monkeypatch.setattr(sys, "stderr", err)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        assert cli.run(_CHECK_ARGV) == 2
+    assert len(os.listdir("/proc/self/fd")) == before
+    message = f"usage error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+    assert err.getvalue() == 5 * message
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, full, code", [
+    (["--help"], "stdout", 0),
+    (["verify", "-h"], "stdout", 0),
+    (["solve", "--case", "13", "--r1", "x", "--r3", "1"], "stderr", 2),
+    (["nonsense"], "stderr", 2),
+])
+def test_help_and_parser_errors_to_a_full_stream_keep_the_exit_code(argv, full, code):
+    # argparse ignores its failed write, but the text stays in the buffered
+    # stream, and the flush at exit must not fail on it again.
+    with open("/dev/full", "w") as sink:
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, full: sink}
+        proc = subprocess.run([sys.executable, "-m", "distribq", *argv],
+                              env=_entry_point_env(), timeout=60, **streams)
+    other = proc.stderr if full == "stdout" else proc.stdout
+    assert (proc.returncode, other) == (code, b"")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 @pytest.mark.parametrize("command", ["search", "verify"])
 def test_a_listed_component_past_the_digit_limit_fails_as_one_value_does(
@@ -1003,6 +1034,107 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         for fmt in ("plain", "json", "csv"):
             assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
     assert len(built) == first
+
+
+# Well-formed values of each option, by flag; a value of the fast path's
+# grammar may follow its flag as a separate word.
+_GOOD_VALUES = {
+    "--outer": ["sub", "MUL"], "--inner": ["add", " Div "],
+    "--triple": ["6,4,-3", "-1/2,0,7"], "--case": ["12", "L1", "sub/mul"],
+    "--family": ["4", "-0"], "--params": ["delta=2", "", "a=4,f=1,k=1,sign=-"],
+    "--r1": ["7/3", "-5/2"], "--r3": ["0", "-1"], "--p": ["3", "-6"], "--q": ["5"],
+    "--t": ["-10"], "--n1": ["3"], "--n2": ["2", "-2"], "--delta": ["2", "-1"],
+    "--list": ["10"], "--a": ["4"], "--f": ["1"], "--k": ["-1"],
+    "--sign": ["+", "-1", "+1"], "--num-bound": ["1", "6"], "--den-bound": ["2"],
+    "--jobs": ["1", "8"], "--limit": ["3"], "--format": ["json", "csv", "plain"],
+    "--output": ["out.txt"],
+}
+# Values the parser or a type refuses, or that the fast path leaves to argparse.
+_ODD_VALUES = ["-5/2", "-", "--", "-x", "", "7" * 5000, "-" + "7" * 5000, "xml", "x",
+               "+3", " 1", "-h", "--format", "1/0", "-5/2 x"]
+_WORDS = ["-h", "--help", "--", "-", "-x", "--bogus", "x", "-5", "--allow-degenerate=1"]
+
+
+def _command_flags(command: str) -> tuple[list, list]:
+    """The command's value options, and the required ones, read from `_COMMANDS`."""
+    flags = [flag for flag, kwargs in cli._COMMANDS[command][2]
+             if kwargs.get("action") != "store_true"] + ["--format", "--output"]
+    return flags, [flag for flag, kwargs in cli._COMMANDS[command][2] if kwargs.get("required")]
+
+
+@st.composite
+def _argvs(draw):
+    """A command's required options with well-formed values, then options,
+    abbreviations, odd values and stray words, in any order, as either
+    spelling."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags, required = _command_flags(command)
+    items = [[flag, draw(st.sampled_from(_GOOD_VALUES[flag]))] for flag in required]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(flags))
+        kind = draw(st.sampled_from(["good", "odd", "abbreviated", "word", "store-true"]))
+        if kind == "word":
+            items.append([draw(st.sampled_from(_WORDS))])
+        elif kind == "store-true":
+            items.append(["--allow-degenerate"])
+        else:
+            value = draw(st.sampled_from(_GOOD_VALUES[flag] if kind == "good" else _ODD_VALUES))
+            if kind == "abbreviated":
+                flag = flag[:draw(st.integers(2, len(flag) - 1))]
+            items.append([flag, value])
+    argv = [command]
+    for item in draw(st.permutations(items)):
+        argv += ["=".join(item)] if len(item) == 2 and draw(st.booleans()) else item
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_the_fast_path_reads_what_argparse_reads(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        fast = cli._parse(argv)
+    assert (out.getvalue(), err.getvalue()) == ("", "")
+    if fast is not None:
+        assert vars(fast) == vars(cli._build_parser().parse_args(argv))
+
+
+def _golden_argvs() -> list:
+    with open(Path(__file__).with_name("golden_cli.json"), encoding="utf-8") as fh:
+        return [entry["argv"] for entry in json.load(fh)]
+
+
+def _spelled(argv: list, joined: bool) -> list:
+    """argv with each option and its value as one word --flag=VALUE, or
+    else as two words wherever the value may stand alone."""
+    out, i = [argv[0]], 1
+    while i < len(argv):
+        if argv[i] == "--allow-degenerate":
+            item, i = [argv[i]], i + 1
+        elif "=" in argv[i]:
+            item, i = argv[i].split("=", 1), i + 1
+        else:
+            item, i = argv[i:i + 2], i + 2
+        alone = len(item) == 1 or not re.match(r"-(?!\d)", item[1])
+        out += ["=".join(item)] if len(item) == 2 and (joined or not alone) else item
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_well_formed_argv_takes_the_fast_path(command):
+    flags, required = _command_flags(command)
+    argvs = [argv for argv in _golden_argvs() if argv[0] == command]
+    # Every option with each of its well-formed values, after the required ones.
+    base = [word for flag in required for word in (flag, _GOOD_VALUES[flag][0])]
+    argvs += [[command, *base, flag, value] for flag in flags for value in _GOOD_VALUES[flag]]
+    if command == "construct12":
+        argvs += [[*argv, "--allow-degenerate"] for argv in argvs]
+    parser = cli._build_parser()
+    for argv in argvs:
+        for spelled in (_spelled(argv, joined=False), _spelled(argv, joined=True)):
+            fast = cli._parse(spelled)
+            assert fast is not None, spelled
+            assert vars(fast) == vars(parser.parse_args(spelled))
 
 
 def test_runs_in_one_process_match_fresh_module_runs(monkeypatch, capsys, tmp_path):
