@@ -40,8 +40,15 @@ each call and writes, wrapped to the terminal width, to the
 `sys.stdout`/`sys.stderr` current at that call, so the handlers and the
 argument tables must hold no per-call state either: no argument takes a
 mutable default or an `append` action. Handlers look up `check`,
-`catalog.*` and `number_theory.*` as module attributes at call time, so a
-replacement installed after the first `run` is still called.
+`catalog.*`, `number_theory.*` and `oracle.*` as module attributes at call
+time, so a replacement installed after the first `run` is still called.
+
+`search` lists its rows from `oracle.search_positions`: the grid's values
+and, per first component, the positions j*V + k. Each format's row is three
+pieces, one per component; a listing writes each piece once per grid value
+and a row as a concatenation of those texts, so no `Triple` is built per
+row. Verify's listed triples, at most three times `--limit`, are written
+from the same pieces.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import catalog, number_theory, oracle
 from .catalog import FamilyId, SolveOutcome
@@ -201,17 +208,27 @@ class _Record(NamedTuple):
 
 
 _RATIONAL_FORMAT = "%d/%d"  # a rational from its numerator and denominator slots
-_TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
 _JSON_RATIONAL = f'"{_RATIONAL_FORMAT}"'
+# A listed row in each format, as three pieces: each a format on one
+# component's numerator and denominator, and the row their concatenation.
+# A plain or CSV row is the listing's pad, the triple's text and a newline;
+# in a document, whose listings are top-level values, it is an array.
+_TEXT_ROW = (_RATIONAL_FORMAT, "," + _RATIONAL_FORMAT, "," + _RATIONAL_FORMAT)
+_JSON_ROW = ("\n    [\n      " + _JSON_RATIONAL, ",\n      " + _JSON_RATIONAL,
+             ",\n      " + _JSON_RATIONAL + "\n    ]")
+_TRIPLE_FORMAT = "".join(_TEXT_ROW)
+_CHUNK = 1024  # listed rows per piece of output
 
 
 class _Rows(NamedTuple):
-    """One list of triples that `search` or `verify` lists, written a row
-    per triple by `_rows`: a list at a JSON document's top level, or in
-    plain and CSV one line per triple, each `pad` and the triple. A plain
-    or CSV `_Rows` takes the place of a line, and an empty one adds no line."""
+    """One listing of `search` or `verify`, written a row per triple: a list
+    at a JSON document's top level, or in plain and CSV one line per
+    triple, each `pad` and the triple. `chunks(pieces)` yields the rows, in
+    lists of at most `_CHUNK`, each row written from the three `pieces` of
+    a format. A plain or CSV `_Rows` takes the place of a line, and an empty
+    one adds no line."""
 
-    triples: Sequence[Triple]
+    chunks: Callable[[tuple[str, str, str]], Iterator[list[str]]]
     pad: str = ""
 
 
@@ -222,27 +239,43 @@ def _unprintable() -> DomainError:
     )
 
 
-def _rows(row: str, sep: str, triples: Sequence[Triple]) -> str:
-    """Each triple through the row format `row`, one `%` on its six slot
-    integers, joined by `sep`."""
-    try:
-        return sep.join([row % (r1._numerator, r1._denominator, r2._numerator,
-                                r2._denominator, r3._numerator, r3._denominator)
-                         for r1, r2, r3 in triples])
-    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
-        raise _unprintable() from None
-
-
-_CHUNK = 1024  # listed rows per piece of output
-# The row format of a listed triple in a document, whose listings are top-level values.
-_JSON_ROW = "\n    [" + ",".join(['\n      "' + _RATIONAL_FORMAT + '"'] * 3) + "\n    ]"
-
-
 def _digits(fmt: str, *ints: int) -> str:
     try:
         return fmt % ints
     except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
         raise _unprintable() from None
+
+
+def _component(piece: str, q: Fraction) -> str:
+    return _digits(piece, q._numerator, q._denominator)
+
+
+def _triple_text(fmt: str, t: Triple) -> str:
+    """`fmt` on the triple's six slot integers."""
+    r1, r2, r3 = t
+    return _digits(fmt, r1._numerator, r1._denominator, r2._numerator, r2._denominator,
+                   r3._numerator, r3._denominator)
+
+
+def _grid_chunks(values: Sequence[Fraction], partitions: Sequence[Sequence[int]],
+                 pieces: tuple[str, str, str]) -> Iterator[list[str]]:
+    """The rows of a search: the i-th partition's position j*V + k stands for
+    (values[i], values[j], values[k]). Each piece is written once per grid
+    value; a row is one of its r1's V head-and-middle texts and an end text."""
+    head, mid, end = ([_component(piece, q) for q in values] for piece in pieces)
+    size = len(values)
+    for first, positions in zip(head, partitions):
+        if positions:
+            prefix = [first + text for text in mid]
+            for start in range(0, len(positions), _CHUNK):
+                yield [prefix[p // size] + end[p % size]
+                       for p in positions[start:start + _CHUNK]]
+
+
+def _triple_chunks(triples: Sequence[Triple], pieces: tuple[str, str, str]) -> Iterator[list[str]]:
+    """The rows of listed triples, in order."""
+    for start in range(0, len(triples), _CHUNK):
+        yield ["".join(map(_component, pieces, t)) for t in triples[start:start + _CHUNK]]
 
 
 def _json_block(items: list[str], ends: str, pad: str) -> str:
@@ -269,8 +302,8 @@ _WRITERS = {
     int: (lambda v: _digits("%d", v), lambda v, pad: _digits("%d", v)),
     Fraction: (lambda q: _digits(_RATIONAL_FORMAT, q._numerator, q._denominator),
                lambda q, pad: _digits(_JSON_RATIONAL, q._numerator, q._denominator)),
-    Triple: (lambda t: _rows(_TRIPLE_FORMAT, "", (t,)),
-             lambda t, pad: _rows(_triple_json(pad), "", (t,))),
+    Triple: (lambda t: _triple_text(_TRIPLE_FORMAT, t),
+             lambda t, pad: _triple_text(_triple_json(pad), t)),
     CaseId: (functools.cache(
                  lambda case: f"{case.label},{case.outer._value_},{case.inner._value_}"),
              functools.cache(lambda case, pad: _json(
@@ -307,15 +340,18 @@ def _json(value, pad: str) -> str:
 def _render(fmt: str, command: str, record: _Record) -> list[str]:
     """The record's output in `fmt` as text pieces, to be written in order.
     Text accumulates into one piece, and a listing adds its rows as pieces
-    of `_CHUNK` rows each, so the bytes are those of one `_rows` call."""
+    of at most `_CHUNK` rows each, the rows joined by `sep`."""
     pieces: list[str] = []
     text: list[str] = []  # the text since the last listing
 
-    def add_rows(row: str, sep: str, triples: Sequence[Triple]) -> None:
+    def add_rows(listing: _Rows, row: tuple[str, str, str], sep: str) -> bool:
+        """Whether the listing has a row."""
         pieces.append("".join(text))
         text.clear()
-        pieces.extend([(sep if start else "") + _rows(row, sep, triples[start:start + _CHUNK])
-                       for start in range(0, len(triples), _CHUNK)])
+        start = len(pieces)
+        for rows in listing.chunks(row):
+            pieces.append((sep if len(pieces) > start else "") + sep.join(rows))
+        return len(pieces) > start
 
     if fmt == "json":  # a listing is only ever a value of the top level
         text.append('{\n  "command": ' + _quote(command))
@@ -323,16 +359,16 @@ def _render(fmt: str, command: str, record: _Record) -> list[str]:
             text.append(",\n  " + _quote(key) + ": ")
             if isinstance(value, _Rows):
                 text.append("[")
-                add_rows(_JSON_ROW, ",", value.triples)
-                text.append("\n  ]" if value.triples else "]")
+                text.append("\n  ]" if add_rows(value, _JSON_ROW, ",") else "]")
             else:
                 text.append(_json(value, "  "))
         text.append("\n}\n")
     else:
         lines, sep = (record.csv, ",") if fmt == "csv" else (record.plain, "")
+        head, mid, end = _TEXT_ROW
         for line in lines:
             if isinstance(line, _Rows):
-                add_rows(line.pad + _TRIPLE_FORMAT + "\n", "", line.triples)
+                add_rows(line, (line.pad + head, mid, end + "\n"), "")
             else:
                 text.append((sep.join(map(_text, line)) if isinstance(line, list)
                              else _text(line)) + "\n")
@@ -493,16 +529,17 @@ def _cmd_family5(args) -> _Record:
 
 def _cmd_search(args) -> _Record:
     bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
-    triples = oracle.search_solutions(args.case, bounds, jobs=args.jobs)
-    listed = _Rows(triples)
+    values, partitions = oracle.search_positions(args.case, bounds, jobs=args.jobs)
+    partitions = list(partitions)
+    count = sum(map(len, partitions))
+    listed = _Rows(functools.partial(_grid_chunks, values, partitions))
     # The jobs count is deliberately not echoed: output must be identical
     # for any worker count.
     return _Record(
         0,
-        {"case": args.case, "bounds": bounds._asdict(), "count": len(triples),
-         "triples": listed},
+        {"case": args.case, "bounds": bounds._asdict(), "count": count, "triples": listed},
         ["r1,r2,r3", listed],
-        [_grid_plain(args.case, bounds), listed, f"count {len(triples)}"],
+        [_grid_plain(args.case, bounds), listed, f"count {count}"],
     )
 
 
@@ -511,18 +548,19 @@ def _cmd_verify(args) -> _Record:
     report = oracle.verify_characterization(
         args.case, bounds, jobs=args.jobs, list_limit=args.limit
     )
-    lists = {"missing": _Rows(report.missing, "  "),
-             "spurious": _Rows(report.spurious, "  "),
-             "coverage_gap": _Rows(report.coverage_gap, "  ")}
+    lists = {"missing": report.missing, "spurious": report.spurious,
+             "coverage_gap": report.coverage_gap}
+    rows = {category: functools.partial(_triple_chunks, triples)
+            for category, triples in lists.items()}
     plain = [
         _grid_plain(args.case, bounds),
         f"total {report.total_triples}  holds {report.holds}",
         f"missing {report.missing_count}  spurious {report.spurious_count}"
         f"  coverage_gap {report.coverage_gap_count}",
     ]
-    for category, listed in lists.items():
-        if listed.triples:
-            plain += [f"{category}:", listed]
+    for category, triples in lists.items():
+        if triples:
+            plain += [f"{category}:", _Rows(rows[category], "  ")]
     return _Record(
         0 if report.exact else 1,
         {"case": args.case, "bounds": bounds._asdict(),
@@ -530,9 +568,10 @@ def _cmd_verify(args) -> _Record:
          "missing_count": report.missing_count,
          "spurious_count": report.spurious_count,
          "coverage_gap_count": report.coverage_gap_count,
-         "exact": report.exact, "list_limit": report.list_limit, **lists},
+         "exact": report.exact, "list_limit": report.list_limit,
+         **{category: _Rows(chunks) for category, chunks in rows.items()}},
         ["category,r1,r2,r3",
-         *[_Rows(listed.triples, category + ",") for category, listed in lists.items()]],
+         *[_Rows(chunks, category + ",") for category, chunks in rows.items()]],
         plain,
     )
 
@@ -597,10 +636,24 @@ def _shorten(match: re.Match) -> str:
 class _Parser(argparse.ArgumentParser):
     """argparse echoes a rejected choice or a stray word in full; this
     shortens each over-long one, as the types' messages do. Subparsers
-    are built from the same class, so they inherit it."""
+    are built from the same class, so they inherit it.
+
+    Before Python 3.13, argparse drops "--" from an option's arguments, so
+    `--flag=--` stored [] and called no type. Here the value "--" goes to
+    the option's type and choices, as on 3.13; an option with neither
+    refuses it, as it refuses `--flag --`."""
 
     def error(self, message: str):
         super().error(re.sub(r"'[^']*'|\"[^\"]*\"|\S+", _shorten, message))
+
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]):
+        if arg_strings != ["--"] or not action.option_strings:
+            return super()._get_values(action, arg_strings)
+        if action.type is None and action.choices is None:
+            raise argparse.ArgumentError(action, "expected one argument")
+        value = self._get_value(action, "--")
+        self._check_value(action, value)
+        return value
 
 
 @functools.cache

@@ -14,14 +14,18 @@ Family shapes read a triple's fields by name, so verify builds a `Triple`
 for `family_union_member` alone, and only for the triples that hold.
 
 In this process or in a pool, a partition lists a triple as j*V + k for
-(values[j], values[k]) as r2 and r3, and `_triples` alone rebuilds triples
-from the parent's grid. A verify partition returns its holding count and,
-for each of missing, spurious and coverage gap, the category's count and
-its first `list_limit` positions. A pool gets the case, the grid and the
-partition function once per worker, through its initializer, and tasks
-are first-component positions. The process-pool machinery is imported
-only when a pool starts, so one-shot commands and `--jobs 1` runs never
-load it.
+(values[j], values[k]) as r2 and r3. A search partition returns its
+positions in an `array('q')`, not as one int object each, and
+`search_positions` hands them with the grid to the CLI, which writes the
+rows by position. `_triples` rebuilds triples from the parent's grid only
+for the library entry points `search_solutions` and
+`verify_characterization`. A verify partition returns its holding count
+and, for each of missing, spurious and coverage gap, the category's count
+and its first `list_limit` positions. A pool gets the case, the grid and
+the partition function once per worker, through its initializer, and
+tasks are first-component positions. The process-pool machinery is
+imported only when a pool starts, and `array` by the first search
+partition, so one-shot commands and `--jobs 1` runs never load the pool.
 """
 
 from __future__ import annotations
@@ -31,10 +35,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import product, repeat
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .catalog import family_union_member, member
 from .identity import CaseId, DomainError, Triple, Verdict, check
+
+if TYPE_CHECKING:
+    from array import array
 
 # Per-triple shortcuts: an Enum class lookup costs more than the comparison
 # it feeds, and tuple.__new__ skips the NamedTuple's Python-level __new__
@@ -72,9 +79,11 @@ def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
     return values
 
 
-def _search_partition(case: CaseId, r1: Fraction, values: list[Fraction]) -> list[int]:
-    return [p for p, t in enumerate(product((r1,), values, values))
-            if check(case, t).verdict is _HOLDS]
+def _search_partition(case: CaseId, r1: Fraction, values: list[Fraction]) -> array:
+    from array import array  # loaded by the first search, not on import
+
+    return array("q", [p for p, t in enumerate(product((r1,), values, values))
+                       if check(case, t).verdict is _HOLDS])
 
 
 def _verify_partition(
@@ -141,10 +150,21 @@ def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int):
         yield from pool.map(_pool_partition, range(len(values)), chunksize=chunksize)
 
 
+def search_positions(
+    case: CaseId, bounds: SearchBounds, jobs: int = 1
+) -> tuple[list[Fraction], Iterator[array]]:
+    """The grid's values, and an iterator that yields, for each r1 =
+    values[i] in order, the ascending positions j*V + k of the triples
+    (values[i], values[j], values[k]) whose identity check HOLDS. The scan
+    runs as the iterator is read; a pool, if one starts, closes when the
+    iterator is exhausted."""
+    values = enumerate_rationals(bounds)
+    return values, _run_partitions(_search_partition, case, values, jobs)
+
+
 def search_solutions(case: CaseId, bounds: SearchBounds, jobs: int = 1) -> list[Triple]:
     """All triples on the grid whose identity check HOLDS, in grid order."""
-    values = enumerate_rationals(bounds)
-    return _triples(values, _run_partitions(_search_partition, case, values, jobs))
+    return _triples(*search_positions(case, bounds, jobs))
 
 
 class VerificationReport(NamedTuple):

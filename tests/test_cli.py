@@ -8,11 +8,13 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import reprlib
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -580,14 +582,54 @@ def _record(argv: list, patched: str, answer) -> _Record:
         return args.handler(args)
 
 
+_CHUNK = cli._CHUNK
+
+
+def _listed(values: list, partitions: list) -> list:
+    """The triples that a search's positions stand for, built here: the i-th
+    partition's j*V + k is (values[i], values[j], values[k])."""
+    size = len(values)
+    return [(r1, values[p // size], values[p % size])
+            for r1, positions in zip(values, partitions) for p in positions]
+
+
+@st.composite
+def _grids(draw) -> tuple:
+    """Grid values, zeros among them, and for each value as r1 a random
+    ascending subset of the positions, empty or short. On a grid of 33 or
+    more values, one partition lists a number of rows on either side of a
+    `_CHUNK` boundary."""
+    size = draw(st.sampled_from([1, 2, 3, 6, 33, 40]))
+    values = draw(st.lists(st.just(Fraction(0)) | _FRACTIONS, min_size=size, max_size=size))
+    counts = [min(draw(st.sampled_from([0, 0, 1, 2, 7])), size**2) for _ in values]
+    if size**2 > _CHUNK:
+        counts[draw(st.integers(0, size - 1))] = _CHUNK + draw(st.integers(-1, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # draws no positions from hypothesis
+    return values, [array("q", sorted(rng.sample(range(size**2), count))) for count in counts]
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(ALL_CASES), _LISTS)
-def test_search_rows_match_an_independent_renderer(case, triples):
+@given(st.sampled_from(ALL_CASES), _grids())
+def test_search_rows_match_an_independent_renderer(case, grid):
+    values, partitions = grid
     record = _record(["search", "--case", case.label, *_GRID_OPTIONS],
-                     "search_solutions", triples)
+                     "search_positions", (values, iter(partitions)))
+    triples = _listed(values, partitions)
     for fmt in ("json", "csv", "plain"):
         assert "".join(_render(fmt, "search", record)) == \
             _search_reference(fmt, case, _BOUNDS, triples)
+
+
+def test_search_lists_its_rows_without_building_triples(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("search built a Triple")
+
+    monkeypatch.setattr(oracle, "_triples", refuse)
+    values = oracle.enumerate_rationals(_BOUNDS)
+    triples = list(itertools.product(values, repeat=3))
+    code, out, err = run_cli(capsys, "search", "--case", "L1", *_GRID_OPTIONS, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == _search_reference("csv", case_from_label("L1"), _BOUNDS, triples)
 
 
 @settings(max_examples=100, deadline=None)
@@ -617,9 +659,6 @@ def test_every_grid_triple_listed_matches_an_independent_renderer(capsys, fmt):
     assert out == _search_reference(fmt, case_from_label("L1"), _BOUNDS, triples)
 
 
-_CHUNK = cli._CHUNK
-
-
 @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
 @pytest.mark.parametrize("command", ["search", "verify"])
 def test_listings_on_each_side_of_a_chunk_boundary_match_an_independent_renderer(
@@ -630,12 +669,17 @@ def test_listings_on_each_side_of_a_chunk_boundary_match_an_independent_renderer
         missing_count=count, spurious_count=min(count, 1), coverage_gap_count=count,
         missing=tuple(listed), spurious=tuple(listed[:1]), coverage_gap=tuple(listed),
         list_limit=None)
-    monkeypatch.setattr(oracle, "search_solutions", lambda *args, **kwargs: listed)
+    # Search lists `count` rows of r1 = values[1]: positions 0 to count - 1.
+    values = [Fraction(i, 7) for i in range(-23, 23)]
+    partitions = [array("q")] * len(values)
+    partitions[1] = array("q", range(count))
+    monkeypatch.setattr(oracle, "search_positions",
+                        lambda *args, **kwargs: (values, iter(partitions)))
     monkeypatch.setattr(oracle, "verify_characterization", lambda *args, **kwargs: report)
     target = tmp_path / "out.txt"
     for fmt in ("json", "csv", "plain"):
-        expected = (_search_reference(fmt, report.case, _BOUNDS, listed) if command == "search"
-                    else _verify_reference(fmt, report))
+        expected = (_search_reference(fmt, report.case, _BOUNDS, _listed(values, partitions))
+                    if command == "search" else _verify_reference(fmt, report))
         code = 0 if command == "search" or report.exact else 1
         argv = [command, "--case", "13", *_GRID_OPTIONS, "--format", fmt]
         assert run_cli(capsys, *argv) == (code, expected, "")
@@ -655,10 +699,12 @@ class _CountingSink(io.TextIOBase):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_rendering_a_listing_takes_little_more_memory_than_its_text(monkeypatch, fmt):
-    # The triples exist before tracing starts, as a scan's result would.
+    # The positions exist before tracing starts, as a scan's result would:
+    # L1 lists the whole grid.
     values = oracle.enumerate_rationals(_BOUNDS)
-    triples = [Triple(*t) for t in itertools.product(values, repeat=3)]
-    monkeypatch.setattr(oracle, "search_solutions", lambda *args, **kwargs: triples)
+    partitions = [array("q", range(len(values) ** 2)) for _ in values]
+    monkeypatch.setattr(oracle, "search_positions",
+                        lambda *args, **kwargs: (values, iter(partitions)))
     argv = ["search", "--case", "L1", *_GRID_OPTIONS, "--format", fmt]
     monkeypatch.setattr(sys, "stdout", _CountingSink())
     assert cli.run(argv) == 0  # builds the parser before tracing
@@ -805,15 +851,19 @@ def test_help_and_parser_errors_to_a_full_stream_keep_the_exit_code(argv, full, 
 @pytest.mark.parametrize("command", ["search", "verify"])
 def test_a_listed_component_past_the_digit_limit_fails_as_one_value_does(
         capsys, monkeypatch, command, fmt):
-    # Listed rows go through one % per triple in every format; each gives
-    # the single value's error.
+    # Listed rows are written from each component's text in every format;
+    # a component too long to print gives the single value's error.
     big = Fraction(10**699, 7)  # a 700-digit numerator
     listed = [Triple.of(1, "-2/3", 0), Triple(Fraction(1), big, Fraction(0))]
+    # Search's grid lists the same two rows, (1, -2/3, 0) and (1, big, 0).
+    values = [Fraction(1), Fraction(-2, 3), Fraction(0), big]
+    partitions = [array("q", [1 * 4 + 2, 3 * 4 + 2]), array("q"), array("q"), array("q")]
     report = oracle.VerificationReport(
         case=case_from_label("12"), bounds=_BOUNDS, total_triples=27**3, holds=2,
         missing_count=0, spurious_count=0, coverage_gap_count=2, missing=(), spurious=(),
         coverage_gap=tuple(listed), list_limit=100)
-    monkeypatch.setattr(oracle, "search_solutions", lambda *args, **kwargs: listed)
+    monkeypatch.setattr(oracle, "search_positions",
+                        lambda *args, **kwargs: (values, iter(partitions)))
     monkeypatch.setattr(oracle, "verify_characterization", lambda *args, **kwargs: report)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -1135,6 +1185,18 @@ def test_every_well_formed_argv_takes_the_fast_path(command):
             fast = cli._parse(spelled)
             assert fast is not None, spelled
             assert vars(fast) == vars(parser.parse_args(spelled))
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in sorted(cli._COMMANDS)
+                                           for flag in _command_flags(command)[0]])
+def test_a_value_of_double_dash_is_the_parser_s_error(capsys, command, flag):
+    # Before Python 3.13, argparse dropped the "--" of --flag=-- and stored
+    # [] without calling the type.
+    base = [word for required in _command_flags(command)[1]
+            for word in (required, _GOOD_VALUES[required][0])]
+    code, out, err = run_cli(capsys, command, *base, f"{flag}=--")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].startswith(f"distribq {command}: error: argument {flag}: ")
 
 
 def test_runs_in_one_process_match_fresh_module_runs(monkeypatch, capsys, tmp_path):

@@ -372,13 +372,18 @@ runs = [
     ["diophantine", "--p", "3", "--q", "5", "--t", "1"],
     ["construct12", "--n1", "3", "--n2", "2", "--delta", "2"],
     ["family5", "--a", "3", "--f", "1", "--k", "0", "--sign", "+"],
-    ["search", "--case", "12", "--num-bound", "2", "--den-bound", "2", "--jobs", "1"],
     ["verify", "--case", "12", "--num-bound", "2", "--den-bound", "2", "--jobs", "1"],
     ["verify", "--case", "13", "--num-bound", "2", "--den-bound", "2", "--format", "csv"],
 ]
 codes = [cli.run(argv) for argv in runs]
 assert codes == [0] * len(runs), codes
 loaded = sorted({"concurrent.futures", "multiprocessing", "array", "dataclasses", "csv"}
+                & set(sys.modules))
+assert not loaded, loaded
+# A search keeps its positions in arrays, so it alone loads array.
+assert cli.run(["search", "--case", "12", "--num-bound", "2", "--den-bound", "2",
+                "--jobs", "1"]) == 0
+loaded = sorted({"concurrent.futures", "multiprocessing", "dataclasses", "csv"}
                 & set(sys.modules))
 assert not loaded, loaded
 """
