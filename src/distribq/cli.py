@@ -8,7 +8,9 @@ laid out as `json.dumps(indent=2)` lays it out: two-space indent, ASCII
 only, keys in the record's order), or CSV (a fixed header row, and cells
 joined by "," unquoted, as no cell holds a comma, a quote or a newline);
 diagnostics go to stderr. Rationals are always serialized as "n/d"
-(including "/1") so every printed value re-parses exactly.
+(including "/1") so every printed value re-parses exactly. The sides of a
+check result are written from the kernel's integer pairs, reduced by their
+gcd with a positive denominator, so no Fraction is built only to print it.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
@@ -57,6 +59,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import math
 import os
 import re
 import reprlib
@@ -108,7 +111,7 @@ def parse_triple(text: str) -> Triple:
     parts = text.split(",")
     if len(parts) != 3:
         raise _UsageError(f"expected r1,r2,r3 but got {reprlib.repr(text)}")
-    return Triple(*(parse_rational(p) for p in parts))
+    return Triple._make(map(parse_rational, parts))
 
 
 def _parse_op(text: str) -> BinOp:
@@ -284,6 +287,14 @@ def _json_block(items: list[str], ends: str, pad: str) -> str:
     return ends[0] + inner[1:] + inner.join(items) + "\n" + pad + ends[1] if items else ends
 
 
+def _json_dict(value: dict, pad: str) -> str:
+    """A dict's JSON text: each value's writer is called as `_json` calls it,
+    at the inner indent, which is made once."""
+    inner = pad + "  "
+    return _json_block([_quote(k) + ": " + (_WRITERS.get(type(x)) or _writers(x))[1](x, inner)
+                        for k, x in value.items()], "{}", pad)
+
+
 @functools.cache
 def _triple_json(pad: str) -> str:  # a format on the triple's six slot integers
     return "{" + ",".join(f'\n{pad}  "{name}": {_JSON_RATIONAL}'
@@ -309,8 +320,7 @@ _WRITERS = {
              functools.cache(lambda case, pad: _json(
         {"label": case.label, "number": case.case_number, "outer": case.outer,
          "inner": case.inner}, pad))),
-    dict: (None, lambda v, pad: _json_block(
-        [_quote(k) + ": " + _json(x, pad + "  ") for k, x in v.items()], "{}", pad)),
+    dict: (None, _json_dict),
     list: (None, lambda v, pad: _json_block([_json(x, pad + "  ") for x in v], "[]", pad)),
 }
 
@@ -388,11 +398,24 @@ _CASE_TRIPLE_HEADER = "case,outer,inner,r1,r2,r3"
 _CHECK_HEADER = _CASE_TRIPLE_HEADER + ",verdict,lhs,rhs,undefined_site"
 
 
+def _side(pair: tuple[int, int] | None) -> str | None:
+    """A side's "n/d" text from the kernel's (numerator, denominator) pair,
+    in lowest terms with d > 0, as `format_rational` writes its Fraction."""
+    if pair is None:
+        return None
+    n, d = pair
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return _digits(_RATIONAL_FORMAT, n // g, d // g)
+
+
 def _result_fields(result: CheckResult) -> dict:
     """The result's values by name, in the order of `_CHECK_HEADER`'s last
-    four columns. Each side's Fraction is built here, once per result."""
-    return {"verdict": result.verdict, "lhs": result.lhs, "rhs": result.rhs,
-            "undefined_site": result.undefined_site}
+    four columns. Each side is its text, written here once per result from
+    its integer pair, so no side's Fraction is built."""
+    verdict, lhs, rhs, site = result
+    return {"verdict": verdict, "lhs": _side(lhs), "rhs": _side(rhs), "undefined_site": site}
 
 
 def _verdict_plain(fields: dict) -> list:
@@ -424,12 +447,13 @@ def _cmd_check(args) -> _Record:
 
 def _cmd_classify(args) -> _Record:
     t = args.triple
+    text = _text(t)  # its three CSV cells, written once for every line
     results = [(case, _result_fields(check(case, t))) for case in ALL_CASES]
     return _Record(
         0,
         {"triple": t, "results": [{"case": case, **fields} for case, fields in results]},
-        [_CHECK_HEADER, *[[case, t, *fields.values()] for case, fields in results]],
-        [["triple ", t]] + [
+        [_CHECK_HEADER, *[[case, text, *fields.values()] for case, fields in results]],
+        [["triple ", text]] + [
             [_case_text(case), *_verdict_plain(fields)]
             for case, fields in results
         ],
@@ -745,7 +769,11 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
             return None
         values[action.dest] = text
         seen.add(action.dest)
-    return argparse.Namespace(**values) if command.required <= seen else None
+    if not command.required <= seen:
+        return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(values)  # Namespace(**values) calls setattr once per key
+    return namespace
 
 
 def _refuse_unwritable(path: str) -> None:

@@ -64,6 +64,10 @@ class BinOp(Enum):
 
 
 def _as_fraction(value, name: str) -> Fraction:
+    # A Fraction passes through unchanged: it is immutable, so a parsed value
+    # is not built again. A subclass's instance still becomes a plain Fraction.
+    if type(value) is Fraction:
+        return value
     # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
     if isinstance(value, float):
         raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
@@ -179,8 +183,10 @@ class CheckResult(tuple):
     build the side's Fraction, in lowest terms, each time they are read, so
     a scan that reads only `verdict` builds none. The class is a tuple only
     so that it is immutable and cheap to build: read it through its
-    attributes. Equality, hashing and repr go by the side values, so results
-    whose pairs are scaled differently but have equal values are equal.
+    attributes. Only the CLI unpacks it, to print each side from its pair
+    without building the Fraction. Equality, hashing and repr go by the side
+    values, so results whose pairs are scaled differently but have equal
+    values are equal.
     """
 
     __slots__ = ()

@@ -20,7 +20,7 @@ from distribq.catalog import (
 )
 from distribq.identity import ALL_CASES, Triple, Verdict, case_from_label, check
 from distribq.oracle import SearchBounds, enumerate_rationals
-from distribq import DomainError
+from distribq import DomainError, catalog
 
 T = Triple.of
 
@@ -249,6 +249,45 @@ def test_floats_are_refused_for_rational_parameters():
         assert Triple.of(0, r2, 1) == (0, Fraction(1, 10), 1)
     assert _gen(12, 2, r3=3) == T(4, 0, 3)
     assert solve_r2(13, 3, "-1") == solve_r2(13, Fraction(3), Fraction(-1)) == 1
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def _solve_operands(r1, r3) -> tuple:
+    """The r1 and r3 that solve_r2 works on once it has coerced them."""
+    seen = []
+    real = catalog._zero_divisor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "_zero_divisor",
+                      lambda case, *operands: seen.append(operands) or real(case, *operands))
+        solve_r2(12, r1, r3)
+    ((kept_r1, _, kept_r3),) = seen
+    return kept_r1, kept_r3
+
+
+# name -> a function of two rationals giving the values that call keeps of them
+_COERCIONS = {
+    "Triple.of": lambda a, b: tuple(Triple.of(a, b, 1))[:2],
+    "generate": lambda a, b: tuple(_gen(1, 1, r2=a, r3=b))[1:],
+    "solve_r2": _solve_operands,
+}
+
+
+@pytest.mark.parametrize("coerce", _COERCIONS.values(), ids=_COERCIONS)
+def test_a_fraction_argument_is_kept_not_copied(coerce):
+    # A Fraction is immutable, so the value a parser built is used as it is.
+    a, b = Fraction(-7, 3), Fraction(10**40 + 1, 9)
+    kept = coerce(a, b)
+    assert kept[0] is a and kept[1] is b
+    # An instance of a subclass still becomes a plain Fraction.
+    kept = coerce(_Fraction(-7, 3), _Fraction(5))
+    assert [type(v) for v in kept] == [Fraction, Fraction] and kept == (a, 5)
+    for value in (0.5, True):
+        with pytest.raises(DomainError, match="must be an exact rational"):
+            coerce(value, b)
+
 
 # One sample parameter record per family; every generated triple must HOLD.
 FAMILY_SAMPLES = {

@@ -44,6 +44,7 @@ from distribq.identity import (
     Triple,
     Verdict,
     case_from_label,
+    check,
 )
 
 
@@ -518,6 +519,49 @@ def test_case_and_triple_cells_read_back_as_given(case, t):
         for row in rows:
             assert all(re.fullmatch(r"-?[0-9]+/[0-9]+", cell) for cell in row[3:6]), row
             assert [parse_rational(cell) for cell in row[3:6]] == list(t), row
+
+
+# Zeros make divisions undefined, small values make sides meet, and ~40-digit
+# components give sides whose pairs are far from lowest terms.
+_SIDE_COMPONENTS = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=3),
+                             _FRACTIONS)
+
+
+def _side_text(q: Fraction | None) -> str | None:
+    return None if q is None else _n_d(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_CASES), st.builds(Triple, *[_SIDE_COMPONENTS] * 3))
+def test_sides_print_as_the_results_fractions(case, t):
+    # Each side is the "n/d" of CheckResult.lhs/.rhs, in every format; an
+    # undefined result's missing side is an empty cell or null, and plain
+    # prints its site in place of the sides.
+    triple = ",".join(map(_n_d, t))
+    for argv, cases in [
+        (["check", "--outer", case.outer.value, "--inner", case.inner.value,
+          "--triple", triple], [case]),
+        (["classify", "--triple", triple], ALL_CASES),
+    ]:
+        results = [check(c, t) for c in cases]
+        sides = [(_side_text(r.lhs), _side_text(r.rhs)) for r in results]
+        out = {}
+        for fmt in ("json", "csv", "plain"):
+            out[fmt] = io.StringIO()
+            with contextlib.redirect_stdout(out[fmt]):
+                assert cli.run([*argv, "--format", fmt]) in (0, 1)
+        doc = json.loads(out["json"].getvalue())
+        entries = doc["results"] if argv[0] == "classify" else [doc]
+        assert [(e["lhs"], e["rhs"]) for e in entries] == sides, argv
+        _, *rows = csv.reader(io.StringIO(out["csv"].getvalue()))
+        assert [(row[7], row[8]) for row in rows] == [
+            (lhs or "", rhs or "") for lhs, rhs in sides], argv
+        lines = out["plain"].getvalue().splitlines()[1:]
+        assert len(lines) == len(results), argv
+        for line, r, (lhs, rhs) in zip(lines, results, sides):
+            assert line.endswith(f"UNDEFINED  site: {r.undefined_site}"
+                                 if r.verdict is Verdict.UNDEFINED
+                                 else f"{r.verdict.value}  lhs={lhs}  rhs={rhs}"), line
 
 
 def _reference_text(fmt: str, doc: dict, header: list, rows: list, lines: list) -> str:
@@ -1154,10 +1198,9 @@ def _golden_argvs() -> list:
         return [entry["argv"] for entry in json.load(fh)]
 
 
-def _spelled(argv: list, joined: bool) -> list:
-    """argv with each option and its value as one word --flag=VALUE, or
-    else as two words wherever the value may stand alone."""
-    out, i = [argv[0]], 1
+def _items(argv: list) -> list:
+    """The options after argv's command, each [flag, value] or a store-true [flag]."""
+    items, i = [], 1
     while i < len(argv):
         if argv[i] == "--allow-degenerate":
             item, i = [argv[i]], i + 1
@@ -1165,6 +1208,15 @@ def _spelled(argv: list, joined: bool) -> list:
             item, i = argv[i].split("=", 1), i + 1
         else:
             item, i = argv[i:i + 2], i + 2
+        items.append(item)
+    return items
+
+
+def _spelled(argv: list, joined: bool) -> list:
+    """argv with each option and its value as one word --flag=VALUE, or
+    else as two words wherever the value may stand alone."""
+    out = [argv[0]]
+    for item in _items(argv):
         alone = len(item) == 1 or not re.match(r"-(?!\d)", item[1])
         out += ["=".join(item)] if len(item) == 2 and (joined or not alone) else item
     return out
@@ -1197,6 +1249,50 @@ def test_a_value_of_double_dash_is_the_parser_s_error(capsys, command, flag):
     code, out, err = run_cli(capsys, command, *base, f"{flag}=--")
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].startswith(f"distribq {command}: error: argument {flag}: ")
+
+
+# Values put in place of a golden argv's own, or between its options.
+_MUTANT_VALUES = ["-", "", "-x", "=", "1/0", "0/0", "7" * 5000, "\u0663"]
+# A grid's size is not checked before it is enumerated, so search and
+# verify run on a small one here.
+_SMALL_GRID = {"--num-bound": "2", "--den-bound": "1", "--jobs": "1"}
+
+
+@st.composite
+def _mutated_argvs(draw):
+    """A golden argv with values replaced or given a leading space, odd
+    words put in and options dropped, each option then spelled as one
+    word or two."""
+    argv = draw(st.sampled_from(_golden_argvs()))
+    items = [[item[0], _SMALL_GRID.get(item[0], item[1])] if len(item) == 2 else item
+             for item in _items(argv)]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["value", "space", "word", "drop"]))
+        if kind == "word":
+            items.insert(draw(st.integers(0, len(items))), [draw(st.sampled_from(_MUTANT_VALUES))])
+        elif items:
+            i = draw(st.integers(0, len(items) - 1))
+            if kind == "drop":
+                del items[i]
+            elif len(items[i]) == 2:
+                flag, value = items[i]
+                items[i] = [flag, draw(st.sampled_from(_MUTANT_VALUES)) if kind == "value"
+                            else " " + value]
+    out = [argv[0]]
+    for item in items:
+        out += ["=".join(item)] if len(item) == 2 and draw(st.booleans()) else item
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_argvs())
+def test_mutated_golden_argvs_keep_the_exit_code_contract(argv):
+    # No exception escapes run, and an error exit prints nothing to stdout.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert code < 2 or out.getvalue() == "", argv
 
 
 def test_runs_in_one_process_match_fresh_module_runs(monkeypatch, capsys, tmp_path):
