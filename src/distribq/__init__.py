@@ -8,13 +8,45 @@ which triples (r1, r2, r3) satisfy
 generates the known parametric solution families, solves the polynomial
 cases for the middle component in closed form, and exhaustively verifies
 every characterization on bounded grids of canonical fractions.
+
+The package re-exports each module's public names (its `__all__`), but
+imports no module itself: a name is looked up in its module on first
+access (PEP 562), which imports that module alone, and is then kept here.
+So `import distribq` and a command that needs only `identity` never
+compile `catalog`, `number_theory` or `oracle`, while `from distribq
+import *` binds all 28 names.
 """
 
-from .catalog import *
-from .identity import *
-from .number_theory import *
-from .oracle import *
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [*identity.__all__, *catalog.__all__, *number_theory.__all__, *oracle.__all__]
+# Each module's `__all__`, in the order the package lists them.
+_EXPORTS = {
+    "identity": ("ALL_CASES", "BinOp", "CaseId", "CheckResult", "DomainError", "Triple",
+                 "Verdict", "case_from_label", "check"),
+    "catalog": ("FamilyId", "FamilySpec", "SolveOutcome", "families_for", "family_spec",
+                "family_union_member", "generate", "member", "solve_r2"),
+    "number_theory": ("DiophantineSolutionSet", "case12_construct", "case12_enumerate",
+                      "case13_family5", "solve_linear_diophantine"),
+    "oracle": ("SearchBounds", "VerificationReport", "enumerate_rationals",
+               "search_solutions", "verify_characterization"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """An exported name, or a module, imported on first access and kept."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

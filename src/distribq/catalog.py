@@ -37,13 +37,19 @@ substitution (see the test suite and README):
 from __future__ import annotations
 
 import operator
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
-from . import number_theory
-from .identity import BinOp, CaseId, DomainError, Triple, _as_fraction, case_from_label
+from .identity import (
+    BinOp,
+    CaseId,
+    DomainError,
+    SolveOutcome,
+    Triple,
+    _as_fraction,
+    case_from_label,
+)
 
 __all__ = [
     "FamilyId",
@@ -206,6 +212,14 @@ def _build_13_4(c, d) -> Triple:
     return Triple.of(Fraction(c, d), Fraction(-c, d), 1)
 
 
+def _build_13_5(a, f, k, sign) -> Triple:
+    # This family alone needs number_theory, so it is imported on its first
+    # build; the builder is looked up as a module attribute on each call.
+    from . import number_theory
+
+    return number_theory.case13_family5(a, f, k, sign)
+
+
 def _build_14_3(e, f, printed_form=False) -> Triple:
     """(1, e^2/(f*(2e - f)), e/f); printed_form=True flips the denominator
     sign to f*(f - 2e), which fails verification and exists only so the
@@ -315,7 +329,7 @@ _register(
     dict(params={"a": "int", "f": "int", "k": "int", "sign": "sign"},
          summary="(a, c, e/f) from the discriminant construction "
                  "c = ((f(a-1))^2 - K^2)/(4f^2), e = (-f(a-1) +/- K)/2",
-         build=lambda a, f, k, sign: number_theory.case13_family5(a, f, k, sign),
+         build=_build_13_5,
          shape=lambda t: t.r1.denominator == t.r2.denominator == 1 and t.r1 * t.r2 != 0),
 )
 _register(
@@ -387,11 +401,6 @@ def family_union_member(case: CaseId, t: Triple) -> bool:
 
 # ---------------------------------------------------------------------------
 # Closed-form solving for the polynomial cases
-
-
-class SolveOutcome(Enum):
-    ALL = "ALL"  # every r2 completes the triple
-    NONE = "NONE"  # no r2 completes the triple
 
 
 def _solve_case(case) -> CaseId:

@@ -15,7 +15,8 @@ gcd with a positive denominator, so no Fraction is built only to print it.
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
 (FAILS/UNDEFINED, non-member, inexact verification), 2 usage error,
 3 domain or constraint error (also a result with more digits than str()
-converts, in which case nothing is printed). Computational answers such as
+converts, and a command that runs out of memory, in which cases nothing is
+printed and one "error:" line goes to stderr). Computational answers such as
 NONE, ALL, or an empty solution set are successes, not negative verdicts.
 A reader that closes stdout early ends the output quietly, and the exit
 code stays the command's; any other failed write, to stdout or to
@@ -26,24 +27,32 @@ so handlers read final values. `_UsageError` is raised after parsing only
 for `--params`, construct12's one of `--delta`/`--list`, `--output`, and a
 failed write.
 
-The parser is built once per process, on the first `run`, and so is a
-table read from its subparsers' own actions: each store and store-true
-action by flag, with its dest, type, choices, required, default and const,
-and each subparser's `set_defaults`. `run` first parses argv from that
-table (`_parse`), which accepts only COMMAND followed by `--flag VALUE`,
+Each subcommand's options are added to a parser in one place,
+`_add_arguments`. `run` first parses argv (`_parse`) from a table read
+once per process from a parser made for that subcommand alone
+(`_command`): each store and store-true action by flag, with its dest,
+type, choices, required, default and const, and the parser's
+`set_defaults`. `_parse` accepts only COMMAND followed by `--flag VALUE`,
 `--flag=VALUE` or a store-true `--flag`, every flag spelled in full, and
 gives the namespace `parse_args` would. Any other argv (help, an unknown
 or abbreviated flag, a stray word, a missing required flag) and any value
-that its type or choices refuse make it return None, and then
-`parse_args` runs as the only writer of help, usage and parser errors: a
-malformed value is typed once by the table and again by argparse, which
-names the option in its error. `parse_args` returns a fresh namespace on
-each call and writes, wrapped to the terminal width, to the
-`sys.stdout`/`sys.stderr` current at that call, so the handlers and the
-argument tables must hold no per-call state either: no argument takes a
-mutable default or an `append` action. Handlers look up `check`,
-`catalog.*`, `number_theory.*` and `oracle.*` as module attributes at call
-time, so a replacement installed after the first `run` is still called.
+that its type or choices refuse make it return None, and only then is the
+whole parser built (`_build_parser`, once per process, its subparsers
+filled by the same `_add_arguments`) and `parse_args` run, as the only
+writer of help, usage and parser errors: a malformed value is typed once
+by the table and again by argparse, which names the option in its error.
+`parse_args` returns a fresh namespace on each call and writes, wrapped to
+the terminal width, to the `sys.stdout`/`sys.stderr` current at that call,
+so the handlers and the argument tables must hold no per-call state
+either: no argument takes a mutable default or an `append` action.
+
+A command loads only the modules it uses. `identity` is imported with this
+module; `catalog`, `number_theory` and `oracle` stand here as `_Lazy`
+placeholders, each replaced by its module the first time a handler reads
+one of its attributes. So `check` and `classify` import none of the three,
+and build no whole parser. Handlers look up `check`, `catalog.*`,
+`number_theory.*` and `oracle.*` as module attributes at call time, so a
+replacement installed after the first `run` is still called.
 
 `search` lists its rows from `oracle.search_positions`: the grid's values
 and, per first component, the positions j*V + k. Each format's row is three
@@ -59,6 +68,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import importlib
 import math
 import os
 import re
@@ -68,14 +78,14 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from . import catalog, number_theory, oracle
-from .catalog import FamilyId, SolveOutcome
 from .identity import (
     ALL_CASES,
+    DEFAULT_LIST_LIMIT,
     BinOp,
     CaseId,
     CheckResult,
     DomainError,
+    SolveOutcome,
     Triple,
     Verdict,
     case_from_label,
@@ -83,6 +93,24 @@ from .identity import (
 )
 
 __all__ = ["format_rational", "main", "parse_case", "parse_rational", "parse_triple", "run"]
+
+
+class _Lazy:
+    """A module's stand-in among this module's globals. The first attribute
+    read through it imports the module and puts the module in its place, so
+    every later read is a plain module attribute, found at call time."""
+
+    __slots__ = ("_name",)
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        module = globals()[self._name] = importlib.import_module(f"{__package__}.{self._name}")
+        return getattr(module, attr)
+
+
+catalog, number_theory, oracle = map(_Lazy, ("catalog", "number_theory", "oracle"))
 
 _INTEGER = r"-?[0-9]+"  # an optional leading minus and ASCII digits, nothing else
 _INTEGER_RE = re.compile(_INTEGER)
@@ -473,7 +501,7 @@ def _cmd_member(args) -> _Record:
 
 def _cmd_generate(args) -> _Record:
     params = _parse_params(catalog.family_spec(args.case, args.family), args.params)
-    t = catalog.generate(FamilyId(args.case, args.family), params)
+    t = catalog.generate(catalog.FamilyId(args.case, args.family), params)
     return _Record(
         0,
         {"case": args.case, "family": args.family, "params": params, "triple": t},
@@ -641,7 +669,7 @@ _COMMANDS = {
                  *_required("sign", type=_parse_sign, help="+ or -"))),
     "search": ("list all solutions on a bounded grid", _cmd_search, _GRID),
     "verify": ("compare checker, characterization, and families over a grid", _cmd_verify, (
-        *_GRID, ("--limit", dict(type=_positive_int, default=oracle.DEFAULT_LIST_LIMIT,
+        *_GRID, ("--limit", dict(type=_positive_int, default=DEFAULT_LIST_LIMIT,
                                  help="cap on listed triples per category")),
     )),
 }
@@ -680,24 +708,33 @@ class _Parser(argparse.ArgumentParser):
         return value
 
 
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `p` the options and defaults of the subcommand `name`: the one
+    place they are added, to `_build_parser`'s subparser and to the parser
+    that `_command` reads alike."""
+    _, handler, arguments = _COMMANDS[name]
+    # No option starts with -<digit>, so "-5/2" after an option is its value.
+    p._negative_number_matcher = re.compile(r"^-\d")
+    for flag, kwargs in arguments:
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
+    p.add_argument("--output", metavar="PATH",
+                   help="write output to PATH instead of stdout")
+    p.set_defaults(handler=handler)
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built only when argparse must write help, usage or an error."""
     parser = _Parser(
         prog="distribq",
         description="Decide, construct, and exhaustively verify rational triples "
         "satisfying r1 op (r2 op' r3) = (r1 op r2) op' (r1 op r3).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        # No option starts with -<digit>, so "-5/2" after an option is its value.
-        p._negative_number_matcher = re.compile(r"^-\d")
-        for flag, kwargs in arguments:
-            p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
-        p.add_argument("--output", metavar="PATH",
-                       help="write output to PATH instead of stdout")
-        p.set_defaults(handler=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -712,21 +749,18 @@ class _Command(NamedTuple):
 
 
 @functools.cache
-def _commands() -> dict[str, _Command]:
-    """`_Command` by subcommand name, read once from `_build_parser`'s subparsers."""
-    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    commands = {}
-    for name, p in sub.choices.items():
-        actions = [a for a in p._actions if a.dest is not argparse.SUPPRESS]
-        commands[name] = _Command(
-            {flag: a for a in actions
-             if isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))
-             and a.nargs in (None, 0) for flag in a.option_strings},
-            {**p._defaults, **{a.dest: a.default for a in actions
-                               if a.default is not argparse.SUPPRESS}, sub.dest: name},
-            frozenset(a.dest for a in actions if a.required),
-            p._negative_number_matcher.match)
-    return commands
+def _command(name: str) -> _Command:
+    """The subcommand's `_Command`, read once from a parser made for it alone."""
+    p = _add_arguments(_Parser(prog=f"distribq {name}"), name)
+    actions = [a for a in p._actions if a.dest is not argparse.SUPPRESS]
+    return _Command(
+        {flag: a for a in actions
+         if isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))
+         and a.nargs in (None, 0) for flag in a.option_strings},
+        {**p._defaults, **{a.dest: a.default for a in actions
+                           if a.default is not argparse.SUPPRESS}, "command": name},
+        frozenset(a.dest for a in actions if a.required),
+        p._negative_number_matcher.match)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
@@ -737,9 +771,9 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
     copy of a repeated flag is typed, and the last one wins. For any other
     argv, and when a type rejects a value or a value is not among its choices,
     it returns None, so that `parse_args` runs and writes every message."""
-    command = _commands().get(argv[0]) if argv else None
-    if command is None:
+    if not argv or argv[0] not in _COMMANDS:
         return None
+    command = _command(argv[0])
     options, values, seen = command.options, dict(command.defaults), set()
     i, end = 1, len(argv)
     while i < end:
@@ -863,6 +897,10 @@ def run(argv: Sequence[str]) -> int:
     except DomainError as exc:
         _report(f"error: {exc}")
         return 3
+    except MemoryError:  # reported below, once the values its traceback holds are freed
+        pass
+    _report("error: the command ran out of memory")
+    return 3
 
 
 def main(argv: Sequence[str] | None = None) -> int:

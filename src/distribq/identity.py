@@ -166,6 +166,17 @@ class Verdict(Enum):
     UNDEFINED = "UNDEFINED"
 
 
+# Values of `catalog` and `oracle` that the command line prints or defaults
+# to, defined here so that it reads them without importing either module;
+# each of the two imports its own from here.
+class SolveOutcome(Enum):
+    ALL = "ALL"  # every r2 completes the triple
+    NONE = "NONE"  # no r2 completes the triple
+
+
+DEFAULT_LIST_LIMIT = 100  # listed triples per category in a verification
+
+
 def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
     return None if pair is None else Fraction(*pair)
 

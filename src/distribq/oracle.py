@@ -38,7 +38,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .catalog import family_union_member, member
-from .identity import CaseId, DomainError, Triple, Verdict, check
+from .identity import DEFAULT_LIST_LIMIT, CaseId, DomainError, Triple, Verdict, check
 
 if TYPE_CHECKING:
     from array import array
@@ -56,8 +56,6 @@ __all__ = [
     "search_solutions",
     "verify_characterization",
 ]
-
-DEFAULT_LIST_LIMIT = 100
 
 
 class SearchBounds(NamedTuple):

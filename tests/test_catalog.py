@@ -501,3 +501,16 @@ def test_solve_r2_matches_the_readme_closed_forms(label, r1, r2, r3, line, solve
         r2 = outcome
     t = Triple(r1, r2, r3)
     assert family_union_member(case_from_label(14), t) == _case14_family_union(t)
+
+
+def test_case_13_family_5_builds_through_number_theory_s_attribute(monkeypatch):
+    """The builder is read from `number_theory` at each build, so a wrapper
+    installed there, as perfbench's tracer installs one, sees every call."""
+    from distribq import number_theory
+
+    calls, original = [], number_theory.case13_family5
+    monkeypatch.setattr(number_theory, "case13_family5",
+                        lambda *args: calls.append(args) or original(*args))
+    assert _gen("13", 5, a=3, f=1, k=0, sign=1) == original(3, 1, 0, 1)
+    assert _gen("13", 5, a=4, f=1, k=1, sign=-1) == original(4, 1, 1, -1)
+    assert calls == [(3, 1, 0, 1), (4, 1, 1, -1)]

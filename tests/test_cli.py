@@ -846,6 +846,24 @@ def test_stderr_closed_from_the_start_keeps_the_exit_code(argv, code):
     assert (proc.returncode, proc.stdout) == (code, b"")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS to cap allocations")
+def test_a_command_that_runs_out_of_memory_exits_3_with_one_line():
+    """A grid of 2e23 + 1 values, whose value list outgrows a 400 MB address
+    space: one error line, nothing on stdout, no traceback."""
+    resource = pytest.importorskip("resource")
+
+    def limit():  # runs in the child before it starts: this process keeps its limits
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 400 << 20 if hard == resource.RLIM_INFINITY else min(400 << 20, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    argv = ["search", "--case", "1", "--num-bound", "1" + "0" * 23, "--den-bound", "1"]
+    proc = subprocess.run([sys.executable, "-m", "distribq", *argv], env=_entry_point_env(),
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "error: the command ran out of memory\n")
+
+
 class _FullStream(io.TextIOBase):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
