@@ -15,12 +15,18 @@ measures how much of a solution set the families cover.
 
 Every case reduces to one polynomial equation, linear in r2, plus the
 identity's divisors being nonzero. Each equation is stated once, in one
-table keyed by case, as an integer pair (coef, const) computed from the
-numerators and denominators of r1 and r3; definedness is read once from the
-case's operations. `member` tests coef*r2 + const = 0 on r2's numerator and
-denominator, and then the divisors; `solve_r2` returns -const/coef for
-cases 12, 13 and 14 (or ALL or NONE when coef vanishes). Nothing uses
-floating point.
+table keyed by case (`_EQUATIONS`), as the source text of an integer pair
+(coef, const) in the numerators and denominators of r1 and r3. Each
+case's divisors are read once from its operations (`_divisors`), each as
+the numerator that `identity._TEMPLATES` gives it. `member` runs one
+straight-line kernel per case, generated from both the first time the case
+is tested, as `identity.check` is: it tests coef*n2 + const*d2 == 0 on the
+components' slot integers, then that each divisor's numerator is nonzero,
+and builds no Fraction. `_LINEAR` (the pair as a function, which the test
+suite certifies against the identity with sympy) and `_zero_divisor` (the
+first zero divisor's text) are generated from the same two, and
+`solve_r2` reads them: it returns -const/coef for cases 12, 13 and 14 (or
+ALL or NONE when coef vanishes). Nothing uses floating point.
 
 Two formula corrections are baked in, both confirmed by direct
 substitution (see the test suite and README):
@@ -36,7 +42,6 @@ substitution (see the test suite and README):
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, NamedTuple
@@ -48,6 +53,9 @@ from .identity import (
     SolveOutcome,
     Triple,
     _as_fraction,
+    _define,
+    _Kernels,
+    _TEMPLATES,
     case_from_label,
 )
 
@@ -69,81 +77,104 @@ __all__ = [
 
 
 # Every case reduces to one equation coef*r2 + const = 0, linear in r2, and
-# the identity's divisors being nonzero. Each row returns the integer pair
-# (coef, const) from the numerators and denominators of r1 = n1/d1 and
-# r3 = n3/d3: the numerator of lhs - rhs with those denominators cleared,
+# the identity's divisors being nonzero. Each row is the source text of the
+# integers (coef, const) in the numerators and denominators of r1 = n1/d1
+# and r3 = n3/d3: the numerator of lhs - rhs with those denominators cleared,
 # up to a factor that is nonzero wherever the identity is defined. So with
 # r2 = n2/d2 a defined triple solves its case iff coef*n2 + const*d2 == 0.
-_LINEAR: dict[CaseId, Callable[[int, int, int, int], tuple[int, int]]] = {
+# `member`'s kernels and `_LINEAR` are both generated from this table.
+_EQUATIONS: dict[CaseId, tuple[str, str]] = {
     case_from_label(label): row for labels, row in [
         # r1, times d1; cases 9 and 10 drop a factor r2^2 +/- r2*r3 + r3^2,
         # which has no zero once r3 != 0.
-        ("1 2 5 6 9 10", lambda n1, d1, n3, d3: (0, n1)),
+        ("1 2 5 6 9 10", ("0", "n1")),
         # r1*r2*r3*(r1 - 1), times d1^2*d3.
-        ("3", lambda n1, d1, n3, d3: (n1 * n3 * (n1 - d1), 0)),
+        ("3", ("n1 * n3 * (n1 - d1)", "0")),
         # r2*(r1 - 1), times d1.
-        ("4", lambda n1, d1, n3, d3: (n1 - d1, 0)),
+        ("4", ("n1 - d1", "0")),
         # r1 - 1, times d1; the dropped factor r3 is a divisor.
-        ("7", lambda n1, d1, n3, d3: (0, n1 - d1)),
+        ("7", ("0", "n1 - d1")),
         # r1*(r1 - 1), times d1^2.
-        ("8", lambda n1, d1, n3, d3: (0, n1 * (n1 - d1))),
+        ("8", ("0", "n1 * (n1 - d1)")),
         # r1*(r1 + r2 + r3 - 1), times d1^2*d3.
-        ("11", lambda n1, d1, n3, d3: (n1 * d1 * d3, n1 * (n1 * d3 + n3 * d1 - d1 * d3))),
+        ("11", ("n1 * d1 * d3", "n1 * (n1 * d3 + n3 * d1 - d1 * d3)")),
         # r2*(2r3 - r1) + r1*(r1 - r3 - 1), times d1^2*d3.
-        ("12", lambda n1, d1, n3, d3: (d1 * (2 * n3 * d1 - n1 * d3),
-                                       n1 * (n1 * d3 - n3 * d1 - d1 * d3))),
+        ("12", ("d1 * (2 * n3 * d1 - n1 * d3)", "n1 * (n1 * d3 - n3 * d1 - d1 * d3)")),
         # r1*r2 + r1*r3*(r1 + r3 - 1), times d1^2*d3^2. The r1 factor makes
         # both coefficients vanish at r1 = 0, where every r2 solves the case.
-        ("13", lambda n1, d1, n3, d3: (n1 * d1 * d3 * d3,
-                                       n1 * n3 * (n1 * d3 + n3 * d1 - d1 * d3))),
+        ("13", ("n1 * d1 * d3 * d3", "n1 * n3 * (n1 * d3 + n3 * d1 - d1 * d3)")),
         # r2*(r1 - 2r3) + r1*r3*(r3 + 1 - r1), times d1^2*d3^2.
-        ("14", lambda n1, d1, n3, d3: (d1 * d3 * (n1 * d3 - 2 * n3 * d1),
-                                       n1 * n3 * (n3 * d1 + d1 * d3 - n1 * d3))),
-        ("L1 L2", lambda n1, d1, n3, d3: (0, 0)),
+        ("14", ("d1 * d3 * (n1 * d3 - 2 * n3 * d1)", "n1 * n3 * (n3 * d1 + d1 * d3 - n1 * d3)")),
+        ("L1 L2", ("0", "0")),
     ] for label in labels.split()
 }
 
-_OPERATIONS = {BinOp.ADD: (operator.add, "+"), BinOp.SUB: (operator.sub, "-"),
-               BinOp.MUL: (operator.mul, "*"), BinOp.DIV: (operator.truediv, "/")}
+_SIGNS = {BinOp.ADD: "+", BinOp.SUB: "-", BinOp.MUL: "*", BinOp.DIV: "/"}
+
+
+def _divisors(case: CaseId) -> list[tuple[str, str]]:
+    """Each divisor of the case's identity as (its text, the source of its
+    numerator in the slot integers), in the order they are tested.
+
+    Every division divides by its right operand: when inner is DIV those
+    are r3 and r1 outer r3, when outer is DIV r2, r3 and r2 inner r3. The
+    numerator is `identity._TEMPLATES`'s. A divisor's denominator is
+    nonzero once those it is computed from are nonzero, and each is tested
+    only after them, so it is zero exactly when its numerator is.
+    """
+    outer, inner = case
+    divisors = [("r3", "n3")] if BinOp.DIV in case else []
+    if inner is BinOp.DIV:
+        divisors.append((f"r1 {_SIGNS[outer]} r3", _TEMPLATES[outer][0].format(x=1, y=3)))
+    if outer is BinOp.DIV:
+        divisors += [("r2", "n2"),
+                     (f"r2 {_SIGNS[inner]} r3", _TEMPLATES[inner][0].format(x=2, y=3))]
+    return divisors
+
+
+def _build_member(case: CaseId):
+    """Generate `member` for one case: the equation, then each divisor."""
+    terms = [f"({c}) * {v}" for c, v in zip(_EQUATIONS[case], ("n2", "d2")) if c != "0"]
+    tests = [" + ".join(terms) + " == 0"] if terms else []
+    tests += [f"({numerator}) != 0" for _, numerator in _divisors(case)]
+    body = "return " + (" and ".join(tests) or "True")
+    return _define(f"member_case_{case.label}", [body], {})
+
+
+def _build_zero_divisor(case: CaseId):
+    """Generate `_zero_divisor` for one case from `_divisors`."""
+    body = [f"if not ({numerator}): return {text!r}" for text, numerator in _divisors(case)]
+    return _define(f"zero_divisor_case_{case.label}", body + ["return None"], {})
+
+
+def _build_linear(case: CaseId) -> Callable[[int, int, int, int], tuple[int, int]]:
+    """(n1, d1, n3, d3) -> the case's (coef, const), from `_EQUATIONS`."""
+    return eval("lambda n1, d1, n3, d3: ({}, {})".format(*_EQUATIONS[case]))
+
+
+_MEMBERS = _Kernels(_build_member)
+_ZERO_DIVISORS = _Kernels(_build_zero_divisor)
+_LINEAR = _Kernels(_build_linear)
 
 
 def _zero_divisor(case: CaseId, r1: Fraction, r2: Fraction | None, r3: Fraction) -> str | None:
-    """The first divisor of the case's identity that is zero, or None.
-
-    Every division divides by its right operand: when inner is DIV those
-    are r3 and r1 outer r3, when outer is DIV r2, r3 and r2 inner r3. Each
-    is evaluated only once those it is computed from are nonzero, and r2 is
-    read only when outer is DIV.
-    """
-    (outer, outer_sign), (inner, inner_sign) = _OPERATIONS[case.outer], _OPERATIONS[case.inner]
-    if BinOp.DIV in case and not r3:
-        return "r3"
-    if case.inner is BinOp.DIV and not outer(r1, r3):
-        return f"r1 {outer_sign} r3"
-    if case.outer is BinOp.DIV:
-        if not r2:
-            return "r2"
-        if not inner(r2, r3):
-            return f"r2 {inner_sign} r3"
-    return None
+    """The text of the first divisor of the case's identity that is zero, or
+    None. r2 is read only when outer is DIV."""
+    return _ZERO_DIVISORS[case]((r1, r2, r3))
 
 
 def member(case: CaseId, t: Triple) -> bool:
     """True iff t satisfies the case's complete characterization.
 
     Definedness constraints are part of membership: a triple for which
-    either side of the identity is undefined is never a member. The integer
-    equation is tested first, so definedness is evaluated only on the
-    triples that solve it. t is a `Triple` of Fractions, as `Triple.of`
-    builds it, or a plain 3-tuple of Fractions, as a grid scan hands it:
-    t is read only as `r1, r2, r3 = t`, and each component's integers are
-    read from its slots.
+    either side of the identity is undefined is never a member. The case's
+    kernel, generated from `_EQUATIONS` and `_divisors` on first use, tests
+    the equation on the slot integers first, so definedness is evaluated
+    only on the triples that solve it. t is a `Triple` of Fractions, as
+    `Triple.of` builds it, or a plain 3-tuple of Fractions, as a grid scan
+    hands it: t is read only as `r1, r2, r3 = t`.
     """
-    r1, r2, r3 = t
-    coef, const = _LINEAR[case](r1._numerator, r1._denominator,
-                                r3._numerator, r3._denominator)
-    return (coef * r2._numerator + const * r2._denominator == 0
-            and _zero_divisor(case, r1, r2, r3) is None)
+    return _MEMBERS[case](t)
 
 
 # Families call `_member`, so a wrapper on the attribute `member` (perfbench's

@@ -9,7 +9,7 @@ only, keys in the record's order), or CSV (a fixed header row, and cells
 joined by "," unquoted, as no cell holds a comma, a quote or a newline);
 diagnostics go to stderr. Rationals are always serialized as "n/d"
 (including "/1") so every printed value re-parses exactly. The sides of a
-check result are written from the kernel's integer pairs, reduced by their
+check result are written from the kernel's integers, reduced by their
 gcd with a positive denominator, so no Fraction is built only to print it.
 
 Exit codes are stable: 0 success or positive verdict, 1 negative verdict
@@ -75,8 +75,10 @@ import re
 import reprlib
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterator, NamedTuple, Sequence
+
+# The C function alone: `json.encoder` would import the whole json package.
+from _json import encode_basestring_ascii as _quote
 
 from .identity import (
     ALL_CASES,
@@ -198,6 +200,14 @@ def _positive_int(text: str) -> int:
     value = _int(text, "expected a positive integer, got ")
     if value < 1:
         raise _UsageError("must be >= 1")
+    return value
+
+
+def _list_count(text: str) -> int:
+    """A positive integer that `itertools.islice` takes as a count."""
+    value = _positive_int(text)
+    if value > sys.maxsize:
+        raise _UsageError(f"must be <= {sys.maxsize}")
     return value
 
 
@@ -426,12 +436,11 @@ _CASE_TRIPLE_HEADER = "case,outer,inner,r1,r2,r3"
 _CHECK_HEADER = _CASE_TRIPLE_HEADER + ",verdict,lhs,rhs,undefined_site"
 
 
-def _side(pair: tuple[int, int] | None) -> str | None:
-    """A side's "n/d" text from the kernel's (numerator, denominator) pair,
-    in lowest terms with d > 0, as `format_rational` writes its Fraction."""
-    if pair is None:
+def _side(n: int | None, d: int | None) -> str | None:
+    """A side's "n/d" text from the kernel's numerator and denominator, in
+    lowest terms with d > 0, as `format_rational` writes its Fraction."""
+    if d is None:
         return None
-    n, d = pair
     g = math.gcd(n, d)
     if d < 0:
         g = -g
@@ -441,9 +450,10 @@ def _side(pair: tuple[int, int] | None) -> str | None:
 def _result_fields(result: CheckResult) -> dict:
     """The result's values by name, in the order of `_CHECK_HEADER`'s last
     four columns. Each side is its text, written here once per result from
-    its integer pair, so no side's Fraction is built."""
-    verdict, lhs, rhs, site = result
-    return {"verdict": verdict, "lhs": _side(lhs), "rhs": _side(rhs), "undefined_site": site}
+    its numerator and denominator, so no side's Fraction is built."""
+    verdict, lhs_n, lhs_d, rhs_n, rhs_d, site = result
+    return {"verdict": verdict, "lhs": _side(lhs_n, lhs_d), "rhs": _side(rhs_n, rhs_d),
+            "undefined_site": site}
 
 
 def _verdict_plain(fields: dict) -> list:
@@ -660,7 +670,7 @@ _COMMANDS = {
         "first N constructible deltas with --list", _cmd_construct12, (
             *_required("n1", "n2", type=_integer),
             ("--delta", dict(type=_integer)),
-            ("--list", dict(type=_positive_int, metavar="N")),
+            ("--list", dict(type=_list_count, metavar="N")),
             ("--allow-degenerate", dict(action="store_true",
                                         help="permit a zero third component")),
         )),

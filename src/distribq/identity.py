@@ -11,8 +11,11 @@ Fractions, as a grid scan hands it. `check` is one straight-line kernel
 per case, generated from one integer template per operation when the case
 is first checked. It reads each component's
 numerator and denominator straight from the Fraction's `_numerator` and
-`_denominator` slots and builds no Fraction: its result keeps each side as a
-numerator/denominator pair and builds the side's Fraction when it is read.
+`_denominator` slots and builds no Fraction: its result is one flat tuple
+`(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as a
+numerator and a denominator and builds the side's Fraction when it is read.
+`catalog` generates its per-case `member` kernels with the same templates,
+the same slot loads and the same lazy table.
 Nothing uses floating point.
 Divisions by zero never raise out of this module: `check` reports an
 UNDEFINED verdict that records which sub-operation failed. `DomainError`,
@@ -26,7 +29,7 @@ import reprlib
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 __all__ = [
     "ALL_CASES",
@@ -177,8 +180,8 @@ class SolveOutcome(Enum):
 DEFAULT_LIST_LIMIT = 100  # listed triples per category in a verification
 
 
-def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
-    return None if pair is None else Fraction(*pair)
+def _fraction(n: int | None, d: int | None) -> Fraction | None:
+    return None if d is None else Fraction(n, d)
 
 
 class CheckResult(tuple):
@@ -188,30 +191,30 @@ class CheckResult(tuple):
     description of the first undefined sub-operation, plus whichever side
     values could still be computed.
 
-    `check` builds it from one tuple (verdict, lhs, rhs, undefined_site) in
-    which each side is the integer pair (numerator, denominator) it
-    computed, neither reduced nor sign-normalised, or None. `lhs` and `rhs`
-    build the side's Fraction, in lowest terms, each time they are read, so
-    a scan that reads only `verdict` builds none. The class is a tuple only
-    so that it is immutable and cheap to build: read it through its
-    attributes. Only the CLI unpacks it, to print each side from its pair
-    without building the Fraction. Equality, hashing and repr go by the side
-    values, so results whose pairs are scaled differently but have equal
-    values are equal.
+    `check` builds it from one flat tuple (verdict, lhs_n, lhs_d, rhs_n,
+    rhs_d, undefined_site) in which each side is the integer numerator and
+    denominator it computed, neither reduced nor sign-normalised, or None
+    and None. `lhs` and `rhs` build the side's Fraction, in lowest terms,
+    each time they are read, so a scan that reads only `verdict` builds none.
+    The class is a tuple only so that it is immutable and cheap to build:
+    read it through its attributes. Only the CLI unpacks it, to print each
+    side from its integers without building the Fraction. Equality, hashing
+    and repr go by the side values, so results whose sides are scaled
+    differently but have equal values are equal.
     """
 
     __slots__ = ()
 
     verdict = property(itemgetter(0), doc="HOLDS, FAILS or UNDEFINED.")
-    undefined_site = property(itemgetter(3), doc="The first undefined site, or None.")
+    undefined_site = property(itemgetter(5), doc="The first undefined site, or None.")
 
     @property
     def lhs(self) -> Fraction | None:
-        return _fraction(self[1])
+        return _fraction(self[1], self[2])
 
     @property
     def rhs(self) -> Fraction | None:
-        return _fraction(self[2])
+        return _fraction(self[3], self[4])
 
     def _values(self) -> tuple:
         return self.verdict, self.lhs, self.rhs, self.undefined_site
@@ -250,26 +253,46 @@ _SITES = (
     "inner of rhs",
 )
 
-# x op y on the kernel's (n{x}, d{x}) and (n{y}, d{y}), as source text.
-# Denominators are neither reduced nor kept positive: cross-multiplication
-# compares such pairs exactly, and Fraction() normalises them. DIV by a zero
-# y gives denominator 0 rather than raising, as does any op on such an x.
+# x op y on the kernel's (n{x}, d{x}) and (n{y}, d{y}), as the source text
+# of the result's numerator and of its denominator. Denominators are neither
+# reduced nor kept positive: cross-multiplication compares such pairs
+# exactly, and Fraction() normalises them. DIV by a zero y gives denominator
+# 0 rather than raising, as does any op on such an x.
 _TEMPLATES = {
-    BinOp.ADD: "n{x} * d{y} + n{y} * d{x}, d{x} * d{y}",
-    BinOp.SUB: "n{x} * d{y} - n{y} * d{x}, d{x} * d{y}",
-    BinOp.MUL: "n{x} * n{y}, d{x} * d{y}",
-    BinOp.DIV: "n{x} * d{y}, d{x} * n{y}",
+    BinOp.ADD: ("n{x} * d{y} + n{y} * d{x}", "d{x} * d{y}"),
+    BinOp.SUB: ("n{x} * d{y} - n{y} * d{x}", "d{x} * d{y}"),
+    BinOp.MUL: ("n{x} * n{y}", "d{x} * d{y}"),
+    BinOp.DIV: ("n{x} * d{y}", "d{x} * n{y}"),
 }
 
+_SLOT = {"n": "_numerator", "d": "_denominator"}
 
-def _undefined_result(dbc: int, dab: int, dac: int, lhs: tuple, rhs: tuple) -> CheckResult:
-    """A kernel's UNDEFINED result. The denominators (dbc, lhs[1], dab, dac,
-    rhs[1]) are in `_SITES` order, and one is zero where that site or an
+
+def _define(name: str, body: list[str], namespace: dict):
+    """Compile `def name(t)` with the lines `body` in the globals `namespace`.
+    The function first unpacks `r1, r2, r3 = t`, then loads each slot integer
+    n1, d1, ..., d3 whose name the body contains (no other name in a body
+    contains one): as_integer_ratio and the numerator/denominator properties
+    are Python-level functions in fractions.py, one call per read."""
+    text = "\n".join(body)
+    lines = [f"def {name}(t):", "    r1, r2, r3 = t"]
+    lines += [f"    {v}{i} = r{i}.{_SLOT[v]}" for i in "123" for v in "nd" if v + i in text]
+    lines += ["    " + line for line in body]
+    defined: dict = {}
+    exec("\n".join(lines), namespace, defined)
+    return defined[name]
+
+
+def _undefined_result(dbc: int, dab: int, dac: int,
+                      nlhs: int, dlhs: int, nrhs: int, drhs: int) -> CheckResult:
+    """A kernel's UNDEFINED result. The denominators (dbc, dlhs, dab, dac,
+    drhs) are in `_SITES` order, and one is zero where that site or an
     operand it was computed from divides by zero, so the first zero is the
     first undefined site and a side is kept only if none on its way is zero."""
-    site = _SITES[(dbc, lhs[1], dab, dac, rhs[1]).index(0)]
-    return CheckResult((_UNDEFINED, lhs if dbc and lhs[1] else None,
-                        rhs if dab and dac and rhs[1] else None, site))
+    site = _SITES[(dbc, dlhs, dab, dac, drhs).index(0)]
+    lhs = (nlhs, dlhs) if dbc and dlhs else (None, None)
+    rhs = (nrhs, drhs) if dab and dac and drhs else (None, None)
+    return CheckResult((_UNDEFINED, *lhs, *rhs, site))
 
 
 def _build_kernel(case: CaseId):
@@ -278,32 +301,29 @@ def _build_kernel(case: CaseId):
     # (result, operation, x, y) in _SITES order
     steps = (("bc", inner, "2", "3"), ("lhs", outer, "1", "bc"), ("ab", outer, "1", "2"),
              ("ac", outer, "1", "3"), ("rhs", inner, "ab", "ac"))
-    name = f"check_case_{case.label}"
-    lines = [f"def {name}(t):", "    r1, r2, r3 = t"]
-    # Slot loads: as_integer_ratio and the numerator/denominator properties
-    # are Python-level functions in fractions.py, one call per read.
-    lines += [f"    n{i}, d{i} = r{i}._numerator, r{i}._denominator" for i in (1, 2, 3)]
-    for out, op, x, y in steps:
-        lines.append(f"    n{out}, d{out} = " + _TEMPLATES[op].format(x=x, y=y))
+    body = [f"n{out}, d{out} = " + ", ".join(_TEMPLATES[op]).format(x=x, y=y)
+            for out, op, x, y in steps]
     # Any other operation's denominator is a product of its operands', so
     # every denominator is nonzero once those of the divisions are.
     divisions = [f"d{out}" for out, op, _, _ in steps if op is BinOp.DIV]
     if divisions:
-        lines.append(f"    if not ({' and '.join(divisions)}):")
-        lines.append("        return _undefined_result(dbc, dab, dac, (nlhs, dlhs),"
-                     " (nrhs, drhs))")
-    lines.append("    return CheckResult((_HOLDS if nlhs * drhs == nrhs * dlhs else _FAILS,"
-                 " (nlhs, dlhs), (nrhs, drhs), None))")
-    namespace: dict = {}
-    exec("\n".join(lines), globals(), namespace)
-    return namespace[name]
+        body.append(f"if not ({' and '.join(divisions)}):")
+        body.append("    return _undefined_result(dbc, dab, dac, nlhs, dlhs, nrhs, drhs)")
+    body.append("return CheckResult((_HOLDS if nlhs * drhs == nrhs * dlhs else _FAILS,"
+                " nlhs, dlhs, nrhs, drhs, None))")
+    return _define(f"check_case_{case.label}", body, globals())
 
 
 class _Kernels(dict):
-    """CaseId -> kernel, each generated the first time its case is checked."""
+    """CaseId -> the case's kernel, made by `build` the first time the case
+    is looked up."""
+
+    def __init__(self, build: Callable = _build_kernel):
+        super().__init__()
+        self.build = build
 
     def __missing__(self, case: CaseId):
-        kernel = self[case] = _build_kernel(case)
+        kernel = self[case] = self.build(case)
         return kernel
 
 
@@ -321,6 +341,7 @@ def check(case: CaseId, t: Triple) -> CheckResult:
     The case's kernel, generated from `_TEMPLATES` on first use, runs the
     five sub-operations on the triple's numerators and denominators and
     compares the sides by cross-multiplication. The result keeps each side's
-    integer pair and builds its Fraction when `lhs` or `rhs` is read.
+    numerator and denominator and builds its Fraction when `lhs` or `rhs` is
+    read.
     """
     return _KERNELS[case](t)

@@ -8,6 +8,7 @@ subtraction-over-multiplication (case 12) and addition-over-division
 
 from __future__ import annotations
 
+import sys
 from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -111,6 +112,8 @@ def case12_enumerate(
     _check_case12_preconditions(n1, n2)
     if limit < 0:
         raise DomainError("limit must be nonnegative")
+    if limit > sys.maxsize:  # islice takes no larger count
+        raise DomainError(f"limit must be at most {sys.maxsize}")
     sols = solve_linear_diophantine(n1 - n2, 2 * n2 - n1, 1)
     # N1, N2 coprime forces gcd(N1 - N2, 2*N2 - N1) = 1, so never empty, and
     # the delta step 2*N2 - N1 is odd, so never zero: k walks the way delta grows.

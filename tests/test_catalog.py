@@ -1,5 +1,6 @@
 """Membership predicates, family generators, and closed-form r2 solving."""
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -18,9 +19,9 @@ from distribq.catalog import (
     member,
     solve_r2,
 )
-from distribq.identity import ALL_CASES, Triple, Verdict, case_from_label, check
+from distribq.identity import ALL_CASES, BinOp, Triple, Verdict, case_from_label, check
 from distribq.oracle import SearchBounds, enumerate_rationals
-from distribq import DomainError, catalog
+from distribq import DomainError, catalog, identity
 
 T = Triple.of
 
@@ -133,6 +134,78 @@ def test_hard_case_member_matches_the_rational_polynomials(r1, r2, r3, r1_at, r2
             if slope != 0:
                 t = Triple(r1, -p0 / slope, r3)
         assert member(case, t) == _REFERENCE_MEMBER[case.label](t), (case.label, t)
+
+
+# `member` before its kernels were generated: each case's integer form
+# (coef, const) in the numerators and denominators of r1 and r3, tested as
+# coef*r2 + const == 0 on Fractions, and the first zero divisor found with
+# Fraction arithmetic.
+_REFERENCE_LINEAR = {label: row for labels, row in [
+    ("1 2 5 6 9 10", lambda n1, d1, n3, d3: (0, n1)),
+    ("3", lambda n1, d1, n3, d3: (n1 * n3 * (n1 - d1), 0)),
+    ("4", lambda n1, d1, n3, d3: (n1 - d1, 0)),
+    ("7", lambda n1, d1, n3, d3: (0, n1 - d1)),
+    ("8", lambda n1, d1, n3, d3: (0, n1 * (n1 - d1))),
+    ("11", lambda n1, d1, n3, d3: (n1 * d1 * d3, n1 * (n1 * d3 + n3 * d1 - d1 * d3))),
+    ("12", lambda n1, d1, n3, d3: (d1 * (2 * n3 * d1 - n1 * d3),
+                                   n1 * (n1 * d3 - n3 * d1 - d1 * d3))),
+    ("13", lambda n1, d1, n3, d3: (n1 * d1 * d3 * d3,
+                                   n1 * n3 * (n1 * d3 + n3 * d1 - d1 * d3))),
+    ("14", lambda n1, d1, n3, d3: (d1 * d3 * (n1 * d3 - 2 * n3 * d1),
+                                   n1 * n3 * (n3 * d1 + d1 * d3 - n1 * d3))),
+    ("L1 L2", lambda n1, d1, n3, d3: (0, 0)),
+] for label in labels.split()}
+
+_REFERENCE_OPS = {BinOp.ADD: (operator.add, "+"), BinOp.SUB: (operator.sub, "-"),
+                  BinOp.MUL: (operator.mul, "*"), BinOp.DIV: (operator.truediv, "/")}
+
+
+def _reference_linear(case, r1, r3):
+    return _REFERENCE_LINEAR[case.label](r1.numerator, r1.denominator,
+                                         r3.numerator, r3.denominator)
+
+
+def _reference_zero_divisor(case, r1, r2, r3):
+    (outer, outer_sign), (inner, inner_sign) = (_REFERENCE_OPS[case.outer],
+                                                _REFERENCE_OPS[case.inner])
+    if BinOp.DIV in case and not r3:
+        return "r3"
+    if case.inner is BinOp.DIV and not outer(r1, r3):
+        return f"r1 {outer_sign} r3"
+    if case.outer is BinOp.DIV:
+        if not r2:
+            return "r2"
+        if not inner(r2, r3):
+            return f"r2 {inner_sign} r3"
+    return None
+
+
+@settings(max_examples=400)
+@given(_components, _components, _components,
+       st.sampled_from(["free", "0", "1", "-1", "r3", "-r3"]),
+       st.sampled_from(["free", "0", "1", "-1", "r3", "-r3", "solved"]))
+def test_generated_member_matches_the_fraction_reference(r1, r2, r3, r1_at, r2_at):
+    # r1 = +/-r3 and r2 = +/-r3 make divisors vanish; the solved r2 puts the
+    # triple on the zero set of the case's equation, where its slope allows.
+    pick = {"free": None, "0": Fraction(0), "1": Fraction(1), "-1": Fraction(-1),
+            "r3": r3, "-r3": -r3, "solved": None}
+    r1 = pick[r1_at] if pick[r1_at] is not None else r1
+    r2 = pick[r2_at] if pick[r2_at] is not None else r2
+    for case in ALL_CASES:
+        coef, const = _reference_linear(case, r1, r3)
+        t = Triple(r1, Fraction(-const, coef) if r2_at == "solved" and coef else r2, r3)
+        expected = coef * t.r2 + const == 0 and _reference_zero_divisor(case, *t) is None
+        assert member(case, t) == expected, (case.label, t)
+        assert catalog._zero_divisor(case, *t) == _reference_zero_divisor(case, *t), case.label
+        assert catalog._LINEAR[case](r1._numerator, r1._denominator,
+                                     r3._numerator, r3._denominator) == (coef, const)
+
+
+def test_a_member_call_builds_only_its_own_case_kernel(monkeypatch):
+    monkeypatch.setattr(catalog, "_MEMBERS", identity._Kernels(catalog._build_member))
+    case = case_from_label(12)
+    assert member(case, T(6, 4, -3)) and not member(case, T(6, 4, 3))
+    assert list(catalog._MEMBERS) == [case]
 
 
 @given(_components, _components, _components)

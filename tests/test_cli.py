@@ -201,6 +201,17 @@ def test_construct12_modes(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_construct12_list_past_sys_maxsize_is_a_usage_error(capsys, fmt):
+    # islice takes at most sys.maxsize items; a larger count used to end in
+    # its ValueError's traceback.
+    code, out, err = run_cli(capsys, "construct12", "--n1", "5", "--n2", "3",
+                             "--list", str(sys.maxsize + 1), "--format", fmt)
+    assert code == 2 and out == ""
+    assert "argument --list:" in err.splitlines()[-1] and "Traceback" not in err
+    assert cli._list_count(str(sys.maxsize)) == sys.maxsize
+
+
 def test_family5_cli(capsys):
     code, out, _ = run_cli(capsys, "family5", "--a", "3", "--f", "1", "--k", "0",
                            "--sign", "+")

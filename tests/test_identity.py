@@ -274,6 +274,8 @@ def test_equal_case_ids_reach_one_kernel_and_one_member_entry():
         assert case == built and hash(case) == hash(built)
         assert identity._KERNELS[case] is identity._KERNELS[built]
         assert catalog._LINEAR[case] is catalog._LINEAR[built]
+        assert catalog._MEMBERS[case] is catalog._MEMBERS[built]
+        assert catalog._ZERO_DIVISORS[case] is catalog._ZERO_DIVISORS[built]
         assert check(case, t) == check(built, t) and catalog.member(case, t)
     assert len({built, looked_up, unpickled}) == 1
 
@@ -306,9 +308,9 @@ def test_check_results_are_lazy_immutable_values(r1, r2, r3, scale):
             assert side is None or type(side) is Fraction
 
         def scaled(q):
-            return None if q is None else (q.numerator * scale, q.denominator * scale)
+            return (None, None) if q is None else (q.numerator * scale, q.denominator * scale)
 
-        copy = CheckResult((result.verdict, scaled(lhs), scaled(rhs), result.undefined_site))
+        copy = CheckResult((result.verdict, *scaled(lhs), *scaled(rhs), result.undefined_site))
         assert copy == result and not copy != result
         assert hash(copy) == hash(result) and repr(copy) == repr(result)
         for name in ("verdict", "lhs", "rhs", "undefined_site", "extra"):

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import sys
 from math import gcd
 
 import pytest
@@ -170,6 +171,14 @@ def test_case12_enumerate_walks_ascending_deltas():
     assert pairs[0][1] == Triple.of(6, 4, -3)
     with_degenerate = list(case12_enumerate(3, 2, 2, allow_degenerate=True))
     assert [delta for delta, _ in with_degenerate] == [1, 2]
+
+
+def test_case12_enumerate_refuses_a_limit_islice_cannot_take():
+    with pytest.raises(DomainError, match="limit must be nonnegative"):
+        next(case12_enumerate(5, 3, -1))
+    with pytest.raises(DomainError, match=f"limit must be at most {sys.maxsize}"):
+        next(case12_enumerate(5, 3, sys.maxsize + 1))
+    assert next(case12_enumerate(5, 3, sys.maxsize)) == next(case12_enumerate(5, 3, 1))
 
 
 def test_case12_enumerate_agrees_with_construct():

@@ -122,6 +122,19 @@ def test_a_command_loads_only_the_modules_it_uses(argvs, loaded):
                                        "loaded": loaded}
 
 
+def test_a_check_loads_no_json_package():
+    """The JSON writer takes its C string quoter from `_json`, so a command
+    loads neither `json` nor its decoder and scanner."""
+    code = ("import sys; from distribq import cli; "
+            "cli.run(['check', '--outer', 'mul', '--inner', 'add', '--triple', '1,2,3',"
+            " '--format', 'json']); print(sorted(m for m in sys.modules if 'json' in m),"
+            " file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "['_json']\n")
+    assert json.loads(done.stdout)["verdict"] == "HOLDS"
+
+
 def test_importing_the_package_imports_none_of_its_modules():
     """A module is imported when it is first read as an attribute, with those it imports."""
     loaded = "print(sorted(m for m in sys.modules if m.startswith('distribq.')))"
