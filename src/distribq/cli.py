@@ -54,12 +54,12 @@ and build no whole parser. Handlers look up `check`, `catalog.*`,
 `number_theory.*` and `oracle.*` as module attributes at call time, so a
 replacement installed after the first `run` is still called.
 
-`search` lists its rows from `oracle.search_positions`: the grid's values
-and, per first component, the positions j*V + k. Each format's row is three
-pieces, one per component; a listing writes each piece once per grid value
-and a row as a concatenation of those texts, so no `Triple` is built per
-row. Verify's listed triples, at most three times `--limit`, are written
-from the same pieces.
+Every answer with many rows is a `_Rows` listing: `search`'s and `verify`'s
+triples, `classify`'s results and `construct12 --list`'s. `_render` asks it
+for its rows in the requested format alone. A row is one `%` format on its
+integers, or a concatenation of texts made once: a search's row is three
+pieces, each written once per grid value (`oracle.search_positions` gives
+the positions j*V + k), and a `classify` row starts with its case's text.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from .identity import (
     DEFAULT_LIST_LIMIT,
     BinOp,
     CaseId,
-    CheckResult,
     DomainError,
     SolveOutcome,
     Triple,
@@ -250,45 +249,31 @@ class _Record(NamedTuple):
 
 _RATIONAL_FORMAT = "%d/%d"  # a rational from its numerator and denominator slots
 _JSON_RATIONAL = f'"{_RATIONAL_FORMAT}"'
-# A listed row in each format, as three pieces: each a format on one
-# component's numerator and denominator, and the row their concatenation.
-# A plain or CSV row is the listing's pad, the triple's text and a newline;
-# in a document, whose listings are top-level values, it is an array.
-_TEXT_ROW = (_RATIONAL_FORMAT, "," + _RATIONAL_FORMAT, "," + _RATIONAL_FORMAT)
-_JSON_ROW = ("\n    [\n      " + _JSON_RATIONAL, ",\n      " + _JSON_RATIONAL,
-             ",\n      " + _JSON_RATIONAL + "\n    ]")
-_TRIPLE_FORMAT = "".join(_TEXT_ROW)
+_TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
+# A listed triple's row in each format, as three pieces: each a format on one
+# component's numerator and denominator, and the row their concatenation
+# after the listing's pad. A plain or CSV row is a line; in a document, whose
+# listings are top-level values, it is an array.
+_TEXT_ROW = (_RATIONAL_FORMAT, "," + _RATIONAL_FORMAT, "," + _RATIONAL_FORMAT + "\n")
+_ROW_PIECES = {"csv": _TEXT_ROW, "plain": _TEXT_ROW, "json": (
+    "\n    [\n      " + _JSON_RATIONAL, ",\n      " + _JSON_RATIONAL,
+    ",\n      " + _JSON_RATIONAL + "\n    ]")}
 _CHUNK = 1024  # listed rows per piece of output
 
 
-class _Rows(NamedTuple):
-    """One listing of `search` or `verify`, written a row per triple: a list
-    at a JSON document's top level, or in plain and CSV one line per
-    triple, each `pad` and the triple. `chunks(pieces)` yields the rows, in
-    lists of at most `_CHUNK`, each row written from the three `pieces` of
-    a format. A plain or CSV `_Rows` takes the place of a line, and an empty
-    one adds no line."""
-
-    chunks: Callable[[tuple[str, str, str]], Iterator[list[str]]]
-    pad: str = ""
-
-
-def _unprintable() -> DomainError:
-    return DomainError(
-        f"a result has more than {sys.get_int_max_str_digits()} digits"
-        " and cannot be printed"
-    )
+class _Rows(functools.partial):
+    """A listing, called with a format: it yields its rows in that format
+    alone, in lists of at most `_CHUNK`. A JSON row is an item of a top-level
+    array, led by its own newline and indent; a plain or CSV row is a line,
+    and a `_Rows` takes the place of its lines, none if it is empty."""
 
 
 def _digits(fmt: str, *ints: int) -> str:
     try:
         return fmt % ints
-    except ValueError:  # more digits than str() converts (sys.get_int_max_str_digits)
-        raise _unprintable() from None
-
-
-def _component(piece: str, q: Fraction) -> str:
-    return _digits(piece, q._numerator, q._denominator)
+    except ValueError:  # more digits than str() converts
+        raise DomainError(f"a result has more than {sys.get_int_max_str_digits()} digits"
+                          " and cannot be printed") from None
 
 
 def _triple_text(fmt: str, t: Triple) -> str:
@@ -299,11 +284,12 @@ def _triple_text(fmt: str, t: Triple) -> str:
 
 
 def _grid_chunks(values: Sequence[Fraction], partitions: Sequence[Sequence[int]],
-                 pieces: tuple[str, str, str]) -> Iterator[list[str]]:
+                 fmt: str) -> Iterator[list[str]]:
     """The rows of a search: the i-th partition's position j*V + k stands for
     (values[i], values[j], values[k]). Each piece is written once per grid
     value; a row is one of its r1's V head-and-middle texts and an end text."""
-    head, mid, end = ([_component(piece, q) for q in values] for piece in pieces)
+    head, mid, end = ([_digits(piece, q._numerator, q._denominator) for q in values]
+                      for piece in _ROW_PIECES[fmt])
     size = len(values)
     for first, positions in zip(head, partitions):
         if positions:
@@ -313,10 +299,11 @@ def _grid_chunks(values: Sequence[Fraction], partitions: Sequence[Sequence[int]]
                        for p in positions[start:start + _CHUNK]]
 
 
-def _triple_chunks(triples: Sequence[Triple], pieces: tuple[str, str, str]) -> Iterator[list[str]]:
-    """The rows of listed triples, in order."""
+def _triple_chunks(triples: Sequence[Triple], pad: str, fmt: str) -> Iterator[list[str]]:
+    """Listed triples' rows, led by `pad`: one format on each one's six slot integers."""
+    row = pad + "".join(_ROW_PIECES[fmt])
     for start in range(0, len(triples), _CHUNK):
-        yield ["".join(map(_component, pieces, t)) for t in triples[start:start + _CHUNK]]
+        yield [_triple_text(row, t) for t in triples[start:start + _CHUNK]]
 
 
 def _json_block(items: list[str], ends: str, pad: str) -> str:
@@ -387,17 +374,17 @@ def _json(value, pad: str) -> str:
 
 def _render(fmt: str, command: str, record: _Record) -> list[str]:
     """The record's output in `fmt` as text pieces, to be written in order.
-    Text accumulates into one piece, and a listing adds its rows as pieces
-    of at most `_CHUNK` rows each, the rows joined by `sep`."""
+    Text accumulates into one piece, and a listing adds its rows in `fmt` as
+    pieces of at most `_CHUNK` rows each, the rows joined by `sep`."""
     pieces: list[str] = []
     text: list[str] = []  # the text since the last listing
 
-    def add_rows(listing: _Rows, row: tuple[str, str, str], sep: str) -> bool:
+    def add_rows(listing: _Rows, sep: str) -> bool:
         """Whether the listing has a row."""
         pieces.append("".join(text))
         text.clear()
         start = len(pieces)
-        for rows in listing.chunks(row):
+        for rows in listing(fmt):
             pieces.append((sep if len(pieces) > start else "") + sep.join(rows))
         return len(pieces) > start
 
@@ -407,16 +394,15 @@ def _render(fmt: str, command: str, record: _Record) -> list[str]:
             text.append(",\n  " + _quote(key) + ": ")
             if isinstance(value, _Rows):
                 text.append("[")
-                text.append("\n  ]" if add_rows(value, _JSON_ROW, ",") else "]")
+                text.append("\n  ]" if add_rows(value, ",") else "]")
             else:
                 text.append(_json(value, "  "))
         text.append("\n}\n")
     else:
         lines, sep = (record.csv, ",") if fmt == "csv" else (record.plain, "")
-        head, mid, end = _TEXT_ROW
         for line in lines:
             if isinstance(line, _Rows):
-                add_rows(line, (line.pad + head, mid, end + "\n"), "")
+                add_rows(line, "")
             else:
                 text.append((sep.join(map(_text, line)) if isinstance(line, list)
                              else _text(line)) + "\n")
@@ -436,36 +422,62 @@ _CASE_TRIPLE_HEADER = "case,outer,inner,r1,r2,r3"
 _CHECK_HEADER = _CASE_TRIPLE_HEADER + ",verdict,lhs,rhs,undefined_site"
 
 
-def _side(n: int | None, d: int | None) -> str | None:
-    """A side's "n/d" text from the kernel's numerator and denominator, in
+def _side(n: int | None, d: int | None, piece: str = _RATIONAL_FORMAT) -> str | None:
+    """A side's `piece` text from the kernel's numerator and denominator, in
     lowest terms with d > 0, as `format_rational` writes its Fraction."""
     if d is None:
         return None
     g = math.gcd(n, d)
     if d < 0:
         g = -g
-    return _digits(_RATIONAL_FORMAT, n // g, d // g)
-
-
-def _result_fields(result: CheckResult) -> dict:
-    """The result's values by name, in the order of `_CHECK_HEADER`'s last
-    four columns. Each side is its text, written here once per result from
-    its numerator and denominator, so no side's Fraction is built."""
-    verdict, lhs_n, lhs_d, rhs_n, rhs_d, site = result
-    return {"verdict": verdict, "lhs": _side(lhs_n, lhs_d), "rhs": _side(rhs_n, rhs_d),
-            "undefined_site": site}
-
-
-def _verdict_plain(fields: dict) -> list:
-    if fields["verdict"] is Verdict.UNDEFINED:
-        return ["UNDEFINED  site: ", fields["undefined_site"]]
-    return [fields["verdict"], "  lhs=", fields["lhs"], "  rhs=", fields["rhs"]]
+    return _digits(piece, n // g, d // g)
 
 
 @functools.cache
-def _case_text(case: CaseId) -> str:
-    """A case's line prefix in `classify`."""
-    return f"{case.label:>3} {case.outer.value}/{case.inner.value}: "
+def _case_head(case: CaseId, fmt: str) -> str:
+    """The start of a case's `classify` row in `fmt`: its JSON object up to
+    the verdict's value, its CSV cells, or its plain prefix."""
+    if fmt == "json":
+        return '\n    {\n      "case": ' + _json(case, "      ") + ',\n      "verdict": '
+    if fmt == "csv":
+        return _text(case) + ","
+    return f"{case.label:>3} {case.outer._value_}/{case.inner._value_}: "
+
+
+def _classify_chunks(t: Triple, results: list, fmt: str) -> Iterator[list[str]]:
+    """A `classify`'s rows, one per (case, check result): the case's head,
+    then the result's texts. Both sides are written in every format, also
+    where plain leaves them out, so a side too long to print fails alike."""
+    side, missing = (_JSON_RATIONAL, "null") if fmt == "json" else (_RATIONAL_FORMAT, "")
+    cells = "%s" + _triple_text(_TRIPLE_FORMAT, t) + ",%s,%s,%s,%s\n" if fmt == "csv" else ""
+    rows = []
+    for case, (verdict, lhs_n, lhs_d, rhs_n, rhs_d, site) in results:
+        row = (_case_head(case, fmt), verdict._value_,
+               _side(lhs_n, lhs_d, side) or missing, _side(rhs_n, rhs_d, side) or missing)
+        if fmt == "json":
+            rows.append('%s"%s",\n      "lhs": %s,\n      "rhs": %s,\n      "undefined_site": %s'
+                        '\n    }' % (*row, missing if site is None else _quote(site)))
+        elif fmt == "csv":
+            rows.append(cells % (*row, site or ""))
+        else:  # an UNDEFINED plain row gives its site in place of the sides
+            rows.append(f"{row[0]}UNDEFINED  site: {site}\n" if site
+                        else "%s%s  lhs=%s  rhs=%s\n" % row)
+    yield rows
+
+
+def _construct12_chunks(n1: int, n2: int, results: list, fmt: str) -> Iterator[list[str]]:
+    """The rows of a `construct12 --list`: one format on each delta and its
+    triple's six slot integers."""
+    if fmt == "json":
+        row = '\n    {\n      "delta": %d,\n      "triple": ' + _triple_json("      ") + "\n    }"
+    elif fmt == "csv":
+        row = _digits("%d,%d,", n1, n2) + "%d," + _TRIPLE_FORMAT + "\n"
+    else:
+        row = "delta=%d -> " + _TRIPLE_FORMAT + "\n"
+    for start in range(0, len(results), _CHUNK):
+        yield [_digits(row, delta, r1._numerator, r1._denominator, r2._numerator,
+                       r2._denominator, r3._numerator, r3._denominator)
+               for delta, (r1, r2, r3) in results[start:start + _CHUNK]]
 
 
 # ---------------------------------------------------------------------------
@@ -474,28 +486,23 @@ def _case_text(case: CaseId) -> str:
 
 def _cmd_check(args) -> _Record:
     case, t = CaseId(args.outer, args.inner), args.triple
-    fields = _result_fields(check(case, t))
+    verdict, lhs_n, lhs_d, rhs_n, rhs_d, site = check(case, t)
+    lhs, rhs = _side(lhs_n, lhs_d), _side(rhs_n, rhs_d)
     return _Record(
-        0 if fields["verdict"] is Verdict.HOLDS else 1,
-        {"case": case, "triple": t, **fields},
-        [_CHECK_HEADER, [case, t, *fields.values()]],
-        [[_case_plain(case), "  triple ", t], _verdict_plain(fields)],
+        0 if verdict is Verdict.HOLDS else 1,
+        {"case": case, "triple": t, "verdict": verdict, "lhs": lhs, "rhs": rhs,
+         "undefined_site": site},
+        [_CHECK_HEADER, [case, t, verdict, lhs, rhs, site]],
+        [[_case_plain(case), "  triple ", t], [verdict, "  lhs=", lhs, "  rhs=", rhs]
+         if site is None else ["UNDEFINED  site: ", site]],
     )
 
 
 def _cmd_classify(args) -> _Record:
     t = args.triple
-    text = _text(t)  # its three CSV cells, written once for every line
-    results = [(case, _result_fields(check(case, t))) for case in ALL_CASES]
-    return _Record(
-        0,
-        {"triple": t, "results": [{"case": case, **fields} for case, fields in results]},
-        [_CHECK_HEADER, *[[case, text, *fields.values()] for case, fields in results]],
-        [["triple ", text]] + [
-            [_case_text(case), *_verdict_plain(fields)]
-            for case, fields in results
-        ],
-    )
+    listing = _Rows(_classify_chunks, t, [(case, check(case, t)) for case in ALL_CASES])
+    return _Record(0, {"triple": t, "results": listing}, [_CHECK_HEADER, listing],
+                   [["triple ", t], listing])
 
 
 def _cmd_member(args) -> _Record:
@@ -567,15 +574,10 @@ def _cmd_construct12(args) -> _Record:
             [header, [args.n1, args.n2, args.delta, *(t or [None] * 3)]],
             ["NONE" if t is None else t],
         )
-    results = list(number_theory.case12_enumerate(
-        args.n1, args.n2, args.list, allow_degenerate=args.allow_degenerate))
-    return _Record(
-        0,
-        {"n1": args.n1, "n2": args.n2,
-         "results": [{"delta": delta, "triple": t} for delta, t in results]},
-        [header, *[[args.n1, args.n2, delta, *t] for delta, t in results]],
-        [["delta=", delta, " -> ", t] for delta, t in results],
-    )
+    listing = _Rows(_construct12_chunks, args.n1, args.n2, list(number_theory.case12_enumerate(
+        args.n1, args.n2, args.list, allow_degenerate=args.allow_degenerate)))
+    return _Record(0, {"n1": args.n1, "n2": args.n2, "results": listing},
+                   [header, listing], [listing])
 
 
 def _cmd_family5(args) -> _Record:
@@ -594,7 +596,7 @@ def _cmd_search(args) -> _Record:
     values, partitions = oracle.search_positions(args.case, bounds, jobs=args.jobs)
     partitions = list(partitions)
     count = sum(map(len, partitions))
-    listed = _Rows(functools.partial(_grid_chunks, values, partitions))
+    listed = _Rows(_grid_chunks, values, partitions)
     # The jobs count is deliberately not echoed: output must be identical
     # for any worker count.
     return _Record(
@@ -612,8 +614,6 @@ def _cmd_verify(args) -> _Record:
     )
     lists = {"missing": report.missing, "spurious": report.spurious,
              "coverage_gap": report.coverage_gap}
-    rows = {category: functools.partial(_triple_chunks, triples)
-            for category, triples in lists.items()}
     plain = [
         _grid_plain(args.case, bounds),
         f"total {report.total_triples}  holds {report.holds}",
@@ -622,7 +622,7 @@ def _cmd_verify(args) -> _Record:
     ]
     for category, triples in lists.items():
         if triples:
-            plain += [f"{category}:", _Rows(rows[category], "  ")]
+            plain += [f"{category}:", _Rows(_triple_chunks, triples, "  ")]
     return _Record(
         0 if report.exact else 1,
         {"case": args.case, "bounds": bounds._asdict(),
@@ -631,9 +631,9 @@ def _cmd_verify(args) -> _Record:
          "spurious_count": report.spurious_count,
          "coverage_gap_count": report.coverage_gap_count,
          "exact": report.exact, "list_limit": report.list_limit,
-         **{category: _Rows(chunks) for category, chunks in rows.items()}},
+         **{category: _Rows(_triple_chunks, triples, "") for category, triples in lists.items()}},
         ["category,r1,r2,r3",
-         *[_Rows(chunks, category + ",") for category, chunks in rows.items()]],
+         *[_Rows(_triple_chunks, triples, category + ",") for category, triples in lists.items()]],
         plain,
     )
 

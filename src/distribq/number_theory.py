@@ -9,6 +9,7 @@ subtraction-over-multiplication (case 12) and addition-over-division
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -67,6 +68,12 @@ def solve_linear_diophantine(p: int, q: int, t: int) -> DiophantineSolutionSet:
     return DiophantineSolutionSet(empty=False, base=(x0, (t - p * x0) // q), step=(dx, dy))
 
 
+def _exact(r1: int, r2: int, r3: int) -> Triple:
+    """The triple of three ints, each as `Fraction(int)`: exact already, so
+    without the checks that `Triple.of` makes on a value of any type."""
+    return Triple(Fraction(r1), Fraction(r2), Fraction(r3))
+
+
 def _check_case12_preconditions(n1: int, n2: int) -> None:
     if n1 == 0 or n1 % 2 == 0:
         raise DomainError("N1 must be an odd nonzero integer")
@@ -97,7 +104,7 @@ def case12_construct(
     n3 = n1 * (num // denom)
     if n3 == 0 and not allow_degenerate:
         return None
-    return Triple.of(delta * n1, delta * n2, n3)
+    return _exact(delta * n1, delta * n2, n3)
 
 
 def case12_enumerate(
@@ -116,10 +123,13 @@ def case12_enumerate(
         raise DomainError(f"limit must be at most {sys.maxsize}")
     sols = solve_linear_diophantine(n1 - n2, 2 * n2 - n1, 1)
     # N1, N2 coprime forces gcd(N1 - N2, 2*N2 - N1) = 1, so never empty, and
-    # the delta step 2*N2 - N1 is odd, so never zero: k walks the way delta grows.
-    solutions = map(sols.at, count(0, 1 if sols.step[0] > 0 else -1))
-    triples = ((delta, Triple.of(delta * n1, delta * n2, n1 * y))
-               for delta, y in solutions if y or allow_degenerate)
+    # the delta step 2*N2 - N1 is odd, so never zero: (delta, y) walks by the
+    # step, turned the way delta grows, from the smallest delta >= 1.
+    (delta, y), (ddelta, dy) = sols.base, sols.step
+    if ddelta < 0:
+        ddelta, dy = -ddelta, -dy
+    triples = ((delta, _exact(delta * n1, delta * n2, n1 * y))
+               for delta, y in zip(count(delta, ddelta), count(y, dy)) if y or allow_degenerate)
     yield from islice(triples, limit)
 
 
@@ -157,4 +167,4 @@ def case13_family5(a: int, f: int, k: int, sign: int = 1) -> Triple:
         raise DomainError("e must be nonzero")
     if a == -e:
         raise DomainError("r1 + r3 must be nonzero")
-    return Triple.of(a, c, e)
+    return _exact(a, c, e)

@@ -7,6 +7,7 @@ import errno
 import io
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -20,11 +21,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distribq
-from distribq import cli, oracle
+from distribq import cli, number_theory, oracle
 from distribq.catalog import SolveOutcome
 from distribq.cli import (
     _json,
@@ -701,6 +702,94 @@ def test_verify_rows_match_an_independent_renderer(case, missing, spurious, gap,
                      "verify_characterization", report)
     for fmt in ("json", "csv", "plain"):
         assert "".join(_render(fmt, "verify", record)) == _verify_reference(fmt, report)
+
+
+def _run_formats(argv: list) -> dict:
+    """Each format's (exit code, stdout) of `argv`, run in this process."""
+    runs = {}
+    for fmt in ("json", "csv", "plain"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runs[fmt] = (cli.run([*argv, "--format", fmt]), out.getvalue())
+    return runs
+
+
+def _classify_reference(fmt: str, t: Triple) -> str:
+    results = [(case, check(case, t)) for case in ALL_CASES]
+    doc = {"command": "classify", "triple": _reference(t), "results": [
+        {"case": _reference(case), "verdict": r.verdict.value, "lhs": _side_text(r.lhs),
+         "rhs": _side_text(r.rhs), "undefined_site": r.undefined_site} for case, r in results]}
+    triple = [_n_d(q) for q in t]
+    rows = [[case.label, case.outer.value, case.inner.value, *triple, r.verdict.value,
+             _side_text(r.lhs) or "", _side_text(r.rhs) or "", r.undefined_site or ""]
+            for case, r in results]
+    lines = [f"triple {','.join(triple)}"] + [
+        f"{case.label:>3} {case.outer.value}/{case.inner.value}: "
+        + (f"UNDEFINED  site: {r.undefined_site}" if r.verdict is Verdict.UNDEFINED
+           else f"{r.verdict.value}  lhs={_side_text(r.lhs)}  rhs={_side_text(r.rhs)}")
+        for case, r in results]
+    return _reference_text(fmt, doc, _CHECK_COLUMNS, rows, lines)
+
+
+_CHECK_COLUMNS = ["case", "outer", "inner", "r1", "r2", "r3",
+                  "verdict", "lhs", "rhs", "undefined_site"]
+# Zeros reach every UNDEFINED site; the examples reach each one for certain.
+_CLASSIFY_COMPONENTS = st.one_of(st.just(Fraction(0)),
+                                 st.sampled_from([Fraction(1), Fraction(-1)]), _FRACTIONS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(Triple, *[_CLASSIFY_COMPONENTS] * 3))
+@example(Triple.of(0, 0, 0))
+@example(Triple.of(0, 0, 1))
+@example(Triple.of(0, 1, 0))
+def test_classify_rows_match_an_independent_renderer(t):
+    argv = ["classify", "--triple", ",".join(map(_n_d, t))]
+    for fmt, run in _run_formats(argv).items():
+        assert run == (0, _classify_reference(fmt, t)), fmt
+
+
+@st.composite
+def _case12_inputs(draw) -> tuple:
+    """An odd N1, an N2 coprime to it (either may be negative), a --list
+    count and the degenerate flag."""
+    n1 = 2 * draw(st.integers(-10**6, 10**6) | st.integers(-10**40, 10**40)) + 1
+    n2 = draw(st.integers(-10**6, 10**6).filter(lambda n: n and math.gcd(n1, n) == 1))
+    return n1, n2, draw(st.integers(1, 30)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_case12_inputs())
+@example((3, 2, 1, True))  # delta 1 gives the degenerate (3, 2, 0)
+@example((3, 2, 1, False))
+def test_construct12_rows_match_an_independent_renderer(inputs):
+    n1, n2, count, degenerate = inputs
+    pairs = list(number_theory.case12_enumerate(n1, n2, count, allow_degenerate=degenerate))
+    assert len(pairs) == count
+    rows = [[str(n1), str(n2), str(delta), *map(_n_d, t)] for delta, t in pairs]
+    doc = {"command": "construct12", "n1": n1, "n2": n2,
+           "results": [{"delta": delta, "triple": _reference(t)} for delta, t in pairs]}
+    lines = [f"delta={delta} -> {','.join(map(_n_d, t))}" for delta, t in pairs]
+    argv = ["construct12", "--n1", str(n1), "--n2", str(n2), "--list", str(count)]
+    for fmt, run in _run_formats(argv + ["--allow-degenerate"] * degenerate).items():
+        assert run == (0, _reference_text(fmt, doc, ["n1", "n2", "delta", "r1", "r2", "r3"],
+                                          rows, lines)), fmt
+
+
+_WIDE = "7" * 3000  # components that print; a product of two has 6,000 digits
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("argv", [
+    # mul over mul: both sides are A*A.
+    ["classify", "--triple", f"1,{_WIDE},{_WIDE}"],
+    # A 4,300-digit N1 prints, but delta*N1 for a delta above 1 does not.
+    ["construct12", "--n1", "9" * 4299 + "7", "--n2", "2", "--list", "3"],
+], ids=["classify", "construct12"])
+def test_a_listed_value_past_the_digit_limit_exits_3_with_nothing_printed(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("error:") and "digits" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
