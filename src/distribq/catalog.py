@@ -17,16 +17,17 @@ Every case reduces to one polynomial equation, linear in r2, plus the
 identity's divisors being nonzero. Each equation is stated once, in one
 table keyed by case (`_EQUATIONS`), as the source text of an integer pair
 (coef, const) in the numerators and denominators of r1 and r3. Each
-case's divisors are read once from its operations (`_divisors`), each as
-the numerator that `identity._TEMPLATES` gives it. `member` runs one
-straight-line kernel per case, generated from both the first time the case
-is tested, as `identity.check` is: it tests coef*n2 + const*d2 == 0 on the
-components' slot integers, then that each divisor's numerator is nonzero,
-and builds no Fraction. `_LINEAR` (the pair as a function, which the test
-suite certifies against the identity with sympy) and `_zero_divisor` (the
-first zero divisor's text) are generated from the same two, and
-`solve_r2` reads them: it returns -const/coef for cases 12, 13 and 14 (or
-ALL or NONE when coef vanishes). Nothing uses floating point.
+case's divisors are read once from the identity's steps (`_divisors`, from
+`identity._STEPS`), each as the numerator that `identity._TEMPLATES` gives
+it. `member` runs one straight-line kernel per case, generated from both
+the first time the case is tested, as `identity.check` is: it tests
+coef*n2 + const*d2 == 0 on the components' slot integers, then that each
+divisor's numerator is nonzero, and builds no Fraction. `_LINEAR` (the
+pair as a function, which the test suite certifies against the identity
+with sympy) and `_zero_divisor` (the first zero divisor's text) are
+generated from the same two, and `solve_r2` reads them: it returns
+-const/coef for cases 12, 13 and 14 (or ALL or NONE when coef vanishes).
+Nothing uses floating point.
 
 Two formula corrections are baked in, both confirmed by direct
 substitution (see the test suite and README):
@@ -53,8 +54,10 @@ from .identity import (
     SolveOutcome,
     Triple,
     _as_fraction,
+    _as_int,
     _define,
     _Kernels,
+    _STEPS,
     _TEMPLATES,
     case_from_label,
 )
@@ -116,20 +119,21 @@ def _divisors(case: CaseId) -> list[tuple[str, str]]:
     """Each divisor of the case's identity as (its text, the source of its
     numerator in the slot integers), in the order they are tested.
 
-    Every division divides by its right operand: when inner is DIV those
-    are r3 and r1 outer r3, when outer is DIV r2, r3 and r2 inner r3. The
-    numerator is `identity._TEMPLATES`'s. A divisor's denominator is
-    nonzero once those it is computed from are nonzero, and each is tested
-    only after them, so it is zero exactly when its numerator is.
+    A divisor is the right operand of a division step of `identity._STEPS`,
+    taken once, in step order, with the numerator that `identity._TEMPLATES`
+    gives it. A divisor's denominator is nonzero once the divisors before it
+    are nonzero, so it is zero exactly when its numerator is. Only a
+    component or the result of a step on two components is ever divided by,
+    so only their entries in `operands` are read.
     """
-    outer, inner = case
-    divisors = [("r3", "n3")] if BinOp.DIV in case else []
-    if inner is BinOp.DIV:
-        divisors.append((f"r1 {_SIGNS[outer]} r3", _TEMPLATES[outer][0].format(x=1, y=3)))
-    if outer is BinOp.DIV:
-        divisors += [("r2", "n2"),
-                     (f"r2 {_SIGNS[inner]} r3", _TEMPLATES[inner][0].format(x=2, y=3))]
-    return divisors
+    operands = {v: (f"r{v}", f"n{v}") for v in "123"}
+    divisors: dict[str, tuple[str, str]] = {}
+    for _, out, role, x, y in _STEPS:
+        op = getattr(case, role)
+        if op is BinOp.DIV:
+            divisors.setdefault(y, operands[y])
+        operands[out] = (f"r{x} {_SIGNS[op]} r{y}", _TEMPLATES[op][0].format(x=x, y=y))
+    return list(divisors.values())
 
 
 def _build_member(case: CaseId):
@@ -172,14 +176,11 @@ def member(case: CaseId, t: Triple) -> bool:
     the equation on the slot integers first, so definedness is evaluated
     only on the triples that solve it. t is a `Triple` of Fractions, as
     `Triple.of` builds it, or a plain 3-tuple of Fractions, as a grid scan
-    hands it: t is read only as `r1, r2, r3 = t`.
+    hands it: t is read only as `r1, r2, r3 = t`. Nothing is coerced, so an
+    int component raises AttributeError; a type test per triple would cost
+    a grid scan time.
     """
     return _MEMBERS[case](t)
-
-
-# Families call `_member`, so a wrapper on the attribute `member` (perfbench's
-# tracer) counts only callers' calls, one per triple in a grid scan.
-_member = member
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +210,6 @@ class FamilySpec(NamedTuple):
     build: Callable[..., Triple]
     matches: Callable[[Triple], bool]
     optional: frozenset[str] = frozenset()
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    raise DomainError(f"{name} must be an integer")
 
 
 def _coerce(kind: str, value, name: str):
@@ -292,7 +283,7 @@ def _register(label: str, *families: dict) -> None:
 
     def spec(index: int, shape: Callable[[Triple], bool], **kw) -> FamilySpec:
         return FamilySpec(case_label=label, index=index,
-                          matches=lambda t: shape(t) and _member(case, t), **kw)
+                          matches=lambda t: shape(t) and _MEMBERS[case](t), **kw)
 
     _FAMILIES[label] = tuple(spec(i + 1, **kw) for i, kw in enumerate(families))
 

@@ -47,11 +47,11 @@ so the handlers and the argument tables must hold no per-call state
 either: no argument takes a mutable default or an `append` action.
 
 A command loads only the modules it uses. `identity` is imported with this
-module; `catalog`, `number_theory` and `oracle` stand here as `_Lazy`
-placeholders, each replaced by its module the first time a handler reads
-one of its attributes. So `check` and `classify` import none of the three,
-and build no whole parser. Handlers look up `check`, `catalog.*`,
-`number_theory.*` and `oracle.*` as module attributes at call time, so a
+module; handlers reach `catalog`, `number_theory` and `oracle` as
+attributes of the package (`distribq.catalog.member`), which imports a
+module the first time it is read and keeps it as a plain attribute. So
+`check` and `classify` import none of the three, and build no whole parser.
+Handlers look up `check` and each library function at call time, so a
 replacement installed after the first `run` is still called.
 
 Every answer with many rows is a `_Rows` listing: `search`'s and `verify`'s
@@ -68,17 +68,18 @@ import argparse
 import contextlib
 import errno
 import functools
-import importlib
 import math
 import os
 import re
 import reprlib
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 # The C function alone: `json.encoder` would import the whole json package.
 from _json import encode_basestring_ascii as _quote
+
+import distribq
 
 from .identity import (
     ALL_CASES,
@@ -95,23 +96,6 @@ from .identity import (
 
 __all__ = ["format_rational", "main", "parse_case", "parse_rational", "parse_triple", "run"]
 
-
-class _Lazy:
-    """A module's stand-in among this module's globals. The first attribute
-    read through it imports the module and puts the module in its place, so
-    every later read is a plain module attribute, found at call time."""
-
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        module = globals()[self._name] = importlib.import_module(f"{__package__}.{self._name}")
-        return getattr(module, attr)
-
-
-catalog, number_theory, oracle = map(_Lazy, ("catalog", "number_theory", "oracle"))
 
 _INTEGER = r"-?[0-9]+"  # an optional leading minus and ASCII digits, nothing else
 _INTEGER_RE = re.compile(_INTEGER)
@@ -214,7 +198,7 @@ _PARAM_PARSERS = {"rational": parse_rational, "int": _integer,
                   "sign": _parse_sign, "bool": _parse_bool}
 
 
-def _parse_params(spec: catalog.FamilySpec, text: str | None) -> dict:
+def _parse_params(spec: distribq.catalog.FamilySpec, text: str | None) -> dict:
     out: dict[str, object] = {}
     for item in (text.split(",") if text else []):
         if "=" not in item:
@@ -414,7 +398,7 @@ def _case_plain(case: CaseId) -> str:
     return f"case {case.label} ({case.describe()})"
 
 
-def _grid_plain(case: CaseId, bounds: oracle.SearchBounds) -> str:
+def _grid_plain(case: CaseId, bounds: distribq.oracle.SearchBounds) -> str:
     return f"{_case_plain(case)}  grid |num|<={bounds.num_bound} den<={bounds.den_bound}"
 
 
@@ -507,7 +491,7 @@ def _cmd_classify(args) -> _Record:
 
 def _cmd_member(args) -> _Record:
     case, t = args.case, args.triple
-    verdict = catalog.member(case, t)
+    verdict = distribq.catalog.member(case, t)
     return _Record(
         0 if verdict else 1,
         {"case": case, "triple": t, "member": verdict},
@@ -517,8 +501,8 @@ def _cmd_member(args) -> _Record:
 
 
 def _cmd_generate(args) -> _Record:
-    params = _parse_params(catalog.family_spec(args.case, args.family), args.params)
-    t = catalog.generate(catalog.FamilyId(args.case, args.family), params)
+    params = _parse_params(distribq.catalog.family_spec(args.case, args.family), args.params)
+    t = distribq.catalog.generate(distribq.catalog.FamilyId(args.case, args.family), params)
     return _Record(
         0,
         {"case": args.case, "family": args.family, "params": params, "triple": t},
@@ -529,7 +513,7 @@ def _cmd_generate(args) -> _Record:
 
 def _cmd_solve(args) -> _Record:
     case, r1, r3 = args.case, args.r1, args.r3
-    outcome = catalog.solve_r2(case, r1, r3)
+    outcome = distribq.catalog.solve_r2(case, r1, r3)
     if isinstance(outcome, SolveOutcome):
         result, r2, plain = outcome, None, outcome
     else:
@@ -543,7 +527,7 @@ def _cmd_solve(args) -> _Record:
 
 
 def _cmd_diophantine(args) -> _Record:
-    sols = number_theory.solve_linear_diophantine(args.p, args.q, args.t)
+    sols = distribq.number_theory.solve_linear_diophantine(args.p, args.q, args.t)
     if sols.empty:
         base = step = None
         cells, plain = [None] * 4, "empty"
@@ -565,23 +549,23 @@ def _cmd_construct12(args) -> _Record:
         raise _UsageError("provide exactly one of --delta and --list")
     header = "n1,n2,delta,r1,r2,r3"
     if args.delta is not None:
-        t = number_theory.case12_construct(
-            args.n1, args.n2, args.delta, allow_degenerate=args.allow_degenerate
-        )
+        t = distribq.number_theory.case12_construct(args.n1, args.n2, args.delta,
+                                                    allow_degenerate=args.allow_degenerate)
         return _Record(
             0,
             {"n1": args.n1, "n2": args.n2, "delta": args.delta, "triple": t},
             [header, [args.n1, args.n2, args.delta, *(t or [None] * 3)]],
             ["NONE" if t is None else t],
         )
-    listing = _Rows(_construct12_chunks, args.n1, args.n2, list(number_theory.case12_enumerate(
-        args.n1, args.n2, args.list, allow_degenerate=args.allow_degenerate)))
+    results = distribq.number_theory.case12_enumerate(
+        args.n1, args.n2, args.list, allow_degenerate=args.allow_degenerate)
+    listing = _Rows(_construct12_chunks, args.n1, args.n2, list(results))
     return _Record(0, {"n1": args.n1, "n2": args.n2, "results": listing},
                    [header, listing], [listing])
 
 
 def _cmd_family5(args) -> _Record:
-    t = number_theory.case13_family5(args.a, args.f, args.k, args.sign)
+    t = distribq.number_theory.case13_family5(args.a, args.f, args.k, args.sign)
     sign_text = "+" if args.sign == 1 else "-"
     return _Record(
         0,
@@ -592,8 +576,8 @@ def _cmd_family5(args) -> _Record:
 
 
 def _cmd_search(args) -> _Record:
-    bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
-    values, partitions = oracle.search_positions(args.case, bounds, jobs=args.jobs)
+    bounds = distribq.oracle.SearchBounds(args.num_bound, args.den_bound)
+    values, partitions = distribq.oracle.search_positions(args.case, bounds, jobs=args.jobs)
     partitions = list(partitions)
     count = sum(map(len, partitions))
     listed = _Rows(_grid_chunks, values, partitions)
@@ -608,8 +592,8 @@ def _cmd_search(args) -> _Record:
 
 
 def _cmd_verify(args) -> _Record:
-    bounds = oracle.SearchBounds(args.num_bound, args.den_bound)
-    report = oracle.verify_characterization(
+    bounds = distribq.oracle.SearchBounds(args.num_bound, args.den_bound)
+    report = distribq.oracle.verify_characterization(
         args.case, bounds, jobs=args.jobs, list_limit=args.limit
     )
     lists = {"missing": report.missing, "spurious": report.spurious,
@@ -718,13 +702,17 @@ class _Parser(argparse.ArgumentParser):
         return value
 
 
+# No option starts with -<digit>, so "-5/2" after an option is its value, in
+# argparse (as each parser's `_negative_number_matcher`) and in `_parse` alike.
+_NEGATIVE_NUMBER = re.compile(r"^-\d")
+
+
 def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     """Give `p` the options and defaults of the subcommand `name`: the one
     place they are added, to `_build_parser`'s subparser and to the parser
     that `_command` reads alike."""
     _, handler, arguments = _COMMANDS[name]
-    # No option starts with -<digit>, so "-5/2" after an option is its value.
-    p._negative_number_matcher = re.compile(r"^-\d")
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     for flag, kwargs in arguments:
         p.add_argument(flag, **kwargs)
     p.add_argument("--format", choices=["json", "csv", "plain"], default="plain")
@@ -755,7 +743,6 @@ class _Command(NamedTuple):
     options: dict  # each store or store-true action, by each of its flags
     defaults: dict  # the namespace of an argv that gives no option
     required: frozenset  # the dests of the options that must be given
-    number: Callable  # the `match` of the parser's `_negative_number_matcher`
 
 
 @functools.cache
@@ -769,8 +756,7 @@ def _command(name: str) -> _Command:
          and a.nargs in (None, 0) for flag in a.option_strings},
         {**p._defaults, **{a.dest: a.default for a in actions
                            if a.default is not argparse.SUPPRESS}, "command": name},
-        frozenset(a.dest for a in actions if a.required),
-        p._negative_number_matcher.match)
+        frozenset(a.dest for a in actions if a.required))
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
@@ -799,7 +785,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace | None:
             seen.add(action.dest)
             i += 1
             continue
-        elif i + 1 < end and (argv[i + 1][:1] != "-" or command.number(argv[i + 1])):
+        elif i + 1 < end and (argv[i + 1][:1] != "-" or _NEGATIVE_NUMBER.match(argv[i + 1])):
             text = argv[i + 1]  # --flag VALUE
             i += 2
         else:

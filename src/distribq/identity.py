@@ -7,9 +7,11 @@ For an ordered pair of binary operations (outer, inner) and a triple
 
 Values are `fractions.Fraction` at every interface: `check` takes a
 `Triple` of Fractions, as `Triple.of` builds it, or a plain 3-tuple of
-Fractions, as a grid scan hands it. `check` is one straight-line kernel
-per case, generated from one integer template per operation when the case
-is first checked. It reads each component's
+Fractions, as a grid scan hands it, and coerces nothing: an int component
+raises AttributeError, as a type test per triple would cost a grid scan
+time. `check` is one straight-line kernel per case, generated from the
+identity's five steps (`_STEPS`) and one integer template per operation
+(`_TEMPLATES`) when the case is first checked. It reads each component's
 numerator and denominator straight from the Fraction's `_numerator` and
 `_denominator` slots and builds no Fraction: its result is one flat tuple
 `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as a
@@ -74,7 +76,7 @@ def _as_fraction(value, name: str) -> Fraction:
     # Fraction(0.1) is the float's binary expansion, not the rational 1/10.
     if isinstance(value, float):
         raise DomainError(f"{name} must be an exact rational, not the float {value!r}")
-    # Fraction(True) is 1, yet a flag is no number; catalog._as_int refuses it too.
+    # Fraction(True) is 1, yet a flag is no number; _as_int refuses it too.
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an exact rational, not {value!r}")
     try:
@@ -82,6 +84,16 @@ def _as_fraction(value, name: str) -> Fraction:
     except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         # reprlib shortens a string past int's digit limit to a few digits.
         raise DomainError(f"{name} must be an exact rational, not {reprlib.repr(value)}") from exc
+
+
+def _as_int(value, name: str) -> int:
+    """An int, or an integral Fraction's numerator; anything else, a bool
+    among them, raises DomainError."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DomainError(f"{name} must be an integer")
 
 
 class Triple(NamedTuple):
@@ -244,14 +256,18 @@ class CheckResult(tuple):
 _HOLDS, _FAILS, _UNDEFINED = Verdict.HOLDS, Verdict.FAILS, Verdict.UNDEFINED
 
 
-# Fixed evaluation order used to pick the reported undefined site.
-_SITES = (
-    "inner of lhs",
-    "outer of lhs",
-    "first outer of rhs",
-    "second outer of rhs",
-    "inner of rhs",
+# The identity's five sub-operations, the only statement of them, in the
+# order they are evaluated and their undefined sites reported: (site, result,
+# outer or inner, x, y), where result = x op y and x, y name a component
+# ("1", "2", "3") or an earlier result. A division divides by its y.
+_STEPS = (
+    ("inner of lhs", "bc", "inner", "2", "3"),
+    ("outer of lhs", "lhs", "outer", "1", "bc"),
+    ("first outer of rhs", "ab", "outer", "1", "2"),
+    ("second outer of rhs", "ac", "outer", "1", "3"),
+    ("inner of rhs", "rhs", "inner", "ab", "ac"),
 )
+_SITES = tuple(step[0] for step in _STEPS)
 
 # x op y on the kernel's (n{x}, d{x}) and (n{y}, d{y}), as the source text
 # of the result's numerator and of its denominator. Denominators are neither
@@ -296,16 +312,13 @@ def _undefined_result(dbc: int, dab: int, dac: int,
 
 
 def _build_kernel(case: CaseId):
-    """Generate the straight-line `check` for one case from `_TEMPLATES`."""
-    outer, inner = case
-    # (result, operation, x, y) in _SITES order
-    steps = (("bc", inner, "2", "3"), ("lhs", outer, "1", "bc"), ("ab", outer, "1", "2"),
-             ("ac", outer, "1", "3"), ("rhs", inner, "ab", "ac"))
+    """Generate the straight-line `check` for one case from `_STEPS` and `_TEMPLATES`."""
+    ops = [(out, getattr(case, role), x, y) for _, out, role, x, y in _STEPS]
     body = [f"n{out}, d{out} = " + ", ".join(_TEMPLATES[op]).format(x=x, y=y)
-            for out, op, x, y in steps]
+            for out, op, x, y in ops]
     # Any other operation's denominator is a product of its operands', so
     # every denominator is nonzero once those of the divisions are.
-    divisions = [f"d{out}" for out, op, _, _ in steps if op is BinOp.DIV]
+    divisions = [f"d{out}" for out, op, _, _ in ops if op is BinOp.DIV]
     if divisions:
         body.append(f"if not ({' and '.join(divisions)}):")
         body.append("    return _undefined_result(dbc, dab, dac, nlhs, dlhs, nrhs, drhs)")

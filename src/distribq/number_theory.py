@@ -4,6 +4,9 @@ Two-variable linear Diophantine solving on `math.gcd` and the modular
 inverse `pow(a, -1, m)`, and the two dedicated constructions for the
 subtraction-over-multiplication (case 12) and addition-over-division
 (case 13) integer families.
+
+Every integer parameter is an int or an integral Fraction; any other value,
+a float or a bool among them, raises DomainError.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .identity import DomainError, Triple
+from .identity import DomainError, Triple, _as_int
 
 __all__ = [
     "DiophantineSolutionSet",
@@ -53,6 +56,7 @@ def solve_linear_diophantine(p: int, q: int, t: int) -> DiophantineSolutionSet:
     greatest common divisor in the constructions here, hence >= 1). When
     q == 0 the x coordinate is fixed and y0 is normalized the same way.
     """
+    p, q, t = _as_int(p, "p"), _as_int(q, "q"), _as_int(t, "t")
     if p == 0 and q == 0:
         raise DomainError("p and q must not both be zero")
     g = gcd(p, q)
@@ -74,13 +78,16 @@ def _exact(r1: int, r2: int, r3: int) -> Triple:
     return Triple(Fraction(r1), Fraction(r2), Fraction(r3))
 
 
-def _check_case12_preconditions(n1: int, n2: int) -> None:
+def _case12_parameters(n1: int, n2: int) -> tuple[int, int]:
+    """(N1, N2) as ints, once they meet the construction's preconditions."""
+    n1, n2 = _as_int(n1, "N1"), _as_int(n2, "N2")
     if n1 == 0 or n1 % 2 == 0:
         raise DomainError("N1 must be an odd nonzero integer")
     if n2 == 0:
         raise DomainError("N2 must be nonzero")
     if gcd(abs(n1), abs(n2)) != 1:
         raise DomainError("N1 and N2 must be coprime")
+    return n1, n2
 
 
 def case12_construct(
@@ -94,7 +101,8 @@ def case12_construct(
     `allow_degenerate` is false (the construction targets triples with all
     components nonzero). Note 2*N2 - N1 is odd, hence never zero.
     """
-    _check_case12_preconditions(n1, n2)
+    n1, n2 = _case12_parameters(n1, n2)
+    delta = _as_int(delta, "delta")
     if delta < 1:
         raise DomainError("delta must be >= 1 (it is a greatest common divisor)")
     denom = 2 * n2 - n1
@@ -116,7 +124,8 @@ def case12_enumerate(
     instead of trial-dividing each delta; both entry points exist because
     the CLI needs point queries and listings.
     """
-    _check_case12_preconditions(n1, n2)
+    n1, n2 = _case12_parameters(n1, n2)
+    limit = _as_int(limit, "limit")
     if limit < 0:
         raise DomainError("limit must be nonnegative")
     if limit > sys.maxsize:  # islice takes no larger count
@@ -145,6 +154,7 @@ def case13_family5(a: int, f: int, k: int, sign: int = 1) -> Triple:
     r1 + r3 is nonzero so the identity is defined. With f = 1 an integer e
     makes c an integer too: (a-1) - K and (a-1) + K are both even.
     """
+    a, f, k, sign = _as_int(a, "a"), _as_int(f, "f"), _as_int(k, "K"), _as_int(sign, "sign")
     if a == 0:
         raise DomainError("a must be nonzero")
     if f != 1:

@@ -27,8 +27,9 @@ from itertools import product
 
 import pytest
 
+from distribq import catalog, identity
 from distribq.catalog import _LINEAR, FamilyId, families_for, generate, member
-from distribq.identity import _SITES, ALL_CASES, BinOp, Triple, case_from_label
+from distribq.identity import _SITES, _STEPS, ALL_CASES, BinOp, Triple, case_from_label
 from distribq.number_theory import case12_enumerate
 
 sp = pytest.importorskip("sympy")
@@ -125,6 +126,85 @@ def test_linear_form_is_a_constant_multiple_of_the_numerator(case):
         _assert_vanishes_only_where_undefined(quadratic, divisors)
         ratio = sp.cancel(ratio / quadratic)
     assert ratio.is_Number and ratio != 0
+
+
+# ---------------------------------------------------------------------------
+# The generated kernels
+
+SLOTS = sp.symbols("n1 d1 n2 d2 n3 d3")
+N1, D1, N2, D2, N3, D3 = SLOTS
+DENOMINATORS = (D1, D2, D3)
+AS_SLOTS = {R1: N1 / D1, R2: N2 / D2, R3: N3 / D3}
+SLOT_NAMES = {str(slot): slot for slot in SLOTS}
+
+
+def _generated_body(module, builder, case) -> list[str]:
+    """The body lines that `builder` hands `_define` in `module` for the case."""
+    bodies = []
+    original = module._define
+    module._define = lambda name, body, namespace: bodies.append(body)
+    try:
+        getattr(module, builder)(case)
+    finally:
+        module._define = original
+    (body,) = bodies
+    return body
+
+
+def _is_denominator_monomial(ratio) -> bool:
+    """Whether `ratio` is a nonzero constant times powers of d1, d2, d3."""
+    ratio = sp.cancel(ratio)
+    return (ratio != 0 and sp.denom(ratio) == 1 and ratio.free_symbols <= set(DENOMINATORS)
+            and len(sp.Poly(ratio, *DENOMINATORS).terms()) == 1)
+
+
+def _slot_divisors(case) -> list:
+    """`_derive`'s divisors with r_i = n_i/d_i, as numerators in the slot integers."""
+    return [sp.numer(sp.together(g.subs(AS_SLOTS))) for g in _derive(case)[0]]
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_check_kernel_steps_are_the_identity_s_operations(case):
+    # Each step assignment, run on symbols, is its `_STEPS` operation on its
+    # operands; the kernel's cross-multiplied sides differ by the identity's
+    # numerator times only denominators and divisor numerators, nonzero
+    # wherever the identity is defined.
+    body = _generated_body(identity, "_build_kernel", case)
+    slots = dict(SLOT_NAMES)
+    for line in body[:len(_STEPS)]:
+        exec(line, {}, slots)
+    values = {i: slots["n" + i] / slots["d" + i] for i in "123"}
+    for site, out, role, x, y in _STEPS:
+        values[out] = slots["n" + out] / slots["d" + out]
+        expected = _OPS[getattr(case, role)](values[x], values[y])
+        assert sp.cancel(values[out] - expected) == 0, (case.label, site)
+
+    cross = sp.expand(slots["nlhs"] * slots["drhs"] - slots["nrhs"] * slots["dlhs"])
+    numerator = _derive(case)[1]
+    if case.label in ("L1", "L2"):
+        assert (numerator, cross) == (0, 0)
+        return
+    ratio = sp.cancel(cross / numerator.subs(AS_SLOTS))
+    allowed = {*DENOMINATORS, *(f for g in _slot_divisors(case) for f in _factors(g))}
+    coefficient, factors = sp.factor_list(ratio)
+    assert sp.denom(ratio) == 1 and coefficient != 0, (case.label, ratio)
+    assert {f for f, _ in factors} <= allowed, (case.label, ratio)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_member_kernel_tests_exactly_the_identity_s_divisors(case):
+    # The divisor tests that `member` compiles are those of `_divisors`, and
+    # each one's numerator and one of the identity's divisors are zero together.
+    (line,) = _generated_body(catalog, "_build_member", case)
+    tests = line.removeprefix("return ").split(" and ")
+    numerators = [test.removesuffix(" != 0") for test in tests if test.endswith(" != 0")]
+    assert numerators == [f"({numerator})" for _, numerator in catalog._divisors(case)]
+    tested = [eval(numerator, {}, SLOT_NAMES) for numerator in numerators]
+    derived = _slot_divisors(case)
+    for numerator in tested:
+        assert any(_is_denominator_monomial(numerator / g) for g in derived), numerator
+    for g in derived:
+        assert any(_is_denominator_monomial(numerator / g) for numerator in tested), g
 
 
 # ---------------------------------------------------------------------------

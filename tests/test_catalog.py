@@ -166,17 +166,22 @@ def _reference_linear(case, r1, r3):
 
 
 def _reference_zero_divisor(case, r1, r2, r3):
+    # The first zero right operand of a division, in the order of the steps
+    # r2 inner r3, r1 outer (r2 inner r3), r1 outer r2, r1 outer r3, and
+    # (r1 outer r2) inner (r1 outer r3).
     (outer, outer_sign), (inner, inner_sign) = (_REFERENCE_OPS[case.outer],
                                                 _REFERENCE_OPS[case.inner])
-    if BinOp.DIV in case and not r3:
+    if case.inner is BinOp.DIV and not r3:
         return "r3"
-    if case.inner is BinOp.DIV and not outer(r1, r3):
-        return f"r1 {outer_sign} r3"
     if case.outer is BinOp.DIV:
-        if not r2:
-            return "r2"
         if not inner(r2, r3):
             return f"r2 {inner_sign} r3"
+        if not r2:
+            return "r2"
+        if not r3:
+            return "r3"
+    if case.inner is BinOp.DIV and not outer(r1, r3):
+        return f"r1 {outer_sign} r3"
     return None
 
 

@@ -1471,3 +1471,68 @@ def test_runs_in_one_process_match_fresh_module_runs(monkeypatch, capsys, tmp_pa
     assert [seen[0] for seen in in_process] == [
         2, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 3, 0, 0, 0, 0, 0]
     assert in_process[14][1] == "" and in_process[14][3] == in_process[15][1]
+
+
+# Each command, and the library function that its handler calls, by module
+# and attribute.
+_CALLEES = [
+    (["check", "--outer", "sub", "--inner", "mul", "--triple", "6,4,-3"], "cli", "check"),
+    (["classify", "--triple", "1,0,0"], "cli", "check"),
+    (["member", "--case", "12", "--triple", "2,5,1"], "catalog", "member"),
+    (["solve", "--case", "13", "--r1", "3", "--r3", "-1"], "catalog", "solve_r2"),
+    (["generate", "--case", "12", "--family", "4", "--params", "delta=2"],
+     "catalog", "generate"),
+    (["diophantine", "--p", "3", "--q", "5", "--t", "1"],
+     "number_theory", "solve_linear_diophantine"),
+    (["construct12", "--n1", "3", "--n2", "2", "--delta", "2"],
+     "number_theory", "case12_construct"),
+    (["construct12", "--n1", "3", "--n2", "2", "--list", "3"],
+     "number_theory", "case12_enumerate"),
+    (["family5", "--a", "3", "--f", "1", "--k", "0", "--sign", "+"],
+     "number_theory", "case13_family5"),
+    (["search", "--case", "12", "--num-bound", "2", "--den-bound", "2"],
+     "oracle", "search_positions"),
+    (["verify", "--case", "12", "--num-bound", "2", "--den-bound", "2"],
+     "oracle", "verify_characterization"),
+]
+
+_REPLACED_AFTER_A_RUN = """
+import contextlib, io, json, sys
+import distribq
+from distribq import cli
+
+argv, module, name = json.loads(sys.argv[1])
+
+
+def output():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+first = output()
+module = getattr(distribq, module)
+original, calls = getattr(module, name), []
+
+
+def recorder(*args, **kwargs):
+    calls.append(name)
+    return original(*args, **kwargs)
+
+
+setattr(module, name, recorder)
+print(json.dumps({"same": output() == first, "called": bool(calls)}))
+"""
+
+
+@pytest.mark.parametrize("argv, module, name", _CALLEES,
+                         ids=[f"{argv[0]}-{name}" for argv, _, name in _CALLEES])
+def test_a_library_function_replaced_after_the_first_run_is_the_one_called(argv, module, name):
+    """In a fresh interpreter, where the first run imports the module: a
+    recorder put in place of the function afterwards is called by the next
+    run, which writes the same stdout."""
+    done = subprocess.run([sys.executable, "-c", _REPLACED_AFTER_A_RUN,
+                           json.dumps([argv, module, name])],
+                          env=_entry_point_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"same": True, "called": True}

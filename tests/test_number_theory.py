@@ -3,12 +3,15 @@
 import itertools
 import re
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from distribq import number_theory
+from distribq.catalog import member
 from distribq.identity import Triple, Verdict, case_from_label, check
 from distribq.number_theory import (
     case12_construct,
@@ -257,3 +260,63 @@ def test_family5_rejects_every_f_above_one(a, f, k, sign, e, e_is_root):
         k, sign = abs(signed_k), 1 if signed_k >= 0 else -1
     with pytest.raises(DomainError):
         case13_family5(a, f, k, sign)
+
+
+# ---------------------------------------------------------------------------
+# The integer contract
+
+def _integral(ints):
+    """Ints from `ints`, each as an int or as an integral Fraction."""
+    return st.one_of(ints, ints.map(Fraction))
+
+
+_SMALL = _integral(st.integers(-9, 9))
+# Each function's integer parameters (allow_degenerate is a flag, not one of
+# them), drawn near its preconditions; the case its triples solve; and those
+# triples in its result.
+_INTEGER_CONTRACT = {
+    "solve_linear_diophantine": ([_SMALL] * 3, None, lambda sols: []),
+    "case12_construct": ([_SMALL, _SMALL, _integral(st.integers(0, 9))], "12",
+                         lambda t: [] if t is None else [t]),
+    "case12_enumerate": ([_SMALL, _SMALL, _integral(st.integers(0, 5))], "12",
+                         lambda pairs: [t for _, t in pairs]),
+    "case13_family5": ([_SMALL, _integral(st.integers(0, 2)), _integral(st.integers(0, 9)),
+                        _integral(st.sampled_from([1, -1, 0]))], "13", lambda t: [t]),
+}
+_NOT_AN_INT = st.one_of(st.floats(), st.booleans(), st.text(max_size=3),
+                        st.fractions().filter(lambda q: q.denominator != 1))
+
+
+def _call(name: str, args: list):
+    result = getattr(number_theory, name)(*args)
+    return list(result) if name == "case12_enumerate" else result
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(_INTEGER_CONTRACT)), st.data())
+def test_an_integer_parameter_refuses_any_other_value(name, data):
+    # A float, a bool, a non-integral Fraction or a string, in any position.
+    parameters = _INTEGER_CONTRACT[name][0]
+    args = [data.draw(parameter) for parameter in parameters]
+    args[data.draw(st.integers(0, len(parameters) - 1))] = data.draw(_NOT_AN_INT)
+    with pytest.raises(DomainError):
+        _call(name, args)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(_INTEGER_CONTRACT)), st.data())
+def test_integral_parameters_give_triples_that_hold(name, data):
+    parameters, label, triples = _INTEGER_CONTRACT[name]
+    args = [data.draw(parameter) for parameter in parameters]
+    try:
+        result = _call(name, args)
+    except DomainError:
+        return
+    if name == "solve_linear_diophantine" and not result.empty:
+        p, q, t = args
+        assert all(p * x + q * y == t for x, y in map(result.at, (-1, 0, 1)))
+    for triple in triples(result):
+        case = case_from_label(label)
+        assert all(type(r) is Fraction for r in triple), triple
+        assert check(case, triple).verdict is Verdict.HOLDS, (name, args, triple)
+        assert member(case, triple), (name, args, triple)
