@@ -59,7 +59,12 @@ triples, `classify`'s results and `construct12 --list`'s. `_render` asks it
 for its rows in the requested format alone. A row is one `%` format on its
 integers, or a concatenation of texts made once: a search's row is three
 pieces, each written once per grid value (`oracle.search_positions` gives
-the positions j*V + k), and a `classify` row starts with its case's text.
+the positions j*V + k). A `classify` row is one format on its case's text,
+made once, its verdict and its sides' four integers, each side reduced by
+its gcd in the row loop; a HOLDS row writes its rhs from the lhs's reduced
+pair, as equal rationals reduce to one pair. A parsed rational is built
+from its reduced integers by setting its slots, not through `Fraction()`,
+and an operation, a sign or a boolean is read from a table.
 """
 
 from __future__ import annotations
@@ -68,13 +73,13 @@ import argparse
 import contextlib
 import errno
 import functools
-import math
 import os
 import re
 import reprlib
 import sys
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from math import gcd
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 # The C function alone: `json.encoder` would import the whole json package.
 from _json import encode_basestring_ascii as _quote
@@ -90,6 +95,7 @@ from .identity import (
     SolveOutcome,
     Triple,
     Verdict,
+    _from_coprime_ints,
     case_from_label,
     check,
 )
@@ -117,7 +123,8 @@ def parse_rational(text: str) -> Fraction:
         raise _UsageError(f"rational of {len(text)} characters is too long") from None
     if d == 0:
         raise _UsageError(f"zero denominator in {reprlib.repr(text)}")
-    return Fraction(n, d)
+    g = gcd(n, d)  # d > 0, as _RATIONAL_RE admits no sign in it
+    return _from_coprime_ints(n // g, d // g)
 
 
 def parse_triple(text: str) -> Triple:
@@ -125,15 +132,6 @@ def parse_triple(text: str) -> Triple:
     if len(parts) != 3:
         raise _UsageError(f"expected r1,r2,r3 but got {reprlib.repr(text)}")
     return Triple._make(map(parse_rational, parts))
-
-
-def _parse_op(text: str) -> BinOp:
-    try:
-        return BinOp(text.strip().lower())
-    except ValueError:
-        raise _UsageError(
-            f"unknown operation {reprlib.repr(text)}; use add, sub, mul, or div"
-        ) from None
 
 
 def parse_case(text: str) -> CaseId:
@@ -146,21 +144,23 @@ def parse_case(text: str) -> CaseId:
         ) from None
 
 
-def _parse_sign(text: str) -> int:
-    if text in ("+", "+1"):
-        return 1
-    if text in ("-", "-1"):
-        return -1
-    raise _UsageError(f"sign must be + or -, not {reprlib.repr(text)}")
+def _table_type(table: dict, key: Callable[[str], str], message: str) -> Callable[[str], object]:
+    """An argparse type that returns `table[key(text)]`, one dict read where
+    Enum's lookup or a chain of tests would run in Python; any other text is
+    a `_UsageError`, `message` on its repr."""
+    def parse(text: str):
+        try:
+            return table[key(text)]
+        except KeyError:
+            raise _UsageError(message % reprlib.repr(text)) from None
+    return parse
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("1", "true", "yes"):
-        return True
-    if lowered in ("0", "false", "no"):
-        return False
-    raise _UsageError(f"expected a boolean (0/1/true/false), got {reprlib.repr(text)}")
+_parse_op = _table_type({op._value_: op for op in BinOp}, lambda text: text.strip().lower(),
+                        "unknown operation %s; use add, sub, mul, or div")
+_parse_sign = _table_type({"+": 1, "+1": 1, "-": -1, "-1": -1}, str, "sign must be + or -, not %s")
+_parse_bool = _table_type({"1": True, "true": True, "yes": True, "0": False, "false": False,
+                           "no": False}, str.lower, "expected a boolean (0/1/true/false), got %s")
 
 
 def _int(text: str, message: str) -> int:
@@ -411,9 +411,7 @@ def _side(n: int | None, d: int | None, piece: str = _RATIONAL_FORMAT) -> str | 
     lowest terms with d > 0, as `format_rational` writes its Fraction."""
     if d is None:
         return None
-    g = math.gcd(n, d)
-    if d < 0:
-        g = -g
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
     return _digits(piece, n // g, d // g)
 
 
@@ -429,23 +427,39 @@ def _case_head(case: CaseId, fmt: str) -> str:
 
 
 def _classify_chunks(t: Triple, results: list, fmt: str) -> Iterator[list[str]]:
-    """A `classify`'s rows, one per (case, check result): the case's head,
-    then the result's texts. Both sides are written in every format, also
-    where plain leaves them out, so a side too long to print fails alike."""
-    side, missing = (_JSON_RATIONAL, "null") if fmt == "json" else (_RATIONAL_FORMAT, "")
-    cells = "%s" + _triple_text(_TRIPLE_FORMAT, t) + ",%s,%s,%s,%s\n" if fmt == "csv" else ""
-    rows = []
-    for case, (verdict, lhs_n, lhs_d, rhs_n, rhs_d, site) in results:
-        row = (_case_head(case, fmt), verdict._value_,
-               _side(lhs_n, lhs_d, side) or missing, _side(rhs_n, rhs_d, side) or missing)
-        if fmt == "json":
-            rows.append('%s"%s",\n      "lhs": %s,\n      "rhs": %s,\n      "undefined_site": %s'
-                        '\n    }' % (*row, missing if site is None else _quote(site)))
-        elif fmt == "csv":
-            rows.append(cells % (*row, site or ""))
-        else:  # an UNDEFINED plain row gives its site in place of the sides
-            rows.append(f"{row[0]}UNDEFINED  site: {site}\n" if site
-                        else "%s%s  lhs=%s  rhs=%s\n" % row)
+    """A `classify`'s rows, one per (case, check result): one format on the
+    case's head, the verdict and the sides' four integers, each side reduced
+    by its gcd to a positive denominator in the loop. A HOLDS row's sides
+    are equal, so they reduce to one pair, and the rhs is written from the
+    lhs's. Only an UNDEFINED row may miss a side: it writes each side it has
+    through `_side`, in every format, also where plain leaves them out (as
+    `%.0s`), so a side too long to print fails alike."""
+    # A row is a format on (head, verdict, lhs, rhs, site), with each side's
+    # piece put in as {0} and the site's as {1}.
+    side, missing, site = ((_JSON_RATIONAL, "null", '"%s"') if fmt == "json"
+                           else (_RATIONAL_FORMAT, "", "%s"))
+    row = ('%s"%s",\n      "lhs": {0},\n      "rhs": {0},\n      "undefined_site": {1}\n    }}'
+           if fmt == "json" else "%s" + _triple_text(_TRIPLE_FORMAT, t) + ",%s,{0},{0},{1}\n"
+           if fmt == "csv" else "%s%s  lhs={0}  rhs={0}\n")
+    defined = row.format(side, missing)
+    # An UNDEFINED plain row gives its site in place of the sides.
+    undefined = "%s%s%.0s%.0s  site: %s\n" if fmt == "plain" else row.format("%s", site)
+    holds, rows = Verdict.HOLDS, []
+    for case, (verdict, lhs_n, lhs_d, rhs_n, rhs_d, undefined_site) in results:
+        if undefined_site is not None:
+            rows.append(undefined % (_case_head(case, fmt), verdict._value_,
+                                     _side(lhs_n, lhs_d, side) or missing,
+                                     _side(rhs_n, rhs_d, side) or missing, undefined_site))
+            continue
+        g = gcd(lhs_n, lhs_d) if lhs_d > 0 else -gcd(lhs_n, lhs_d)
+        lhs_n, lhs_d = lhs_n // g, lhs_d // g
+        if verdict is holds:
+            rhs_n, rhs_d = lhs_n, lhs_d
+        else:
+            g = gcd(rhs_n, rhs_d) if rhs_d > 0 else -gcd(rhs_n, rhs_d)
+            rhs_n, rhs_d = rhs_n // g, rhs_d // g
+        rows.append(_digits(defined, _case_head(case, fmt), verdict._value_,
+                            lhs_n, lhs_d, rhs_n, rhs_d))
     yield rows
 
 

@@ -168,7 +168,9 @@ _LABEL_TO_CASE.update(
 def case_from_label(label: str | int) -> CaseId:
     """Look up a case by label ("12", 12, "L1") or operation pair
     ("sub/mul"); case and surrounding whitespace are ignored."""
-    key = "/".join(part.strip() for part in str(label).upper().split("/"))
+    # A label spelled as the table spells it is read as it is.
+    key = label if isinstance(label, str) and label in _LABEL_TO_CASE else "/".join(
+        part.strip() for part in str(label).upper().split("/"))
     try:
         return _LABEL_TO_CASE[key]
     except KeyError:
@@ -196,6 +198,16 @@ def _fraction(n: int | None, d: int | None) -> Fraction | None:
     return None if d is None else Fraction(n, d)
 
 
+def _from_coprime_ints(n: int, d: int = 1) -> Fraction:
+    """The Fraction n/d of ints already in lowest terms with d > 0, made by
+    setting its two slots, where `Fraction(n, d)` would check both types and
+    divide both by their gcd. Python 3.12's private classmethod of this name
+    does the same; 3.10 and 3.11 have none."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = n, d
+    return q
+
+
 class CheckResult(tuple):
     """Outcome of evaluating both sides of the identity.
 
@@ -220,13 +232,8 @@ class CheckResult(tuple):
     verdict = property(itemgetter(0), doc="HOLDS, FAILS or UNDEFINED.")
     undefined_site = property(itemgetter(5), doc="The first undefined site, or None.")
 
-    @property
-    def lhs(self) -> Fraction | None:
-        return _fraction(self[1], self[2])
-
-    @property
-    def rhs(self) -> Fraction | None:
-        return _fraction(self[3], self[4])
+    lhs = property(lambda self: _fraction(self[1], self[2]), doc="The left side's value, or None.")
+    rhs = property(lambda self: _fraction(self[3], self[4]), doc="The right side's value, or None.")
 
     def _values(self) -> tuple:
         return self.verdict, self.lhs, self.rhs, self.undefined_site
@@ -236,11 +243,8 @@ class CheckResult(tuple):
             return NotImplemented
         return self._values() == other._values()
 
-    # tuple's own __ne__ would compare the raw pairs.
-    def __ne__(self, other: object) -> bool:
-        if not isinstance(other, CheckResult):
-            return NotImplemented
-        return self._values() != other._values()
+    # tuple's own __ne__ would compare the raw pairs; object's inverts __eq__.
+    __ne__ = object.__ne__
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -299,16 +303,20 @@ def _define(name: str, body: list[str], namespace: dict):
     return defined[name]
 
 
-def _undefined_result(dbc: int, dab: int, dac: int,
-                      nlhs: int, dlhs: int, nrhs: int, drhs: int) -> CheckResult:
-    """A kernel's UNDEFINED result. The denominators (dbc, dlhs, dab, dac,
-    drhs) are in `_SITES` order, and one is zero where that site or an
-    operand it was computed from divides by zero, so the first zero is the
-    first undefined site and a side is kept only if none on its way is zero."""
-    site = _SITES[(dbc, dlhs, dab, dac, drhs).index(0)]
-    lhs = (nlhs, dlhs) if dbc and dlhs else (None, None)
-    rhs = (nrhs, drhs) if dab and dac and drhs else (None, None)
-    return CheckResult((_UNDEFINED, *lhs, *rhs, site))
+# The lhs is computed from the steps up to its own, and the rhs, the last
+# step, from the rest.
+_LHS_STEPS = [step[1] for step in _STEPS].index("lhs") + 1
+
+
+def _undefined_result(dens: tuple, nlhs: int, nrhs: int) -> CheckResult:
+    """A kernel's UNDEFINED result from its steps' denominators in `_STEPS`
+    order. One is zero where that site or an operand it was computed from
+    divides by zero, so the first zero is the first undefined site and a
+    side is kept only if none on its way is zero."""
+    first = dens.index(0)
+    lhs = (nlhs, dens[_LHS_STEPS - 1]) if first >= _LHS_STEPS else (None, None)
+    rhs = (None, None) if first >= _LHS_STEPS or 0 in dens[_LHS_STEPS:] else (nrhs, dens[-1])
+    return CheckResult((_UNDEFINED, *lhs, *rhs, _SITES[first]))
 
 
 def _build_kernel(case: CaseId):
@@ -321,7 +329,8 @@ def _build_kernel(case: CaseId):
     divisions = [f"d{out}" for out, op, _, _ in ops if op is BinOp.DIV]
     if divisions:
         body.append(f"if not ({' and '.join(divisions)}):")
-        body.append("    return _undefined_result(dbc, dab, dac, nlhs, dlhs, nrhs, drhs)")
+        body.append(f"    return _undefined_result(({', '.join(f'd{out}' for out, *_ in ops)}),"
+                    " nlhs, nrhs)")
     body.append("return CheckResult((_HOLDS if nlhs * drhs == nrhs * dlhs else _FAILS,"
                 " nlhs, dlhs, nrhs, drhs, None))")
     return _define(f"check_case_{case.label}", body, globals())

@@ -12,12 +12,11 @@ a float or a bool among them, raises DomainError.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .identity import DomainError, Triple, _as_int
+from .identity import DomainError, Triple, _as_int, _from_coprime_ints
 
 __all__ = [
     "DiophantineSolutionSet",
@@ -73,9 +72,9 @@ def solve_linear_diophantine(p: int, q: int, t: int) -> DiophantineSolutionSet:
 
 
 def _exact(r1: int, r2: int, r3: int) -> Triple:
-    """The triple of three ints, each as `Fraction(int)`: exact already, so
-    without the checks that `Triple.of` makes on a value of any type."""
-    return Triple(Fraction(r1), Fraction(r2), Fraction(r3))
+    """The triple of three ints, each the Fraction n/1 made by setting its
+    slots: without the checks that `Triple.of` or `Fraction(int)` make."""
+    return tuple.__new__(Triple, map(_from_coprime_ints, (r1, r2, r3)))
 
 
 def _case12_parameters(n1: int, n2: int) -> tuple[int, int]:
@@ -118,9 +117,12 @@ def case12_construct(
 def case12_enumerate(
     n1: int, n2: int, limit: int, allow_degenerate: bool = False
 ) -> Iterator[tuple[int, Triple]]:
-    """Yield (delta, triple) pairs for ascending delta >= 1 with integer N3.
+    """An iterator of the first `limit` (delta, triple) pairs for ascending
+    delta >= 1 with integer N3.
 
-    Walks the Diophantine solution set of delta*(N1 - N2) + N3*(2*N2 - N1) = 1
+    It checks its parameters and solves the equation when called, so a
+    DomainError is raised by the call, not by the first `next()`. It walks
+    the Diophantine solution set of delta*(N1 - N2) + N3*(2*N2 - N1) = 1
     instead of trial-dividing each delta; both entry points exist because
     the CLI needs point queries and listings.
     """
@@ -139,7 +141,7 @@ def case12_enumerate(
         ddelta, dy = -ddelta, -dy
     triples = ((delta, _exact(delta * n1, delta * n2, n1 * y))
                for delta, y in zip(count(delta, ddelta), count(y, dy)) if y or allow_degenerate)
-    yield from islice(triples, limit)
+    return islice(triples, limit)
 
 
 def case13_family5(a: int, f: int, k: int, sign: int = 1) -> Triple:

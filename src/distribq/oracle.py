@@ -38,7 +38,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .catalog import family_union_member, member
-from .identity import DEFAULT_LIST_LIMIT, CaseId, DomainError, Triple, Verdict, check
+from .identity import DEFAULT_LIST_LIMIT, CaseId, DomainError, Triple, Verdict, _as_int, check
 
 if TYPE_CHECKING:
     from array import array
@@ -64,13 +64,16 @@ class SearchBounds(NamedTuple):
 
 
 def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
-    """All canonical n/d with |n| <= num_bound, d <= den_bound, ascending."""
-    if bounds.num_bound < 1 or bounds.den_bound < 1:
+    """All canonical n/d with |n| <= num_bound, d <= den_bound, ascending.
+    Each bound is an int or an integral Fraction; any other value, a float
+    or a bool among them, raises DomainError."""
+    num_bound, den_bound = map(_as_int, bounds, SearchBounds._fields)
+    if num_bound < 1 or den_bound < 1:
         raise DomainError("bounds must be >= 1")
     values = [
         Fraction(n, d)
-        for d in range(1, bounds.den_bound + 1)
-        for n in range(-bounds.num_bound, bounds.num_bound + 1)
+        for d in range(1, den_bound + 1)
+        for n in range(-num_bound, num_bound + 1)
         if gcd(abs(n), d) == 1
     ]
     values.sort()

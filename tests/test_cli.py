@@ -738,11 +738,22 @@ _CLASSIFY_COMPONENTS = st.one_of(st.just(Fraction(0)),
                                  st.sampled_from([Fraction(1), Fraction(-1)]), _FRACTIONS)
 
 
+_40_DIGITS = (Fraction(10**39 + 3, 10**39 + 7), Fraction(-(10**40 - 3), 10**38 + 1),
+              Fraction(7**47, 3**83))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.builds(Triple, *[_CLASSIFY_COMPONENTS] * 3))
 @example(Triple.of(0, 0, 0))
 @example(Triple.of(0, 0, 1))
 @example(Triple.of(0, 1, 0))
+# HOLDS rows whose two sides the kernel computes at different scales, with
+# the lhs's pair not in lowest terms on some: a HOLDS row writes its rhs
+# from the lhs's reduced pair. L1 and L2 on ~40-digit components; r1 = 0;
+# mul over mul with r3 = 0.
+@example(Triple(*_40_DIGITS))
+@example(Triple(Fraction(0), _40_DIGITS[1], _40_DIGITS[2]))
+@example(Triple(_40_DIGITS[2], Fraction(1), Fraction(0)))
 def test_classify_rows_match_an_independent_renderer(t):
     argv = ["classify", "--triple", ",".join(map(_n_d, t))]
     for fmt, run in _run_formats(argv).items():

@@ -1,5 +1,6 @@
 """The identity checker: operation pairings, verdicts, and undefinedness."""
 
+import copy
 import operator
 import os
 import pickle
@@ -81,8 +82,10 @@ def test_case_number_is_none_for_base_laws():
 
 
 def test_unknown_label_raises():
-    for label in ("15", "pow/add", "sub/mul/add", "sub/", "12/13", ""):
-        with pytest.raises(KeyError):
+    # A value no dict can hold is an unknown label too, not a TypeError.
+    for label in ("15", "pow/add", "sub/mul/add", "sub/", "12/13", "", "1 2",
+                  ["1"], {"L1": 1}, None, 1.0):
+        with pytest.raises(KeyError, match="unknown case label"):
             case_from_label(label)
 
 
@@ -90,7 +93,12 @@ def test_case_from_label_accepts_operation_pairs():
     assert case_from_label("sub/mul") == case_from_label(12)
     assert case_from_label(" SUB / Mul ") == CaseId(BinOp.SUB, BinOp.MUL)
     for case in ALL_CASES:
-        assert case_from_label(f"{case.outer.value}/{case.inner.value}") == case
+        pair = f"{case.outer.value}/{case.inner.value}"
+        assert case_from_label(pair) == case
+        # The table's own spelling is read as it is, any other normalised first.
+        for label in (case.label, case.label.lower(), f" {case.label} ", pair.upper(),
+                      f" {pair.upper()} ".replace("/", " / ")):
+            assert case_from_label(label) is case, label
 
 
 def test_base_law_example_holds():
@@ -405,3 +413,54 @@ def test_enum_members_keep_their_values_in_value_():
     # this test names the cause.
     for member in [*Verdict, *BinOp, *catalog.SolveOutcome]:
         assert member._value_ == member.value and type(member._value_) is str, member
+
+
+_WIDE_INT = 10**4999 + 7  # 5,000 digits: past the digits that str() converts
+
+
+def _outcome(f, *args):
+    """What `f(*args)` returns, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+
+
+def _assert_same_fraction(n: int, d: int) -> None:
+    made, ref = identity._from_coprime_ints(n, d), Fraction(n, d)
+    assert type(made) is Fraction
+    assert (made._numerator, made._denominator) == (n, d) and made == ref
+    assert hash(made) == hash(ref) and {ref: 1}[made] == 1
+    for show in (repr, str, lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+        assert _outcome(show, made) == _outcome(show, ref)
+    assert copy.copy(made) is made and copy.deepcopy(made) is made
+    others = (Fraction(0), Fraction(-1), Fraction(3, 7), ref, 5, 0.5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.floordiv,
+               operator.mod, operator.lt, operator.eq, divmod):
+        for other in others:
+            assert _outcome(op, made, other) == _outcome(op, ref, other)
+            assert _outcome(op, other, made) == _outcome(op, other, ref)
+    for op in (operator.neg, abs, int, bool, round, float):
+        assert _outcome(op, made) == _outcome(op, ref)
+    assert _outcome(pow, made, 2) == _outcome(pow, ref, 2)
+    if d == 1:
+        assert identity._from_coprime_ints(n) == ref
+
+
+# By name: hypothesis and pytest ids would write a 5,000-digit value with str().
+_COPRIME_PAIRS = {"0": (0, 1), "1": (1, 1), "-1": (-1, 1), "wide": (_WIDE_INT, 1),
+                  "-wide": (-_WIDE_INT, 1), "1/wide": (1, _WIDE_INT),
+                  "-wide/(wide+2)": (-_WIDE_INT, _WIDE_INT + 2)}
+
+
+@pytest.mark.parametrize("name", list(_COPRIME_PAIRS))
+def test_a_fraction_from_coprime_ints_is_the_fraction_of_them(name):
+    # Type, value, hash, repr, str, pickle round trip, copy and arithmetic;
+    # a 5,000-digit one fails repr, str and pickle as Fraction's own does.
+    _assert_same_fraction(*_COPRIME_PAIRS[name])
+
+
+@settings(max_examples=300)
+@given(st.fractions() | components)
+def test_a_fraction_from_coprime_ints_is_the_fraction_of_any_lowest_terms(q):
+    _assert_same_fraction(*q.as_integer_ratio())

@@ -184,6 +184,27 @@ def test_case12_enumerate_refuses_a_limit_islice_cannot_take():
     assert next(case12_enumerate(5, 3, sys.maxsize)) == next(case12_enumerate(5, 3, 1))
 
 
+@pytest.mark.parametrize("args", [
+    (2, 3, 5), (3, 6, 1), (3, 0, 1), (3, 2, -1), (3, 2, sys.maxsize + 1),
+])
+def test_case12_enumerate_refuses_its_parameters_when_called(args):
+    # At the call that caused it, not at the first next(), far from it; a
+    # value of the wrong type is refused at the call as well (see the
+    # integer contract below).
+    with pytest.raises(DomainError):
+        case12_enumerate(*args)
+
+
+def test_case12_enumerate_returns_an_iterator_that_solves_when_called(monkeypatch):
+    solved = []
+    real = number_theory.solve_linear_diophantine
+    monkeypatch.setattr(number_theory, "solve_linear_diophantine",
+                        lambda *args: solved.append(args) or real(*args))
+    pairs = case12_enumerate(3, 2, 3)
+    assert solved == [(1, 1, 1)] and iter(pairs) is pairs
+    assert [delta for delta, _ in pairs] == [2, 3, 4] and list(pairs) == []
+
+
 def test_case12_enumerate_agrees_with_construct():
     # 2*N2 - N1 < 0 for (3, -2), (3, 1), (5, 1), (9, -4) and (-3, -4), so
     # the solution set's step runs delta downward and the walk must negate it.
@@ -299,8 +320,8 @@ def test_an_integer_parameter_refuses_any_other_value(name, data):
     parameters = _INTEGER_CONTRACT[name][0]
     args = [data.draw(parameter) for parameter in parameters]
     args[data.draw(st.integers(0, len(parameters) - 1))] = data.draw(_NOT_AN_INT)
-    with pytest.raises(DomainError):
-        _call(name, args)
+    with pytest.raises(DomainError):  # at the call, case12_enumerate's too
+        getattr(number_theory, name)(*args)
 
 
 @settings(max_examples=400)
