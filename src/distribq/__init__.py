@@ -9,19 +9,21 @@ generates the known parametric solution families, solves the polynomial
 cases for the middle component in closed form, and exhaustively verifies
 every characterization on bounded grids of canonical fractions.
 
-The package re-exports each module's public names (its `__all__`), but
-imports no module itself: a name is looked up in its module on first
-access (PEP 562), which imports that module alone, and is then kept here.
-So `import distribq` and a command that needs only `identity` never
-compile `catalog`, `number_theory` or `oracle`, while `from distribq
-import *` binds all 28 names.
+`_EXPORTS` is the one list of the public names, by module: each module
+sets its `__all__` from its own row, and the package re-exports them all
+without importing a module itself. A name is looked up in its module on
+first access (PEP 562), which imports that module alone, and is then kept
+here. So `import distribq` and a command that needs only `identity` never
+compile `catalog`, `number_theory` or `oracle`, while `from distribq import *`
+binds all 28 names.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# Each module's `__all__`, in the order the package lists them.
+# The public names, the only list of them: each module's row is its `__all__`,
+# in the order the package lists them.
 _EXPORTS = {
     "identity": ("ALL_CASES", "BinOp", "CaseId", "CheckResult", "DomainError", "Triple",
                  "Verdict", "case_from_label", "check"),

@@ -47,6 +47,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
+from . import _EXPORTS
 from .identity import (
     BinOp,
     CaseId,
@@ -62,17 +63,7 @@ from .identity import (
     case_from_label,
 )
 
-__all__ = [
-    "FamilyId",
-    "FamilySpec",
-    "SolveOutcome",
-    "families_for",
-    "family_spec",
-    "family_union_member",
-    "generate",
-    "member",
-    "solve_r2",
-]
+__all__ = _EXPORTS["catalog"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +363,15 @@ _register("L1", _UNIVERSAL)
 _register("L2", _UNIVERSAL)
 
 
+def _printed(value) -> str:
+    """str(value) for a message, or "..." for a value with more digits than
+    str() converts."""
+    try:
+        return str(value)
+    except ValueError:
+        return "..."
+
+
 def families_for(case: CaseId) -> tuple[FamilySpec, ...]:
     return _FAMILIES[case.label]
 
@@ -380,7 +380,7 @@ def family_spec(case: CaseId, index: int) -> FamilySpec:
     specs = _FAMILIES[case.label]
     if not 1 <= index <= len(specs):
         raise DomainError(
-            f"case {case.label} has families 1..{len(specs)}, not {index}"
+            f"case {case.label} has families 1..{len(specs)}, not {_printed(index)}"
         )
     return specs[index - 1]
 
@@ -408,9 +408,9 @@ def generate(family: FamilyId, params: Mapping[str, object]) -> Triple:
     args = {name: _coerce(spec.params[name], value, name) for name, value in supplied.items()}
     t = spec.build(**args)
     if not spec.matches(t) and not args.get("printed_form"):
-        given = ", ".join(f"{name}={value}" for name, value in args.items())
+        given = ", ".join(f"{name}={_printed(value)}" for name, value in args.items())
         raise DomainError(
-            f"{given} gives {t.r1}, {t.r2}, {t.r3}, outside case {spec.case_label} "
+            f"{given} gives {', '.join(map(_printed, t))}, outside case {spec.case_label} "
             f"family {spec.index}: {spec.summary}"
         )
     return t

@@ -54,17 +54,14 @@ module the first time it is read and keeps it as a plain attribute. So
 Handlers look up `check` and each library function at call time, so a
 replacement installed after the first `run` is still called.
 
-Every answer with many rows is a `_Rows` listing: `search`'s and `verify`'s
-triples, `classify`'s results and `construct12 --list`'s. `_render` asks it
-for its rows in the requested format alone. A row is one `%` format on its
-integers, or a concatenation of texts made once: a search's row is three
-pieces, each written once per grid value (`oracle.search_positions` gives
-the positions j*V + k). A `classify` row is one format on its case's text,
-made once, its verdict and its sides' four integers, each side reduced by
-its gcd in the row loop; a HOLDS row writes its rhs from the lhs's reduced
-pair, as equal rationals reduce to one pair. A parsed rational is built
-from its reduced integers by setting its slots, not through `Fraction()`,
-and an operation, a sign or a boolean is read from a table.
+A listing that is large or on the point-query path is a `_Rows`:
+`search`'s triples, `classify`'s results and `construct12 --list`'s.
+`_render` asks it for its rows in the requested format alone, each row one
+`%` format on its integers or a concatenation of texts made once. Every
+other value, `verify`'s at most `--limit` triples per category among them,
+is written by the ordinary value writers. A parsed rational is built from
+its reduced integers by setting its slots, not through `Fraction()`, and an
+operation, a sign or a boolean is read from a table.
 """
 
 from __future__ import annotations
@@ -234,10 +231,10 @@ class _Record(NamedTuple):
 _RATIONAL_FORMAT = "%d/%d"  # a rational from its numerator and denominator slots
 _JSON_RATIONAL = f'"{_RATIONAL_FORMAT}"'
 _TRIPLE_FORMAT = ",".join([_RATIONAL_FORMAT] * 3)
-# A listed triple's row in each format, as three pieces: each a format on one
-# component's numerator and denominator, and the row their concatenation
-# after the listing's pad. A plain or CSV row is a line; in a document, whose
-# listings are top-level values, it is an array.
+# A search's row in each format, as three pieces: each a format on one
+# component's numerator and denominator, and the row their concatenation. A
+# plain or CSV row is a line; in a document, whose listings are top-level
+# values, it is an array.
 _TEXT_ROW = (_RATIONAL_FORMAT, "," + _RATIONAL_FORMAT, "," + _RATIONAL_FORMAT + "\n")
 _ROW_PIECES = {"csv": _TEXT_ROW, "plain": _TEXT_ROW, "json": (
     "\n    [\n      " + _JSON_RATIONAL, ",\n      " + _JSON_RATIONAL,
@@ -281,13 +278,6 @@ def _grid_chunks(values: Sequence[Fraction], partitions: Sequence[Sequence[int]]
             for start in range(0, len(positions), _CHUNK):
                 yield [prefix[p // size] + end[p % size]
                        for p in positions[start:start + _CHUNK]]
-
-
-def _triple_chunks(triples: Sequence[Triple], pad: str, fmt: str) -> Iterator[list[str]]:
-    """Listed triples' rows, led by `pad`: one format on each one's six slot integers."""
-    row = pad + "".join(_ROW_PIECES[fmt])
-    for start in range(0, len(triples), _CHUNK):
-        yield [_triple_text(row, t) for t in triples[start:start + _CHUNK]]
 
 
 def _json_block(items: list[str], ends: str, pad: str) -> str:
@@ -620,7 +610,7 @@ def _cmd_verify(args) -> _Record:
     ]
     for category, triples in lists.items():
         if triples:
-            plain += [f"{category}:", _Rows(_triple_chunks, triples, "  ")]
+            plain += [f"{category}:", *(["  ", t] for t in triples)]
     return _Record(
         0 if report.exact else 1,
         {"case": args.case, "bounds": bounds._asdict(),
@@ -629,9 +619,9 @@ def _cmd_verify(args) -> _Record:
          "spurious_count": report.spurious_count,
          "coverage_gap_count": report.coverage_gap_count,
          "exact": report.exact, "list_limit": report.list_limit,
-         **{category: _Rows(_triple_chunks, triples, "") for category, triples in lists.items()}},
+         **{category: list(map(list, triples)) for category, triples in lists.items()}},
         ["category,r1,r2,r3",
-         *[_Rows(_triple_chunks, triples, category + ",") for category, triples in lists.items()]],
+         *([category, t] for category, triples in lists.items() for t in triples)],
         plain,
     )
 

@@ -33,17 +33,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-__all__ = [
-    "ALL_CASES",
-    "BinOp",
-    "CaseId",
-    "CheckResult",
-    "DomainError",
-    "Triple",
-    "Verdict",
-    "case_from_label",
-    "check",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["identity"]
 
 
 class DomainError(ValueError):
@@ -256,7 +248,7 @@ class CheckResult(tuple):
 
 
 # Module-level aliases: looking a member up on an Enum class costs more than
-# the integer arithmetic it selects.
+# the integer arithmetic it selects. `oracle`'s scans test `_HOLDS` too.
 _HOLDS, _FAILS, _UNDEFINED = Verdict.HOLDS, Verdict.FAILS, Verdict.UNDEFINED
 
 

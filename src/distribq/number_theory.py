@@ -16,15 +16,10 @@ from itertools import count, islice
 from math import gcd
 from typing import Iterator, NamedTuple
 
+from . import _EXPORTS
 from .identity import DomainError, Triple, _as_int, _from_coprime_ints
 
-__all__ = [
-    "DiophantineSolutionSet",
-    "case12_construct",
-    "case12_enumerate",
-    "case13_family5",
-    "solve_linear_diophantine",
-]
+__all__ = _EXPORTS["number_theory"]
 
 
 class DiophantineSolutionSet(NamedTuple):

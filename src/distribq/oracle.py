@@ -26,6 +26,10 @@ the partition function once per worker, through its initializer, and
 tasks are first-component positions. The process-pool machinery is
 imported only when a pool starts, and `array` by the first search
 partition, so one-shot commands and `--jobs 1` runs never load the pool.
+
+`jobs` is an int >= 1, and verify's `list_limit` None or an int >= 0; an
+integral Fraction reads as its int, and any other value raises DomainError
+before the scan starts.
 """
 
 from __future__ import annotations
@@ -37,25 +41,18 @@ from itertools import product, repeat
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from . import _EXPORTS
 from .catalog import family_union_member, member
-from .identity import DEFAULT_LIST_LIMIT, CaseId, DomainError, Triple, Verdict, _as_int, check
+from .identity import DEFAULT_LIST_LIMIT, _HOLDS, CaseId, DomainError, Triple, _as_int, check
 
 if TYPE_CHECKING:
     from array import array
 
-# Per-triple shortcuts: an Enum class lookup costs more than the comparison
-# it feeds, and tuple.__new__ skips the NamedTuple's Python-level __new__
-# where a Triple is built (in `_triples`, and for `family_union_member`).
-_HOLDS = Verdict.HOLDS
+# tuple.__new__ skips the NamedTuple's Python-level __new__ where a Triple is
+# built (in `_triples`, and for `family_union_member`).
 _new = tuple.__new__
 
-__all__ = [
-    "SearchBounds",
-    "VerificationReport",
-    "enumerate_rationals",
-    "search_solutions",
-    "verify_characterization",
-]
+__all__ = _EXPORTS["oracle"]
 
 
 class SearchBounds(NamedTuple):
@@ -78,6 +75,14 @@ def enumerate_rationals(bounds: SearchBounds) -> list[Fraction]:
     ]
     values.sort()
     return values
+
+
+def _count(value, name: str, least: int) -> int:
+    """`value` through `_as_int`; one below `least` raises DomainError."""
+    value = _as_int(value, name)
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}")
+    return value
 
 
 def _search_partition(case: CaseId, r1: Fraction, values: list[Fraction]) -> array:
@@ -158,7 +163,8 @@ def search_positions(
     values[i] in order, the ascending positions j*V + k of the triples
     (values[i], values[j], values[k]) whose identity check HOLDS. The scan
     runs as the iterator is read; a pool, if one starts, closes when the
-    iterator is exhausted."""
+    iterator is exhausted; `jobs` is checked before it is made."""
+    jobs = _count(jobs, "jobs", 1)
     values = enumerate_rationals(bounds)
     return values, _run_partitions(_search_partition, case, values, jobs)
 
@@ -202,6 +208,9 @@ def verify_characterization(
     list_limit: int | None = DEFAULT_LIST_LIMIT,
 ) -> VerificationReport:
     """Exhaustively compare check, member, and family_union_member on the grid."""
+    jobs = _count(jobs, "jobs", 1)
+    if list_limit is not None:
+        list_limit = _count(list_limit, "list_limit", 0)
     values = enumerate_rationals(bounds)
     holds, *listings = zip(*_run_partitions(
         partial(_verify_partition, list_limit=list_limit), case, values, jobs

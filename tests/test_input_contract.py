@@ -3,10 +3,13 @@
 `Triple.of`, `solve_r2` and a family's rational parameter read an int, a
 Fraction or a string that Fraction reads; a family's integer parameter and
 a grid bound read an int or an integral Fraction. Anything else, a float or
-a bool among them, raises DomainError and no other exception.
+a bool among them, raises DomainError and no other exception. So do a
+scan's `jobs` below 1 and verify's `list_limit` below 0, before the scan.
+A value too long to print is left out of an error message, not converted.
 (`number_theory`'s functions are covered in tests/test_number_theory.py.)
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,3 +85,61 @@ def test_a_grid_bound_is_an_integer(scan, bounds):
 def test_an_integral_fraction_bound_is_its_integer(scan):
     case = case_from_label("12")
     assert scan(case, SearchBounds(Fraction(2), Fraction(1))) == scan(case, SearchBounds(2, 1))
+
+
+# (scan, option, least value)
+_COUNTS = {
+    "search_solutions jobs": (search_solutions, "jobs", 1),
+    "verify_characterization jobs": (verify_characterization, "jobs", 1),
+    "verify_characterization list_limit": (verify_characterization, "list_limit", 0),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_COUNTS)), st.data())
+def test_jobs_and_list_limit_are_counts(name, data):
+    # Floats, bools, strings, non-integral Fractions and integers below the least.
+    scan, option, least = _COUNTS[name]
+    value = data.draw(st.one_of(_NOT_AN_INT, st.integers(max_value=least - 1)))
+    with pytest.raises(DomainError, match=option):
+        scan(case_from_label("12"), SearchBounds(2, 1), **{option: value})
+
+
+@pytest.mark.parametrize("scan, option, value", [
+    *((scan, "jobs", value) for scan in (search_solutions, verify_characterization)
+      for value in (0, -3, True, 1.5, "2", None)),
+    *((verify_characterization, "list_limit", value)
+      for value in (-1, 1.5, True, "1", Fraction(1, 2))),
+])
+def test_a_wrong_count_is_refused_before_the_scan(scan, option, value):
+    with pytest.raises(DomainError, match=option):
+        scan(case_from_label("12"), SearchBounds(2, 1), **{option: value})
+
+
+def test_an_integral_fraction_count_is_its_integer():
+    case, bounds = case_from_label("12"), SearchBounds(2, 1)
+    assert search_solutions(case, bounds, jobs=Fraction(1)) == search_solutions(case, bounds)
+    report = verify_characterization(case, bounds, jobs=Fraction(1), list_limit=Fraction(3))
+    assert report == verify_characterization(case, bounds, list_limit=3)
+    assert type(report.list_limit) is int
+
+
+def test_a_list_limit_of_zero_keeps_the_counts_and_lists_nothing():
+    case, bounds = case_from_label("12"), SearchBounds(2, 1)
+    full = verify_characterization(case, bounds, list_limit=None)
+    none = verify_characterization(case, bounds, list_limit=0)
+    assert full.coverage_gap_count == len(full.coverage_gap) == 12
+    assert none[:7] == full[:7]  # case, bounds, total, holds and the three counts
+    assert (none.missing, none.spurious, none.coverage_gap, none.list_limit) == ((), (), (), 0)
+
+
+_HUGE = 10**5000  # more digits than str() converts
+
+
+@pytest.mark.parametrize("index, params, message", [
+    (1, {"r1": Fraction(1, _HUGE), "r2": 1, "r3": 1}, "outside case 3 family 1: "),
+    (_HUGE, {}, "case 3 has families 1..2"),
+], ids=["outside-family", "family-range"])
+def test_a_value_too_long_to_print_is_left_out_of_the_message(index, params, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        catalog.generate(catalog.FamilyId(case_from_label("3"), index), params)

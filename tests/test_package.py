@@ -1,6 +1,7 @@
-"""The package's public names: each module states its own, and the package
-re-exports them all, importing each module only when one of its names is
-first read. A command imports only the modules it uses."""
+"""The package's public names: `distribq._EXPORTS` lists them once, by module,
+and each module sets its `__all__` from its own row. The package re-exports
+them all, importing each module only when one of its names is first read. A
+command imports only the modules it uses."""
 
 import json
 import os
