@@ -377,6 +377,10 @@ def families_for(case: CaseId) -> tuple[FamilySpec, ...]:
 
 
 def family_spec(case: CaseId, index: int) -> FamilySpec:
+    """The case's family `index`, an int or an integral Fraction counted
+    from 1; anything else, a bool or a float among them, or an index out
+    of range raises DomainError."""
+    index = _as_int(index, "family index")
     specs = _FAMILIES[case.label]
     if not 1 <= index <= len(specs):
         raise DomainError(

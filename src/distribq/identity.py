@@ -16,6 +16,9 @@ numerator and denominator straight from the Fraction's `_numerator` and
 `_denominator` slots and builds no Fraction: its result is one flat tuple
 `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as a
 numerator and a denominator and builds the side's Fraction when it is read.
+A grid scan, which reads only the verdict, calls `check` with
+`verdict_only` and gets one of two shared results that carry no sides, so
+it builds no result per triple.
 `catalog` generates its per-case `member` kernels with the same templates,
 the same slot loads and the same lazy table.
 Nothing uses floating point.
@@ -203,9 +206,11 @@ def _from_coprime_ints(n: int, d: int = 1) -> Fraction:
 class CheckResult(tuple):
     """Outcome of evaluating both sides of the identity.
 
-    HOLDS and FAILS always carry both side values. UNDEFINED carries the
-    description of the first undefined sub-operation, plus whichever side
-    values could still be computed.
+    HOLDS and FAILS carry both side values, except for `_HELD` and
+    `_FAILED`, the shared results of `check(case, t, verdict_only=True)`,
+    which carry none. UNDEFINED carries the description of the first
+    undefined sub-operation, plus whichever side values could still be
+    computed.
 
     `check` builds it from one flat tuple (verdict, lhs_n, lhs_d, rhs_n,
     rhs_d, undefined_site) in which each side is the integer numerator and
@@ -248,8 +253,13 @@ class CheckResult(tuple):
 
 
 # Module-level aliases: looking a member up on an Enum class costs more than
-# the integer arithmetic it selects. `oracle`'s scans test `_HOLDS` too.
+# the integer arithmetic it selects.
 _HOLDS, _FAILS, _UNDEFINED = Verdict.HOLDS, Verdict.FAILS, Verdict.UNDEFINED
+
+# The results of `check(case, t, verdict_only=True)` that hold and that fail:
+# shared by every such call, they carry a verdict and no sides.
+_HELD = CheckResult((_HOLDS, None, None, None, None, None))
+_FAILED = CheckResult((_FAILS, None, None, None, None, None))
 
 
 # The identity's five sub-operations, the only statement of them, in the
@@ -281,13 +291,15 @@ _SLOT = {"n": "_numerator", "d": "_denominator"}
 
 
 def _define(name: str, body: list[str], namespace: dict):
-    """Compile `def name(t)` with the lines `body` in the globals `namespace`.
+    """Compile `def name(t)` with the lines `body` in the globals `namespace`,
+    or `def name(t, verdict_only=False)` if the body names `verdict_only`.
     The function first unpacks `r1, r2, r3 = t`, then loads each slot integer
     n1, d1, ..., d3 whose name the body contains (no other name in a body
     contains one): as_integer_ratio and the numerator/denominator properties
     are Python-level functions in fractions.py, one call per read."""
     text = "\n".join(body)
-    lines = [f"def {name}(t):", "    r1, r2, r3 = t"]
+    params = "t, verdict_only=False" if "verdict_only" in text else "t"
+    lines = [f"def {name}({params}):", "    r1, r2, r3 = t"]
     lines += [f"    {v}{i} = r{i}.{_SLOT[v]}" for i in "123" for v in "nd" if v + i in text]
     lines += ["    " + line for line in body]
     defined: dict = {}
@@ -323,6 +335,8 @@ def _build_kernel(case: CaseId):
         body.append(f"if not ({' and '.join(divisions)}):")
         body.append(f"    return _undefined_result(({', '.join(f'd{out}' for out, *_ in ops)}),"
                     " nlhs, nrhs)")
+    body.append("if verdict_only:")
+    body.append("    return _HELD if nlhs * drhs == nrhs * dlhs else _FAILED")
     body.append("return CheckResult((_HOLDS if nlhs * drhs == nrhs * dlhs else _FAILS,"
                 " nlhs, dlhs, nrhs, drhs, None))")
     return _define(f"check_case_{case.label}", body, globals())
@@ -344,7 +358,7 @@ class _Kernels(dict):
 _KERNELS = _Kernels()
 
 
-def check(case: CaseId, t: Triple) -> CheckResult:
+def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     """Evaluate r1 outer (r2 inner r3) against (r1 outer r2) inner (r1 outer r3).
 
     Both sides are always attempted; if any sub-operation divides by zero
@@ -357,5 +371,10 @@ def check(case: CaseId, t: Triple) -> CheckResult:
     compares the sides by cross-multiplication. The result keeps each side's
     numerator and denominator and builds its Fraction when `lhs` or `rhs` is
     read.
+
+    With `verdict_only` true, a HOLDS or FAILS result is one of two shared
+    results, `_HELD` and `_FAILED`, that carry no sides: a grid scan, which
+    reads only the verdict, allocates no result per triple. An UNDEFINED
+    result is the same as without it.
     """
-    return _KERNELS[case](t)
+    return _KERNELS[case](t, verdict_only)

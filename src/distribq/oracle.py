@@ -11,7 +11,10 @@ was produced by one worker or many.
 Both scans walk `product((r1,), values, values)` and hand `check` and
 `member` its plain tuples, which they read only as `r1, r2, r3 = t`.
 Family shapes read a triple's fields by name, so verify builds a `Triple`
-for `family_union_member` alone, and only for the triples that hold.
+for `family_union_member` alone, and only for the triples that hold. Both
+ask `check` for its verdict only and compare the result with the shared
+`_HELD`, so no result is built per triple. The flag is passed by position,
+so that a wrapper of `oracle.check` that takes only `*args` still sees it.
 
 In this process or in a pool, a partition lists a triple as j*V + k for
 (values[j], values[k]) as r2 and r3. A search partition returns its
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import _EXPORTS
 from .catalog import family_union_member, member
-from .identity import DEFAULT_LIST_LIMIT, _HOLDS, CaseId, DomainError, Triple, _as_int, check
+from .identity import DEFAULT_LIST_LIMIT, _HELD, CaseId, DomainError, Triple, _as_int, check
 
 if TYPE_CHECKING:
     from array import array
@@ -89,7 +92,7 @@ def _search_partition(case: CaseId, r1: Fraction, values: list[Fraction]) -> arr
     from array import array  # loaded by the first search, not on import
 
     return array("q", [p for p, t in enumerate(product((r1,), values, values))
-                       if check(case, t).verdict is _HOLDS])
+                       if check(case, t, True) is _HELD])
 
 
 def _verify_partition(
@@ -100,7 +103,7 @@ def _verify_partition(
     holds = 0
     missing, spurious, gap = [], [], []
     for p, t in enumerate(product((r1,), values, values)):
-        holds_here = check(case, t).verdict is _HOLDS
+        holds_here = check(case, t, True) is _HELD
         is_member = member(case, t)
         if holds_here:
             holds += 1

@@ -21,6 +21,7 @@ the parameters; a few parameter records tie each symbolic triple to the
 triple the code builds.
 """
 
+import ast
 import operator
 from fractions import Fraction
 from itertools import product
@@ -163,12 +164,37 @@ def _slot_divisors(case) -> list:
     return [sp.numer(sp.together(g.subs(AS_SLOTS))) for g in _derive(case)[0]]
 
 
+def _kernel_returns(lines: list[str]) -> list[tuple[tuple[str, str], str]]:
+    """For each of a kernel's two returns of a decided verdict, the names it
+    picks on equal and on unequal sides, and `left - right` of the equality
+    that picks. The lines after the steps must be the UNDEFINED guard, if the
+    case divides, then `if verdict_only:` returning a bare choice of two
+    names, then the `CheckResult` whose verdict is such a choice."""
+    *guards, shared, built = ast.parse("\n".join(lines)).body
+    for guard in guards:
+        (undefined,) = guard.body
+        assert ast.unparse(undefined.value.func) == "_undefined_result", ast.unparse(guard)
+    assert ast.unparse(shared.test) == "verdict_only" and not shared.orelse, ast.unparse(shared)
+    (shared_return,) = shared.body
+    (result,) = built.value.args
+    assert ast.unparse(built.value.func) == "CheckResult", ast.unparse(built)
+    returns = []
+    for choice in (shared_return.value, result.elts[0]):
+        (op,), (right,) = choice.test.ops, choice.test.comparators
+        assert isinstance(op, ast.Eq), ast.unparse(choice)
+        returns.append(((choice.body.id, choice.orelse.id),
+                        f"({ast.unparse(choice.test.left)}) - ({ast.unparse(right)})"))
+    return returns
+
+
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
 def test_check_kernel_steps_are_the_identity_s_operations(case):
     # Each step assignment, run on symbols, is its `_STEPS` operation on its
     # operands; the kernel's cross-multiplied sides differ by the identity's
     # numerator times only denominators and divisor numerators, nonzero
-    # wherever the identity is defined.
+    # wherever the identity is defined. Both the verdict-only return, which
+    # may give only the shared `_HELD` or `_FAILED`, and the full result
+    # decide by that cross-multiplication, after every UNDEFINED return.
     body = _generated_body(identity, "_build_kernel", case)
     slots = dict(SLOT_NAMES)
     for line in body[:len(_STEPS)]:
@@ -180,6 +206,10 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
         assert sp.cancel(values[out] - expected) == 0, (case.label, site)
 
     cross = sp.expand(slots["nlhs"] * slots["drhs"] - slots["nrhs"] * slots["dlhs"])
+    returns = _kernel_returns(body[len(_STEPS):])
+    assert [verdicts for verdicts, _ in returns] == [("_HELD", "_FAILED"), ("_HOLDS", "_FAILS")]
+    for _, decision in returns:
+        assert sp.expand(eval(decision, {}, slots)) == cross, (case.label, decision)
     numerator = _derive(case)[1]
     if case.label in ("L1", "L2"):
         assert (numerator, cross) == (0, 0)

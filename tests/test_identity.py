@@ -240,6 +240,23 @@ def test_check_reads_a_plain_tuple_as_it_reads_a_triple(r1, r2, r3):
         assert check(case, tuple(t)) == check(case, t), case.label
 
 
+@settings(max_examples=300)
+@given(components, components, components)
+def test_a_verdict_only_check_agrees_and_shares_its_decided_results(r1, r2, r3):
+    # The grid scans ask for the verdict only: the same verdict and site, but
+    # a decided result is one of two shared objects with no sides.
+    t = Triple(r1, r2, r3)
+    for case in ALL_CASES:
+        full, bare = check(case, t), check(case, t, True)
+        assert (bare.verdict, bare.undefined_site) == (full.verdict, full.undefined_site)
+        if full.verdict is Verdict.UNDEFINED:
+            assert bare == full, case.label
+            continue
+        assert bare is (identity._HELD if full.verdict is Verdict.HOLDS else identity._FAILED)
+        assert (bare.lhs, bare.rhs) == (None, None), case.label
+        assert full.lhs is not None and full.rhs is not None, case.label
+
+
 def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
     values = enumerate_rationals(SearchBounds(2, 2))
     assert 0 in values

@@ -2,9 +2,10 @@
 
 `Triple.of`, `solve_r2` and a family's rational parameter read an int, a
 Fraction or a string that Fraction reads; a family's integer parameter and
-a grid bound read an int or an integral Fraction. Anything else, a float or
-a bool among them, raises DomainError and no other exception. So do a
-scan's `jobs` below 1 and verify's `list_limit` below 0, before the scan.
+a grid bound or a family index read an int or an integral Fraction.
+Anything else, a float or a bool among them, raises DomainError and no
+other exception. So do a scan's `jobs` below 1 and verify's `list_limit`
+below 0, before the scan.
 A value too long to print is left out of an error message, not converted.
 (`number_theory`'s functions are covered in tests/test_number_theory.py.)
 """
@@ -131,6 +132,18 @@ def test_a_list_limit_of_zero_keeps_the_counts_and_lists_nothing():
     assert full.coverage_gap_count == len(full.coverage_gap) == 12
     assert none[:7] == full[:7]  # case, bounds, total, holds and the three counts
     assert (none.missing, none.spurious, none.coverage_gap, none.list_limit) == ((), (), (), 0)
+
+
+@pytest.mark.parametrize("index", ["1", 1.0, None, True, Fraction(3, 2)])
+def test_a_family_index_is_an_integer(index):
+    with pytest.raises(DomainError, match="family index must be an integer"):
+        catalog.generate(catalog.FamilyId(case_from_label("3"), index), {"r1": 0, "r2": 1, "r3": 2})
+
+
+def test_an_integral_fraction_family_index_is_its_integer():
+    family = catalog.FamilyId(case_from_label("3"), Fraction(1))
+    assert catalog.family_spec(family.case, family.index) is catalog.families_for(family.case)[0]
+    assert catalog.generate(family, {"r1": 0, "r2": 1, "r3": 2}) == Triple.of(0, 1, 2)
 
 
 _HUGE = 10**5000  # more digits than str() converts

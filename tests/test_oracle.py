@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import distribq
-from distribq import oracle
-from distribq.identity import ALL_CASES, Triple, case_from_label
+from distribq import identity, oracle
+from distribq.identity import ALL_CASES, BinOp, Triple, Verdict, case_from_label
 from distribq.oracle import (
     SearchBounds,
     enumerate_rationals,
@@ -171,6 +171,29 @@ def test_search_calls_check_once_per_triple_and_never_member(monkeypatch, label)
     bounds = SearchBounds(3, 2)
     search_solutions(case_from_label(label), bounds, jobs=1)
     assert calls == {"check": len(enumerate_rationals(bounds)) ** 3, "member": 0}
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_scans_allocate_no_decided_check_result(monkeypatch, case):
+    # Both scans read only the verdict, so every HOLDS or FAILS result they
+    # get is one of the two shared results; UNDEFINED ones are still built.
+    results = []
+    original = oracle.check
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, "check", recording)
+    bounds = SearchBounds(2, 1)
+    assert 0 in enumerate_rationals(bounds)
+    search_solutions(case, bounds, jobs=1)
+    verify_characterization(case, bounds, jobs=1)
+    assert len(results) == 2 * len(enumerate_rationals(bounds)) ** 3
+    decided = [r for r in results if r.verdict is not Verdict.UNDEFINED]
+    assert decided and all(r is identity._HELD or r is identity._FAILED for r in decided)
+    # A case that divides is undefined somewhere on a grid with zeros.
+    assert (len(decided) < len(results)) == (BinOp.DIV in case)
 
 
 def test_each_scan_enumerates_the_grid_once(monkeypatch):
