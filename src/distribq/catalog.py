@@ -57,6 +57,7 @@ from .identity import (
     _as_fraction,
     _as_int,
     _define,
+    _divisor_operands,
     _Kernels,
     _STEPS,
     _TEMPLATES,
@@ -110,21 +111,18 @@ def _divisors(case: CaseId) -> list[tuple[str, str]]:
     """Each divisor of the case's identity as (its text, the source of its
     numerator in the slot integers), in the order they are tested.
 
-    A divisor is the right operand of a division step of `identity._STEPS`,
-    taken once, in step order, with the numerator that `identity._TEMPLATES`
-    gives it. A divisor's denominator is nonzero once the divisors before it
-    are nonzero, so it is zero exactly when its numerator is. Only a
-    component or the result of a step on two components is ever divided by,
-    so only their entries in `operands` are read.
+    The divisors are `identity._divisor_operands`: the right operands of the
+    division steps, once each, in step order, each with the numerator that
+    `identity._TEMPLATES` gives it. A divisor's denominator is nonzero once
+    the divisors before it are nonzero, so it is zero exactly when its
+    numerator is. Only a component or the result of a step on two components
+    is ever divided by, so only their texts are read.
     """
     operands = {v: (f"r{v}", f"n{v}") for v in "123"}
-    divisors: dict[str, tuple[str, str]] = {}
     for _, out, role, x, y in _STEPS:
         op = getattr(case, role)
-        if op is BinOp.DIV:
-            divisors.setdefault(y, operands[y])
         operands[out] = (f"r{x} {_SIGNS[op]} r{y}", _TEMPLATES[op][0].format(x=x, y=y))
-    return list(divisors.values())
+    return [operands[y] for y in _divisor_operands(case)]
 
 
 def _build_member(case: CaseId):

@@ -183,11 +183,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# The most deltas `construct12 --list` writes: a JSON row is about 0.5 KB
+# while it is rendered, so 10**5 rows peak near 70 MB of RSS.
+_LIST_CAP = 10**5
+
+
 def _list_count(text: str) -> int:
-    """A positive integer that `itertools.islice` takes as a count."""
+    """A positive integer up to `_LIST_CAP`."""
     value = _positive_int(text)
-    if value > sys.maxsize:
-        raise _UsageError(f"must be <= {sys.maxsize}")
+    if value > _LIST_CAP:
+        raise _UsageError(f"must be <= {_LIST_CAP}, the cap on listed deltas")
     return value
 
 

@@ -13,12 +13,18 @@ time. `check` is one straight-line kernel per case, generated from the
 identity's five steps (`_STEPS`) and one integer template per operation
 (`_TEMPLATES`) when the case is first checked. It reads each component's
 numerator and denominator straight from the Fraction's `_numerator` and
-`_denominator` slots and builds no Fraction: its result is one flat tuple
-`(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as a
-numerator and a denominator and builds the side's Fraction when it is read.
+`_denominator` slots and builds no Fraction. Each step's denominator is a
+product of atoms: d1, d2, d3 and the numerator of each division's divisor.
+So the kernel tests definedness on the divisors' numerators, and, as
+schoolbook arithmetic does, cancels the atoms both sides' denominators share
+before it cross-multiplies: case 12 decides by `nlhs * d1 == nrhs`.
 A grid scan, which reads only the verdict, calls `check` with
 `verdict_only` and gets one of two shared results that carry no sides, so
-it builds no result per triple.
+it builds no result per triple and computes no denominator that the
+decision does not read. Any other result is one flat tuple
+`(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as its
+unreduced numerator and denominator and builds the side's Fraction when it
+is read.
 `catalog` generates its per-case `member` kernels with the same templates,
 the same slot loads and the same lazy table.
 Nothing uses floating point.
@@ -31,6 +37,7 @@ is defined here because every other module imports this one.
 from __future__ import annotations
 
 import reprlib
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -323,22 +330,36 @@ def _undefined_result(dens: tuple, nlhs: int, nrhs: int) -> CheckResult:
     return CheckResult((_UNDEFINED, *lhs, *rhs, _SITES[first]))
 
 
+def _divisor_operands(case: CaseId) -> list[str]:
+    """The operands that the case's division steps divide by, once each, in step order."""
+    return [*dict.fromkeys(y for _, _, role, _, y in _STEPS if getattr(case, role) is BinOp.DIV)]
+
+
 def _build_kernel(case: CaseId):
-    """Generate the straight-line `check` for one case from `_STEPS` and `_TEMPLATES`."""
-    ops = [(out, getattr(case, role), x, y) for _, out, role, x, y in _STEPS]
-    body = [f"n{out}, d{out} = " + ", ".join(_TEMPLATES[op]).format(x=x, y=y)
-            for out, op, x, y in ops]
-    # Any other operation's denominator is a product of its operands', so
-    # every denominator is nonzero once those of the divisions are.
-    divisions = [f"d{out}" for out, op, _, _ in ops if op is BinOp.DIV]
-    if divisions:
-        body.append(f"if not ({' and '.join(divisions)}):")
-        body.append(f"    return _undefined_result(({', '.join(f'd{out}' for out, *_ in ops)}),"
+    """Generate the straight-line `check` for one case from `_STEPS` and
+    `_TEMPLATES`, with each step's denominator also kept as a list of atoms."""
+    atoms = {v: [f"d{v}"] for v in "123"}
+    steps = {}
+    for _, out, role, x, y in _STEPS:
+        op = getattr(case, role)
+        atoms[out] = atoms[x] + ([f"n{y}"] if op is BinOp.DIV else atoms[y])
+        steps[out] = [t.format(x=x, y=y) for t in _TEMPLATES[op]]
+    read = " ".join(num for num, _ in steps.values()).split()
+    body = [f"n{out}, d{out} = {num}, {den}" if f"d{out}" in read else f"n{out} = {num}"
+            for out, (num, den) in steps.items()]
+    rest = [f"d{out} = {den}" for out, (_, den) in steps.items() if f"d{out}" not in read]
+    # d1, d2 and d3 are never zero, so every denominator is nonzero once the
+    # divisors' numerators are.
+    if divisors := _divisor_operands(case):
+        body.append(f"if not ({' and '.join(f'n{y}' for y in divisors)}):")
+        body += ["    " + line for line in rest]
+        body.append(f"    return _undefined_result(({', '.join(f'd{out}' for out in steps)}),"
                     " nlhs, nrhs)")
-    body.append("if verdict_only:")
-    body.append("    return _HELD if nlhs * drhs == nrhs * dlhs else _FAILED")
-    body.append("return CheckResult((_HOLDS if nlhs * drhs == nrhs * dlhs else _FAILS,"
-                " nlhs, dlhs, nrhs, drhs, None))")
+    lhs, rhs = Counter(atoms["lhs"]), Counter(atoms["rhs"])
+    decision = " == ".join(" * ".join([n, *extra.elements()])
+                           for n, extra in (("nlhs", rhs - lhs), ("nrhs", lhs - rhs)))
+    body += ["if verdict_only:", f"    return _HELD if {decision} else _FAILED", *rest,
+             f"return CheckResult((_HOLDS if {decision} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]
     return _define(f"check_case_{case.label}", body, globals())
 
 
@@ -368,9 +389,9 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
 
     The case's kernel, generated from `_TEMPLATES` on first use, runs the
     five sub-operations on the triple's numerators and denominators and
-    compares the sides by cross-multiplication. The result keeps each side's
-    numerator and denominator and builds its Fraction when `lhs` or `rhs` is
-    read.
+    compares the sides by cross-multiplication, with the factors their
+    denominators share cancelled. The result keeps each side's numerator and
+    denominator and builds its Fraction when `lhs` or `rhs` is read.
 
     With `verdict_only` true, a HOLDS or FAILS result is one of two shared
     results, `_HELD` and `_FAILED`, that carry no sides: a grid scan, which

@@ -164,61 +164,104 @@ def _slot_divisors(case) -> list:
     return [sp.numer(sp.together(g.subs(AS_SLOTS))) for g in _derive(case)[0]]
 
 
-def _kernel_returns(lines: list[str]) -> list[tuple[tuple[str, str], str]]:
-    """For each of a kernel's two returns of a decided verdict, the names it
-    picks on equal and on unequal sides, and `left - right` of the equality
-    that picks. The lines after the steps must be the UNDEFINED guard, if the
-    case divides, then `if verdict_only:` returning a bare choice of two
-    names, then the `CheckResult` whose verdict is such a choice."""
-    *guards, shared, built = ast.parse("\n".join(lines)).body
-    for guard in guards:
-        (undefined,) = guard.body
-        assert ast.unparse(undefined.value.func) == "_undefined_result", ast.unparse(guard)
-    assert ast.unparse(shared.test) == "verdict_only" and not shared.orelse, ast.unparse(shared)
-    (shared_return,) = shared.body
-    (result,) = built.value.args
-    assert ast.unparse(built.value.func) == "CheckResult", ast.unparse(built)
-    returns = []
-    for choice in (shared_return.value, result.elts[0]):
-        (op,), (right,) = choice.test.ops, choice.test.comparators
-        assert isinstance(op, ast.Eq), ast.unparse(choice)
-        returns.append(((choice.body.id, choice.orelse.id),
-                        f"({ast.unparse(choice.test.left)}) - ({ast.unparse(right)})"))
-    return returns
+def _assigned(statements, slots: dict) -> list[str]:
+    """Run `statements`, which must all be assignments, on the symbols in
+    `slots`; the names they assign, in order."""
+    names = []
+    for statement in statements:
+        assert isinstance(statement, ast.Assign), ast.unparse(statement)
+        exec(ast.unparse(statement), {}, slots)
+        names += [node.id for target in statement.targets for node in ast.walk(target)
+                  if isinstance(node, ast.Name)]
+    return names
 
 
-@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
-def test_check_kernel_steps_are_the_identity_s_operations(case):
-    # Each step assignment, run on symbols, is its `_STEPS` operation on its
-    # operands; the kernel's cross-multiplied sides differ by the identity's
-    # numerator times only denominators and divisor numerators, nonzero
-    # wherever the identity is defined. Both the verdict-only return, which
-    # may give only the shared `_HELD` or `_FAILED`, and the full result
-    # decide by that cross-multiplication, after every UNDEFINED return.
-    body = _generated_body(identity, "_build_kernel", case)
-    slots = dict(SLOT_NAMES)
-    for line in body[:len(_STEPS)]:
-        exec(line, {}, slots)
+def _assert_steps(case, slots: dict, assigned: list[str]):
+    """On one path through a kernel each step's `n{out}` and `d{out}` are
+    assigned once, and `n{out}/d{out}` is its `_STEPS` operation on its operands."""
+    assert sorted(assigned) == sorted(v + out for _, out, *_ in _STEPS for v in "nd"), assigned
     values = {i: slots["n" + i] / slots["d" + i] for i in "123"}
     for site, out, role, x, y in _STEPS:
         values[out] = slots["n" + out] / slots["d" + out]
         expected = _OPS[getattr(case, role)](values[x], values[y])
         assert sp.cancel(values[out] - expected) == 0, (case.label, site)
 
+
+def _decision(choice: ast.IfExp) -> tuple[tuple[str, str], str]:
+    """The names a bare choice picks on equal and on unequal sides, and
+    `left - right` of the equality that picks."""
+    (op,), (right,) = choice.test.ops, choice.test.comparators
+    assert isinstance(op, ast.Eq), ast.unparse(choice)
+    return ((choice.body.id, choice.orelse.id),
+            f"({ast.unparse(choice.test.left)}) - ({ast.unparse(right)})")
+
+
+def _non_denominator_factors(polynomials) -> set:
+    # d1, d2 and d3 are a Fraction's denominators, never zero.
+    return {f for p in polynomials for f in _factors(p)} - set(DENOMINATORS)
+
+
+def _assert_nonzero_monomial(ratio, allowed: set, label: str):
+    coefficient, factors = sp.factor_list(ratio)
+    assert sp.denom(ratio) == 1 and coefficient != 0, (label, ratio)
+    assert {f for f, _ in factors} <= allowed, (label, ratio)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_check_kernel_steps_are_the_identity_s_operations(case):
+    # The kernel is: step assignments; the UNDEFINED guard, if the case
+    # divides, whose branch assigns the missing denominators and returns
+    # `_undefined_result`; `if verdict_only:` returning `_HELD` or `_FAILED`;
+    # the remaining assignments; the full `CheckResult`. On each path, every
+    # step is its `_STEPS` operation. The guard's names vanish exactly where a
+    # division step's denominator does. Each return decides by an equality
+    # whose `left - right` times a nonzero monomial, in denominators and
+    # divisor numerators, is the full cross-multiplication, which is the
+    # identity's numerator times such a monomial.
+    body = ast.parse("\n".join(_generated_body(identity, "_build_kernel", case))).body
+    at = next(i for i, statement in enumerate(body)
+              if isinstance(statement, ast.If) and ast.unparse(statement.test) == "verdict_only")
+    (shared, *late, built), divides = body[at:], any(
+        getattr(case, role) is BinOp.DIV for _, _, role, _, _ in _STEPS)
+    early, guards = body[:at - divides], body[at - divides:at]
+    assert all(isinstance(guard, ast.If) for guard in guards) and not shared.orelse, case.label
+
+    slots = dict(SLOT_NAMES)
+    assigned = _assigned(early, slots)
+    decided = dict(slots)
+    for guard in guards:
+        *missing, undefined = guard.body
+        guarded = dict(slots)
+        _assert_steps(case, guarded, assigned + _assigned(missing, guarded))
+        dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
+        assert ast.unparse(undefined) == f"return _undefined_result(({dens}), nlhs, nrhs)"
+        assert isinstance(guard.test, ast.UnaryOp) and isinstance(guard.test.op, ast.Not)
+        tested = guard.test.operand
+        names = tested.values if isinstance(tested, ast.BoolOp) else [tested]
+        assert isinstance(tested, ast.Name) or isinstance(tested.op, ast.And), ast.unparse(guard)
+        divisions = [guarded["d" + out] for _, out, role, _, _ in _STEPS
+                     if getattr(case, role) is BinOp.DIV]
+        assert (_non_denominator_factors(eval(ast.unparse(name), {}, decided) for name in names)
+                == _non_denominator_factors(divisions)), (case.label, ast.unparse(guard))
+    _assert_steps(case, slots, assigned + _assigned(late, slots))
+
+    (shared_return,) = shared.body
+    (result,) = built.value.args
+    assert ast.unparse(built.value.func) == "CheckResult", ast.unparse(built)
+    assert ast.unparse(ast.Tuple(result.elts[1:])) == "(nlhs, dlhs, nrhs, drhs, None)"
+    # The verdict-only decision reads only what is assigned before it.
+    returns = [(*_decision(shared_return.value), decided), (*_decision(result.elts[0]), slots)]
+    assert [verdicts for verdicts, _, _ in returns] == [("_HELD", "_FAILED"), ("_HOLDS", "_FAILS")]
     cross = sp.expand(slots["nlhs"] * slots["drhs"] - slots["nrhs"] * slots["dlhs"])
-    returns = _kernel_returns(body[len(_STEPS):])
-    assert [verdicts for verdicts, _ in returns] == [("_HELD", "_FAILED"), ("_HOLDS", "_FAILS")]
-    for _, decision in returns:
-        assert sp.expand(eval(decision, {}, slots)) == cross, (case.label, decision)
     numerator = _derive(case)[1]
     if case.label in ("L1", "L2"):
         assert (numerator, cross) == (0, 0)
+        assert all(sp.expand(eval(decision, {}, env)) == 0 for _, decision, env in returns)
         return
-    ratio = sp.cancel(cross / numerator.subs(AS_SLOTS))
     allowed = {*DENOMINATORS, *(f for g in _slot_divisors(case) for f in _factors(g))}
-    coefficient, factors = sp.factor_list(ratio)
-    assert sp.denom(ratio) == 1 and coefficient != 0, (case.label, ratio)
-    assert {f for f, _ in factors} <= allowed, (case.label, ratio)
+    for _, decision, env in returns:
+        _assert_nonzero_monomial(sp.cancel(cross / eval(decision, {}, env)), allowed, decision)
+    _assert_nonzero_monomial(sp.cancel(cross / numerator.subs(AS_SLOTS)), allowed, case.label)
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
@@ -235,6 +278,29 @@ def test_member_kernel_tests_exactly_the_identity_s_divisors(case):
         assert any(_is_denominator_monomial(numerator / g) for g in derived), numerator
     for g in derived:
         assert any(_is_denominator_monomial(numerator / g) for numerator in tested), g
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
+def test_zero_divisor_kernel_reports_exactly_the_identity_s_divisors(case):
+    # `_zero_divisor` compiles `if not (numerator): return text` for each of
+    # `_divisors`, in its order, then `return None`. Each numerator is zero
+    # exactly where its text's value is, and the texts' values, each taken
+    # at its first place, are `_derive`'s divisors in order: so the text
+    # reported is that of the identity's first zero divisor.
+    *lines, last = _generated_body(catalog, "_build_zero_divisor", case)
+    assert last == "return None"
+    texts, values = [], []
+    for line in lines:
+        (test,) = ast.parse(line).body
+        (returned,) = test.body
+        assert isinstance(test.test, ast.UnaryOp) and isinstance(test.test.op, ast.Not), line
+        texts.append(ast.literal_eval(returned.value))
+        values.append(sp.numer(sp.together(sp.sympify(texts[-1], locals=dict(zip(map(str, R), R))))))
+        numerator = eval(ast.unparse(test.test.operand), {}, SLOT_NAMES)
+        slot_value = sp.numer(sp.together(values[-1].subs(AS_SLOTS)))
+        assert _is_denominator_monomial(numerator / slot_value), line
+    assert texts == [text for text, _ in catalog._divisors(case)]
+    assert [*dict.fromkeys(values)] == [*dict.fromkeys(_derive(case)[0])], texts
 
 
 # ---------------------------------------------------------------------------

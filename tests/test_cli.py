@@ -205,12 +205,23 @@ def test_construct12_modes(capsys):
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_construct12_list_past_sys_maxsize_is_a_usage_error(capsys, fmt):
     # islice takes at most sys.maxsize items; a larger count used to end in
-    # its ValueError's traceback.
+    # its ValueError's traceback. The cap on --list now refuses it first.
     code, out, err = run_cli(capsys, "construct12", "--n1", "5", "--n2", "3",
                              "--list", str(sys.maxsize + 1), "--format", fmt)
     assert code == 2 and out == ""
     assert "argument --list:" in err.splitlines()[-1] and "Traceback" not in err
-    assert cli._list_count(str(sys.maxsize)) == sys.maxsize
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_construct12_list_past_its_cap_is_a_usage_error_naming_the_cap(capsys, fmt):
+    # Every row is rendered before the first write, so the count is capped
+    # before any is built.
+    assert cli._list_count(str(cli._LIST_CAP)) == cli._LIST_CAP
+    code, out, err = run_cli(capsys, "construct12", "--n1", "5", "--n2", "3",
+                             "--list", str(cli._LIST_CAP + 1), "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(
+        f"argument --list: must be <= {cli._LIST_CAP}, the cap on listed deltas")
 
 
 def test_family5_cli(capsys):
