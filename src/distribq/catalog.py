@@ -121,7 +121,8 @@ def _divisors(case: CaseId) -> list[tuple[str, str]]:
     operands = {v: (f"r{v}", f"n{v}") for v in "123"}
     for _, out, role, x, y in _STEPS:
         op = getattr(case, role)
-        operands[out] = (f"r{x} {_SIGNS[op]} r{y}", _TEMPLATES[op][0].format(x=x, y=y))
+        numerator = _TEMPLATES[op][0].format(x=x, y=y, dx=f"d{x}", dy=f"d{y}")
+        operands[out] = (f"r{x} {_SIGNS[op]} r{y}", numerator)
     return [operands[y] for y in _divisor_operands(case)]
 
 
@@ -169,7 +170,11 @@ def member(case: CaseId, t: Triple) -> bool:
     int component raises AttributeError; a type test per triple would cost
     a grid scan time.
     """
-    return _MEMBERS[case](t)
+    last, kernel = _MEMBERS.last
+    if last is not case:
+        kernel = _MEMBERS[case]
+        _MEMBERS.last = case, kernel
+    return kernel(t)
 
 
 # ---------------------------------------------------------------------------

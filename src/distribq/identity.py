@@ -13,20 +13,26 @@ time. `check` is one straight-line kernel per case, generated from the
 identity's five steps (`_STEPS`) and one integer template per operation
 (`_TEMPLATES`) when the case is first checked. It reads each component's
 numerator and denominator straight from the Fraction's `_numerator` and
-`_denominator` slots and builds no Fraction. Each step's denominator is a
-product of atoms: d1, d2, d3 and the numerator of each division's divisor.
-So the kernel tests definedness on the divisors' numerators, and, as
-schoolbook arithmetic does, cancels the atoms both sides' denominators share
-before it cross-multiplies: case 12 decides by `nlhs * d1 == nrhs`.
+`_denominator` slots and builds no Fraction. Each step's numerator and
+denominator are also kept as products of atoms: n1, d1, ..., d3 and the
+numerator of each ADD or SUB step. As schoolbook arithmetic does, an ADD
+or SUB step puts its terms over the least common denominator (case 1's rhs
+is `nab * d3 + nac * d2`), and the decision cancels the atoms both sides'
+denominators share before it cross-multiplies (case 12 decides by
+`nlhs * d1 == nrhs`, case 1 by `nlhs == nrhs`). A divisor contributes its
+numerator's atoms, so definedness is tested on those that are not
+denominators: case 8 guards on `n2 and n3`.
 A grid scan, which reads only the verdict, calls `check` with
 `verdict_only` and gets one of two shared results that carry no sides, so
-it builds no result per triple and computes no denominator that the
-decision does not read. Any other result is one flat tuple
+it builds no result per triple and computes nothing that the decision
+and the definedness test do not read. Any other result is one flat tuple
 `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as its
 unreduced numerator and denominator and builds the side's Fraction when it
 is read.
 `catalog` generates its per-case `member` kernels with the same templates,
-the same slot loads and the same lazy table.
+the same slot loads and the same lazy table. Each table keeps the case and
+kernel it served last, so a scan, which checks one case object triple
+after triple, finds its kernel without hashing the CaseId.
 Nothing uses floating point.
 Divisions by zero never raise out of this module: `check` reports an
 UNDEFINED verdict that records which sub-operation failed. `DomainError`,
@@ -283,13 +289,16 @@ _STEPS = (
 _SITES = tuple(step[0] for step in _STEPS)
 
 # x op y on the kernel's (n{x}, d{x}) and (n{y}, d{y}), as the source text
-# of the result's numerator and of its denominator. Denominators are neither
-# reduced nor kept positive: cross-multiplication compares such pairs
-# exactly, and Fraction() normalises them. DIV by a zero y gives denominator
-# 0 rather than raising, as does any op on such an x.
+# of the result's numerator and of its denominator. In a sum or difference,
+# {dx} and {dy} stand for d{x} and d{y}, or, where the two denominators
+# share factors, for the factors of each that the other lacks, as schoolbook
+# arithmetic puts both terms over their least common denominator.
+# Denominators are neither reduced nor kept positive: cross-multiplication
+# compares such pairs exactly, and Fraction() normalises them. DIV by a zero
+# y gives denominator 0 rather than raising, as does any op on such an x.
 _TEMPLATES = {
-    BinOp.ADD: ("n{x} * d{y} + n{y} * d{x}", "d{x} * d{y}"),
-    BinOp.SUB: ("n{x} * d{y} - n{y} * d{x}", "d{x} * d{y}"),
+    BinOp.ADD: ("n{x} * {dy} + n{y} * {dx}", "d{x} * {dy}"),
+    BinOp.SUB: ("n{x} * {dy} - n{y} * {dx}", "d{x} * {dy}"),
     BinOp.MUL: ("n{x} * n{y}", "d{x} * d{y}"),
     BinOp.DIV: ("n{x} * d{y}", "d{x} * n{y}"),
 }
@@ -337,27 +346,46 @@ def _divisor_operands(case: CaseId) -> list[str]:
 
 def _build_kernel(case: CaseId):
     """Generate the straight-line `check` for one case from `_STEPS` and
-    `_TEMPLATES`, with each step's denominator also kept as a list of atoms."""
-    atoms = {v: [f"d{v}"] for v in "123"}
-    steps = {}
+    `_TEMPLATES`. Each step's numerator and denominator are also kept as the
+    list of atoms each is the product of: n1, d1, ..., d3 and the numerators
+    of ADD and SUB steps."""
+    nums, dens = {v: [f"n{v}"] for v in "123"}, {v: [f"d{v}"] for v in "123"}
+    texts = {}  # each step's n{out} and d{out}: the source text of its value
     for _, out, role, x, y in _STEPS:
-        op = getattr(case, role)
-        atoms[out] = atoms[x] + ([f"n{y}"] if op is BinOp.DIV else atoms[y])
-        steps[out] = [t.format(x=x, y=y) for t in _TEMPLATES[op]]
-    read = " ".join(num for num, _ in steps.values()).split()
-    body = [f"n{out}, d{out} = {num}, {den}" if f"d{out}" in read else f"n{out} = {num}"
-            for out, (num, den) in steps.items()]
-    rest = [f"d{out} = {den}" for out, (_, den) in steps.items() if f"d{out}" not in read]
+        op, dx, dy = getattr(case, role), f"d{x}", f"d{y}"
+        if op is BinOp.MUL:
+            nums[out], dens[out] = nums[x] + nums[y], dens[x] + dens[y]
+        elif op is BinOp.DIV:
+            nums[out], dens[out] = nums[x] + dens[y], dens[x] + nums[y]
+        else:
+            # Over the least common denominator: ex and ey are the atoms of
+            # each operand's denominator that the other's lacks.
+            ex, ey = Counter(dens[x]) - Counter(dens[y]), Counter(dens[y]) - Counter(dens[x])
+            nums[out], dens[out] = [f"n{out}"], dens[x] + [*ey.elements()]
+            if ey.total() < len(dens[y]):
+                dx, dy = (" * ".join(e.elements()) for e in (ex, ey))
+        texts[f"n{out}"], texts[f"d{out}"] = (t.format(x=x, y=y, dx=dx, dy=dy)
+                                              for t in _TEMPLATES[op])
     # d1, d2 and d3 are never zero, so every denominator is nonzero once the
-    # divisors' numerators are.
-    if divisors := _divisor_operands(case):
-        body.append(f"if not ({' and '.join(f'n{y}' for y in divisors)}):")
-        body += ["    " + line for line in rest]
-        body.append(f"    return _undefined_result(({', '.join(f'd{out}' for out in steps)}),"
-                    " nlhs, nrhs)")
-    lhs, rhs = Counter(atoms["lhs"]), Counter(atoms["rhs"])
+    # divisors' other atoms are.
+    guard = [*dict.fromkeys(atom for y in _divisor_operands(case) for atom in nums[y]
+                            if atom[0] == "n")]
+    lhs, rhs = Counter(dens["lhs"]), Counter(dens["rhs"])
     decision = " == ".join(" * ".join([n, *extra.elements()])
                            for n, extra in (("nlhs", rhs - lhs), ("nrhs", lhs - rhs)))
+    # What the guard and the decision read is assigned first, and the rest
+    # only on the full and UNDEFINED paths.
+    read = {*decision.split(), *guard}
+    for name in reversed(texts):
+        if name in read:
+            read.update(texts[name].split())
+    body = [f"{name} = {text}" for name, text in texts.items() if name in read]
+    rest = [f"{name} = {text}" for name, text in texts.items() if name not in read]
+    if guard:
+        body.append(f"if not ({' and '.join(guard)}):")
+        body += ["    " + line for line in rest]
+        step_dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
+        body.append(f"    return _undefined_result(({step_dens}), nlhs, nrhs)")
     body += ["if verdict_only:", f"    return _HELD if {decision} else _FAILED", *rest,
              f"return CheckResult((_HOLDS if {decision} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]
     return _define(f"check_case_{case.label}", body, globals())
@@ -365,11 +393,16 @@ def _build_kernel(case: CaseId):
 
 class _Kernels(dict):
     """CaseId -> the case's kernel, made by `build` the first time the case
-    is looked up."""
+    is looked up. `last` is the (case, kernel) pair that `check` or `member`
+    looked up last: a scan calls them triple after triple on one case
+    object, which `is` matches without hashing the CaseId. It is replaced as one
+    tuple, so no thread pairs one case with another's kernel."""
+
+    __slots__ = ("build", "last")
 
     def __init__(self, build: Callable = _build_kernel):
         super().__init__()
-        self.build = build
+        self.build, self.last = build, (None, None)
 
     def __missing__(self, case: CaseId):
         kernel = self[case] = self.build(case)
@@ -388,7 +421,8 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     reported.
 
     The case's kernel, generated from `_TEMPLATES` on first use, runs the
-    five sub-operations on the triple's numerators and denominators and
+    five sub-operations on the triple's numerators and denominators, each
+    sum or difference over its operands' least common denominator, and
     compares the sides by cross-multiplication, with the factors their
     denominators share cancelled. The result keeps each side's numerator and
     denominator and builds its Fraction when `lhs` or `rhs` is read.
@@ -398,4 +432,8 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     reads only the verdict, allocates no result per triple. An UNDEFINED
     result is the same as without it.
     """
-    return _KERNELS[case](t, verdict_only)
+    last, kernel = _KERNELS.last
+    if last is not case:
+        kernel = _KERNELS[case]
+        _KERNELS.last = case, kernel
+    return kernel(t, verdict_only)

@@ -196,6 +196,20 @@ def _decision(choice: ast.IfExp) -> tuple[tuple[str, str], str]:
             f"({ast.unparse(choice.test.left)}) - ({ast.unparse(right)})")
 
 
+def _product_names(node) -> list[str]:
+    """The names that `node`, a product `a * b * ...` of names, multiplies, in order."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _product_names(node.left) + _product_names(node.right)
+    assert isinstance(node, ast.Name), ast.unparse(node)
+    return [node.id]
+
+
+def _assert_coprime(names: list[str], other: list[str], env: dict, label: str):
+    """The products of the two lists of names, valued in `env`, share no factor."""
+    products = [sp.Mul(*(env[name] for name in names)) for names in (names, other)]
+    assert sp.gcd(*products) == 1, (label, names, other)
+
+
 def _non_denominator_factors(polynomials) -> set:
     # d1, d2 and d3 are a Fraction's denominators, never zero.
     return {f for p in polynomials for f in _factors(p)} - set(DENOMINATORS)
@@ -210,14 +224,17 @@ def _assert_nonzero_monomial(ratio, allowed: set, label: str):
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
 def test_check_kernel_steps_are_the_identity_s_operations(case):
     # The kernel is: step assignments; the UNDEFINED guard, if the case
-    # divides, whose branch assigns the missing denominators and returns
+    # divides, whose branch assigns the missing values and returns
     # `_undefined_result`; `if verdict_only:` returning `_HELD` or `_FAILED`;
     # the remaining assignments; the full `CheckResult`. On each path, every
     # step is its `_STEPS` operation. The guard's names vanish exactly where a
     # division step's denominator does. Each return decides by an equality
     # whose `left - right` times a nonzero monomial, in denominators and
     # divisor numerators, is the full cross-multiplication, which is the
-    # identity's numerator times such a monomial.
+    # identity's numerator times such a monomial. Nothing is left to cancel:
+    # each sum or difference is over its operands' least common denominator,
+    # each decision's two multipliers share no factor, and the guard names
+    # each factor of the divisors' numerators that is not a denominator once.
     body = ast.parse("\n".join(_generated_body(identity, "_build_kernel", case))).body
     at = next(i for i, statement in enumerate(body)
               if isinstance(statement, ast.If) and ast.unparse(statement.test) == "verdict_only")
@@ -243,7 +260,31 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
                      if getattr(case, role) is BinOp.DIV]
         assert (_non_denominator_factors(eval(ast.unparse(name), {}, decided) for name in names)
                 == _non_denominator_factors(divisions)), (case.label, ast.unparse(guard))
+        # Each name is one of the distinct factors of the divisors' numerators
+        # that are not denominators, and every such factor is named.
+        named = [_factors(eval(ast.unparse(name), {}, decided)) for name in names]
+        assert all(len(factors) == 1 for factors in named), (case.label, ast.unparse(guard))
+        assert len({f for f, in named}) == len(names), (case.label, ast.unparse(guard))
+        assert ({f for f, in named} == _non_denominator_factors(_slot_divisors(case))
+                ), (case.label, ast.unparse(guard))
     _assert_steps(case, slots, assigned + _assigned(late, slots))
+
+    # Each ADD or SUB step is `n{x} * A +/- n{y} * B` over the least common
+    # denominator: A and B are products of names that share no factor.
+    values = {}  # each name the kernel assigns -> the expression it assigns
+    for statement in ast.walk(ast.Module(body, [])):
+        if isinstance(statement, ast.Assign):
+            (target,), value = statement.targets, statement.value
+            pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                     else [(target, value)])
+            values.update((name.id, expression) for name, expression in pairs)
+    for site, out, role, x, y in _STEPS:
+        if getattr(case, role) in (BinOp.ADD, BinOp.SUB):
+            value = values["n" + out]
+            assert isinstance(value.op, (ast.Add, ast.Sub)), (case.label, site)
+            (nx, *a), (ny, *b) = _product_names(value.left), _product_names(value.right)
+            assert (nx, ny) == ("n" + x, "n" + y), (case.label, site)
+            _assert_coprime(a, b, slots, f"{case.label} {site}")
 
     (shared_return,) = shared.body
     (result,) = built.value.args
@@ -252,6 +293,13 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
     # The verdict-only decision reads only what is assigned before it.
     returns = [(*_decision(shared_return.value), decided), (*_decision(result.elts[0]), slots)]
     assert [verdicts for verdicts, _, _ in returns] == [("_HELD", "_FAILED"), ("_HOLDS", "_FAILS")]
+    # Each decision is `nlhs * P == nrhs * Q`, P and Q products of atoms (the
+    # slot integers and step numerators) that share no factor.
+    for choice, env in ((shared_return.value, decided), (result.elts[0], slots)):
+        (lhs, *p), (rhs, *q) = map(_product_names, (choice.test.left, *choice.test.comparators))
+        assert (lhs, rhs) == ("nlhs", "nrhs"), ast.unparse(choice)
+        assert all(name in SLOT_NAMES or name[0] == "n" for name in p + q), ast.unparse(choice)
+        _assert_coprime(p, q, env, case.label)
     cross = sp.expand(slots["nlhs"] * slots["drhs"] - slots["nrhs"] * slots["dlhs"])
     numerator = _derive(case)[1]
     if case.label in ("L1", "L2"):

@@ -7,6 +7,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from distribq.identity import (
     case_from_label,
     check,
 )
-from distribq.oracle import SearchBounds, enumerate_rationals
+from distribq.oracle import SearchBounds, enumerate_rationals, search_solutions
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 triples = st.builds(Triple, rationals, rationals, rationals)
@@ -303,6 +304,52 @@ def test_equal_case_ids_reach_one_kernel_and_one_member_entry():
         assert catalog._ZERO_DIVISORS[case] is catalog._ZERO_DIVISORS[built]
         assert check(case, t) == check(built, t) and catalog.member(case, t)
     assert len({built, looked_up, unpickled}) == 1
+
+
+_case_forms = st.sampled_from(["canonical", "built", "pickled"])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from(ALL_CASES), _case_forms, components, components,
+                          components), min_size=1, max_size=12))
+def test_the_last_case_s_kernel_never_answers_for_another_case(calls):
+    # `check` and `member` keep the (case, kernel) pair they looked up last.
+    # On an interleaved sequence of cases, each passed as the canonical
+    # CaseId, an equal one built afresh or a pickled copy, every call answers
+    # as a freshly built kernel of its case does.
+    for case, form, r1, r2, r3 in calls:
+        passed = {"canonical": case, "built": CaseId(case.outer, case.inner),
+                  "pickled": pickle.loads(pickle.dumps(case))}[form]
+        t = Triple(r1, r2, r3)
+        kernel = identity._build_kernel(case)
+        assert check(passed, t) == kernel(t), (case.label, form, t)
+        bare = kernel(t, True)
+        assert check(passed, t, True) == bare, (case.label, form, t)
+        assert (check(passed, t, True) is bare) is (bare.verdict is not Verdict.UNDEFINED)
+        assert catalog.member(passed, t) == catalog._build_member(case)(t), (case.label, form, t)
+
+
+def test_threads_scanning_different_cases_get_their_own_case_s_results():
+    # Two threads switch between two cases' kernels as often as the
+    # interpreter lets them; each scan still equals a scan run alone.
+    bounds, rounds = SearchBounds(3, 2), 8
+    cases = (case_from_label("12"), case_from_label("L1"))
+    expected = {case: search_solutions(case, bounds) for case in cases}
+    assert expected[cases[0]] != expected[cases[1]]
+    found = {case: [] for case in cases}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda case=case: found[case].extend(
+            search_solutions(case, bounds) for _ in range(rounds))) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == {case: [expected[case]] * rounds for case in cases}
 
 
 @settings(max_examples=200)
