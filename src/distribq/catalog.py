@@ -167,8 +167,8 @@ def member(case: CaseId, t: Triple) -> bool:
     only on the triples that solve it. t is a `Triple` of Fractions, as
     `Triple.of` builds it, or a plain 3-tuple of Fractions, as a grid scan
     hands it: t is read only as `r1, r2, r3 = t`. Nothing is coerced, so an
-    int component raises AttributeError; a type test per triple would cost
-    a grid scan time.
+    int component raises AttributeError where the kernel reads its slots;
+    a type test per triple would cost a grid scan time.
     """
     last, kernel = _MEMBERS.last
     if last is not case:

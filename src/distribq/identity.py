@@ -7,25 +7,39 @@ For an ordered pair of binary operations (outer, inner) and a triple
 
 Values are `fractions.Fraction` at every interface: `check` takes a
 `Triple` of Fractions, as `Triple.of` builds it, or a plain 3-tuple of
-Fractions, as a grid scan hands it, and coerces nothing: an int component
-raises AttributeError, as a type test per triple would cost a grid scan
-time. `check` is one straight-line kernel per case, generated from the
-identity's five steps (`_STEPS`) and one integer template per operation
-(`_TEMPLATES`) when the case is first checked. It reads each component's
-numerator and denominator straight from the Fraction's `_numerator` and
-`_denominator` slots and builds no Fraction. Each step's numerator and
-denominator are also kept as products of atoms: n1, d1, ..., d3 and the
-numerator of each ADD or SUB step. As schoolbook arithmetic does, an ADD
-or SUB step puts its terms over the least common denominator (case 1's rhs
-is `nab * d3 + nac * d2`), and the decision cancels the atoms both sides'
-denominators share before it cross-multiplies (case 12 decides by
-`nlhs * d1 == nrhs`, case 1 by `nlhs == nrhs`). A divisor contributes its
-numerator's atoms, so definedness is tested on those that are not
-denominators: case 8 guards on `n2 and n3`.
+Fractions, as a grid scan hands it, and coerces nothing, as a type test per
+triple would cost a grid scan time: an int component raises AttributeError
+on every path that reads its slots, and passes unread on one that does not,
+such as L1's verdict-only path. `check` is one straight-line kernel per
+case, generated from the identity's five steps (`_STEPS`) and one integer
+template per operation (`_TEMPLATES`) when the case is first checked. It
+reads each component's numerator and denominator straight from the
+Fraction's `_numerator` and `_denominator` slots and builds no Fraction.
+Each step's numerator and denominator are also kept as products of atoms:
+n1, d1, ..., d3 and the numerator of each ADD or SUB step. As schoolbook
+arithmetic does, an ADD or SUB step puts its terms over the least common
+denominator (case 1's rhs is `nab * d3 + nac * d2`), and the full result's
+decision cancels the atoms both sides' denominators share before it
+cross-multiplies (case 12 decides by `nlhs * d1 == nrhs`, case 1 by
+`nlhs == nrhs`). A divisor contributes its numerator's atoms, so
+definedness is tested on those that are not denominators: case 8 guards
+on `n2 and n3`.
 A grid scan, which reads only the verdict, calls `check` with
 `verdict_only` and gets one of two shared results that carry no sides, so
-it builds no result per triple and computes nothing that the decision
-and the definedness test do not read. Any other result is one flat tuple
+it builds no result per triple. Such a call may decide by the reduced form
+of that cross-multiplication instead: `left - right`, expanded over the
+kernel's own step texts into a polynomial in n1, ..., d3, with its monomial
+content divided out. The content's atoms that are neither denominators nor
+guarded are tested as `not (n1 and ...)`, and the rest is compared as its
+positive terms against its negative ones. Case 1 decides by `not n1`,
+case 7 by `n1 == d1`, case 11 by `not n1 or d1 * d2 * d3 == ...`, and L1
+and L2, whose polynomial is zero, return `_HELD` at once. The reduced form
+is used where it costs fewer slot loads and operations than the nested
+one: in cases 1 to 8, 11, L1 and L2, and not in 9, 10 or 12 to 14. Either
+way the decision comes from `_STEPS` and `_TEMPLATES` alone, never from
+`catalog`'s equations, so `verify` still compares two independent
+derivations. Each of the verdict, full and UNDEFINED paths loads and
+computes only what it reads. Any other result is one flat tuple
 `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as its
 unreduced numerator and denominator and builds the side's Fraction when it
 is read.
@@ -303,20 +317,24 @@ _TEMPLATES = {
     BinOp.DIV: ("n{x} * d{y}", "d{x} * n{y}"),
 }
 
-_SLOT = {"n": "_numerator", "d": "_denominator"}
+# Each slot integer n1, d1, ..., d3 and the line that loads it, in load
+# order: as_integer_ratio and the numerator/denominator properties are
+# Python-level functions in fractions.py, one call per read.
+_LOADS = {f"{v}{i}": f"{v}{i} = r{i}.{slot}" for i in "123"
+          for v, slot in (("n", "_numerator"), ("d", "_denominator"))}
 
 
 def _define(name: str, body: list[str], namespace: dict):
     """Compile `def name(t)` with the lines `body` in the globals `namespace`,
     or `def name(t, verdict_only=False)` if the body names `verdict_only`.
     The function first unpacks `r1, r2, r3 = t`, then loads each slot integer
-    n1, d1, ..., d3 whose name the body contains (no other name in a body
-    contains one): as_integer_ratio and the numerator/denominator properties
-    are Python-level functions in fractions.py, one call per read."""
+    whose name the body contains (no other name in a body contains one) and
+    whose load the body does not contain: a body that loads a slot itself
+    loads it on each path that reads it."""
     text = "\n".join(body)
     params = "t, verdict_only=False" if "verdict_only" in text else "t"
     lines = [f"def {name}({params}):", "    r1, r2, r3 = t"]
-    lines += [f"    {v}{i} = r{i}.{_SLOT[v]}" for i in "123" for v in "nd" if v + i in text]
+    lines += ["    " + load for slot, load in _LOADS.items() if slot in text and load not in text]
     lines += ["    " + line for line in body]
     defined: dict = {}
     exec("\n".join(lines), namespace, defined)
@@ -344,11 +362,66 @@ def _divisor_operands(case: CaseId) -> list[str]:
     return [*dict.fromkeys(y for _, _, role, _, y in _STEPS if getattr(case, role) is BinOp.DIV)]
 
 
+class _Poly(Counter):
+    """A polynomial in the slot integers: {the sorted atoms of a monomial:
+    its coefficient}, with the three operations of the step texts."""
+
+    def __add__(self, other):
+        total = _Poly(self)
+        total.update(other)
+        return total
+
+    def __sub__(self, other):
+        total = _Poly(self)
+        total.subtract(other)
+        return total
+
+    def __mul__(self, other):
+        product = _Poly()
+        for m, a in self.items():
+            for k, b in other.items():
+                product[tuple(sorted(m + k))] += a * b
+        return product
+
+
+def _reduced_decision(texts: dict, difference: str, guard: list[str]) -> str:
+    """The test that the text `difference` is zero once the guard has passed,
+    from its expansion over the step `texts` into a polynomial in the slot
+    integers. The polynomial's monomial content is divided out: its atoms that
+    may be zero, those neither a denominator nor guarded, are tested as
+    `not (n1 and ...)`, and the rest is zero when its positive terms equal its
+    negative ones. "True" if the polynomial is identically zero."""
+    env = {slot: _Poly({(slot,): 1}) for slot in _LOADS}
+    exec("\n".join([*(f"{name} = {text}" for name, text in texts.items()),
+                     f"difference = {difference}"]), {}, env)
+    poly = {monomial: c for monomial, c in env["difference"].items() if c}
+    if not poly:
+        return "True"
+    content = Counter(min(poly))
+    for monomial in poly:
+        content &= Counter(monomial)
+    tests = " and ".join(atom for atom in _LOADS
+                         if content[atom] and atom[0] == "n" and atom not in guard)
+    parts = [f"not ({tests})" if " " in tests else f"not {tests}"] if tests else []
+    if len(poly) > 1:
+        sides = ([], [])
+        for monomial, c in sorted(poly.items()):
+            atoms = [*(Counter(monomial) - content).elements()]
+            sides[c < 0].append(" * ".join([str(abs(c))] * (abs(c) != 1) + atoms))
+        parts.append(" == ".join(" + ".join(side) or "0" for side in sides))
+    return " or ".join(parts)
+
+
+def _operations(text: str) -> int:
+    return sum(word in ("*", "+", "-", "==", "not", "and", "or") for word in text.split())
+
+
 def _build_kernel(case: CaseId):
     """Generate the straight-line `check` for one case from `_STEPS` and
     `_TEMPLATES`. Each step's numerator and denominator are also kept as the
     list of atoms each is the product of: n1, d1, ..., d3 and the numerators
-    of ADD and SUB steps."""
+    of ADD and SUB steps. The verdict-only path decides by the reduced or
+    the nested form, whichever counts fewer slot loads and operations."""
     nums, dens = {v: [f"n{v}"] for v in "123"}, {v: [f"d{v}"] for v in "123"}
     texts = {}  # each step's n{out} and d{out}: the source text of its value
     for _, out, role, x, y in _STEPS:
@@ -371,23 +444,49 @@ def _build_kernel(case: CaseId):
     guard = [*dict.fromkeys(atom for y in _divisor_operands(case) for atom in nums[y]
                             if atom[0] == "n")]
     lhs, rhs = Counter(dens["lhs"]), Counter(dens["rhs"])
-    decision = " == ".join(" * ".join([n, *extra.elements()])
-                           for n, extra in (("nlhs", rhs - lhs), ("nrhs", lhs - rhs)))
-    # What the guard and the decision read is assigned first, and the rest
-    # only on the full and UNDEFINED paths.
-    read = {*decision.split(), *guard}
-    for name in reversed(texts):
-        if name in read:
-            read.update(texts[name].split())
-    body = [f"{name} = {text}" for name, text in texts.items() if name in read]
-    rest = [f"{name} = {text}" for name, text in texts.items() if name not in read]
+    left, right = (" * ".join([n, *extra.elements()])
+                   for n, extra in (("nlhs", rhs - lhs), ("nrhs", lhs - rhs)))
+    nested = f"{left} == {right}"
+
+    def reads(*roots: str) -> set:
+        """The slot integers and step values that the texts `roots` read,
+        directly or through the steps they read."""
+        read = {word.strip("(),") for root in roots for word in root.split()}
+        for name in reversed(texts):
+            if name in read:
+                read.update(texts[name].split())
+        return read & {*_LOADS, *texts}
+
+    def cost(decision: str) -> int:
+        """Slot loads and operations on the verdict path that decides by `decision`."""
+        return _operations(decision) + sum(
+            1 if name in _LOADS else _operations(texts[name]) for name in reads(*guard, decision))
+
+    # A verdict-only call decides by the reduced polynomial where that costs
+    # less, and by the nested cross-multiplication, as a full call does, otherwise.
+    reduced = _reduced_decision(texts, f"{left} - ({right})", guard)
+    verdict = reduced if cost(reduced) < cost(nested) else nested
+    verdict_reads, full = reads(verdict), reads("nlhs dlhs nrhs drhs", nested)
+
+    def assign(names: set, indent: str = "") -> list[str]:
+        return [indent + (_LOADS.get(name) or f"{name} = {texts[name]}")
+                for name in (*_LOADS, *texts) if name in names]
+
+    # Each path assigns only what it reads: what every path reads first, then
+    # the guard, what the verdict and the full path share, and each one's own.
+    shared = first = verdict_reads & full
+    body = []
     if guard:
-        body.append(f"if not ({' and '.join(guard)}):")
-        body += ["    " + line for line in rest]
         step_dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
-        body.append(f"    return _undefined_result(({step_dens}), nlhs, nrhs)")
-    body += ["if verdict_only:", f"    return _HELD if {decision} else _FAILED", *rest,
-             f"return CheckResult((_HOLDS if {decision} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]
+        undefined = reads("nlhs nrhs", step_dens)
+        first = reads(*guard) | (shared & undefined)
+        body = [f"if not ({' and '.join(guard)}):", *assign(undefined - first, "    "),
+                f"    return _undefined_result(({step_dens}), nlhs, nrhs)"]
+    done = first | shared
+    returned = "return _HELD" if verdict == "True" else f"return _HELD if {verdict} else _FAILED"
+    body = [*assign(first), *body, *assign(shared - first), "if verdict_only:",
+            *assign(verdict_reads - done, "    "), "    " + returned, *assign(full - done),
+            f"return CheckResult((_HOLDS if {nested} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]
     return _define(f"check_case_{case.label}", body, globals())
 
 
@@ -429,8 +528,13 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
 
     With `verdict_only` true, a HOLDS or FAILS result is one of two shared
     results, `_HELD` and `_FAILED`, that carry no sides: a grid scan, which
-    reads only the verdict, allocates no result per triple. An UNDEFINED
-    result is the same as without it.
+    reads only the verdict, allocates no result per triple. Such a call
+    decides by the reduced polynomial of `left - right`, its monomial
+    content divided out, where that costs fewer slot loads and operations
+    than the nested cross-multiplication (cases 1 to 8, 11, L1 and L2), and
+    loads only the slots its guard and decision read: case 1 reads only
+    `n1`, and L1 none. Both forms are derived from `_STEPS` and `_TEMPLATES`
+    alone. An UNDEFINED result is the same as without it.
     """
     last, kernel = _KERNELS.last
     if last is not case:

@@ -25,6 +25,7 @@ import ast
 import operator
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,27 +165,41 @@ def _slot_divisors(case) -> list:
     return [sp.numer(sp.together(g.subs(AS_SLOTS))) for g in _derive(case)[0]]
 
 
-def _assigned(statements, slots: dict) -> list[str]:
-    """Run `statements`, which must all be assignments, on the symbols in
-    `slots`; the names they assign, in order."""
+def _components() -> dict:
+    """r1, r2, r3 whose slots hold the slot symbols, for a kernel's loads to read."""
+    return {f"r{i}": SimpleNamespace(_numerator=SLOT_NAMES["n" + i],
+                                     _denominator=SLOT_NAMES["d" + i]) for i in "123"}
+
+
+def _assigned(statements, env: dict) -> list[str]:
+    """Run `statements`, which must all be assignments, in `env`, so that a
+    name read before a statement of the path assigns it raises NameError;
+    the names they assign, in order."""
     names = []
     for statement in statements:
         assert isinstance(statement, ast.Assign), ast.unparse(statement)
-        exec(ast.unparse(statement), {}, slots)
+        exec(ast.unparse(statement), {}, env)
         names += [node.id for target in statement.targets for node in ast.walk(target)
                   if isinstance(node, ast.Name)]
     return names
 
 
-def _assert_steps(case, slots: dict, assigned: list[str]):
-    """On one path through a kernel each step's `n{out}` and `d{out}` are
-    assigned once, and `n{out}/d{out}` is its `_STEPS` operation on its operands."""
-    assert sorted(assigned) == sorted(v + out for _, out, *_ in _STEPS for v in "nd"), assigned
-    values = {i: slots["n" + i] / slots["d" + i] for i in "123"}
+STEP_NAMES = {v + out for _, out, *_ in _STEPS for v in "nd"}
+
+
+def _assert_steps(case, env: dict, assigned: list[str], complete: bool):
+    """On one path through a kernel each slot integer and step value is
+    assigned once, and each step whose `n{out}` and `d{out}` are both
+    assigned has `n{out}/d{out}` equal to its `_STEPS` operation on the
+    components. Both sides are, and on a `complete` path every step is."""
+    assert len(assigned) == len(set(assigned)) and set(assigned) <= STEP_NAMES | set(SLOT_NAMES)
+    assert {"nlhs", "dlhs", "nrhs", "drhs"} <= set(assigned), (case.label, assigned)
+    assert not complete or STEP_NAMES <= set(assigned), (case.label, assigned)
+    values = {i: SLOT_NAMES["n" + i] / SLOT_NAMES["d" + i] for i in "123"}
     for site, out, role, x, y in _STEPS:
-        values[out] = slots["n" + out] / slots["d" + out]
-        expected = _OPS[getattr(case, role)](values[x], values[y])
-        assert sp.cancel(values[out] - expected) == 0, (case.label, site)
+        values[out] = _OPS[getattr(case, role)](values[x], values[y])
+        if {"n" + out, "d" + out} <= set(assigned):
+            assert sp.cancel(env["n" + out] / env["d" + out] - values[out]) == 0, (case.label, site)
 
 
 def _decision(choice: ast.IfExp) -> tuple[tuple[str, str], str]:
@@ -221,53 +236,115 @@ def _assert_nonzero_monomial(ratio, allowed: set, label: str):
     assert {f for f, _ in factors} <= allowed, (label, ratio)
 
 
+def _assert_each_assignment_is_read(path: list, label: str):
+    """Each name that a statement of `path`, one path through a kernel,
+    assigns is read later on that path: a path assigns only what it reads."""
+    for at, node in enumerate(path):
+        if isinstance(node, ast.Assign):
+            (target,) = node.targets
+            assert any(isinstance(name, ast.Name) and name.id == target.id
+                       for later in path[at + 1:] for name in ast.walk(later)), (label, target.id)
+
+
+def _reduced_factors(test, env: dict, guard: set[str], label: str) -> list:
+    """The factors of a reduced decision `not (a and ...) or L == R`, either
+    part of which may stand alone: each tested atom a, and L - R. The
+    decision holds exactly where one factor is zero. Each atom is a slot
+    numerator that the guard does not test, once, and no slot integer divides
+    every term of L - R, so nothing is left to divide out."""
+    parts = test.values if isinstance(test, ast.BoolOp) else [test]
+    assert len(parts) <= 2 and (len(parts) == 1 or isinstance(test.op, ast.Or)), ast.unparse(test)
+    factors = []
+    if isinstance(parts[0], ast.UnaryOp):
+        (tested, *parts) = parts
+        assert isinstance(tested.op, ast.Not), ast.unparse(test)
+        operand = tested.operand
+        names = operand.values if isinstance(operand, ast.BoolOp) else [operand]
+        assert isinstance(operand, ast.Name) or isinstance(operand.op, ast.And), ast.unparse(test)
+        atoms = [name.id for name in names]
+        assert len(set(atoms)) == len(atoms) and set(atoms) <= {"n1", "n2", "n3"} - guard, atoms
+        factors += [env[atom] for atom in atoms]
+    for part in parts:
+        (op,), (right,) = part.ops, part.comparators
+        assert isinstance(op, ast.Eq), ast.unparse(test)
+        residual = sp.expand(eval(f"({ast.unparse(part.left)}) - ({ast.unparse(right)})", {}, env))
+        monomials = sp.Poly(residual, *SLOTS).monoms()
+        assert len(monomials) > 1 and all(min(column) == 0 for column in zip(*monomials)), label
+        factors.append(residual)
+    return factors
+
+
+# The cases whose verdict-only decision is reduced; the others' is nested.
+REDUCED = {"1", "2", "3", "4", "5", "6", "7", "8", "11", "L1", "L2"}
+
+
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
 def test_check_kernel_steps_are_the_identity_s_operations(case):
-    # The kernel is: step assignments; the UNDEFINED guard, if the case
-    # divides, whose branch assigns the missing values and returns
-    # `_undefined_result`; `if verdict_only:` returning `_HELD` or `_FAILED`;
-    # the remaining assignments; the full `CheckResult`. On each path, every
-    # step is its `_STEPS` operation. The guard's names vanish exactly where a
-    # division step's denominator does. Each return decides by an equality
-    # whose `left - right` times a nonzero monomial, in denominators and
-    # divisor numerators, is the full cross-multiplication, which is the
-    # identity's numerator times such a monomial. Nothing is left to cancel:
-    # each sum or difference is over its operands' least common denominator,
-    # each decision's two multipliers share no factor, and the guard names
+    # The kernel is: what every path reads; the UNDEFINED guard, if the case
+    # divides, whose branch assigns the rest and returns `_undefined_result`;
+    # what the verdict and the full path share; `if verdict_only:`, whose
+    # branch assigns what its decision reads and returns `_HELD` or
+    # `_FAILED`; the full path's own assignments; the full `CheckResult`.
+    # Each path loads each slot integer it reads and assigns each name once.
+    # On the UNDEFINED path every step is its `_STEPS` operation; on the full
+    # path each step assigned whole is, and both sides are. The guard's names
+    # vanish exactly where a division step's denominator does. The full
+    # return decides by an equality `nlhs * P == nrhs * Q` whose
+    # `left - right` times a nonzero monomial, in denominators and divisor
+    # numerators, is the full cross-multiplication, which is the identity's
+    # numerator times such a monomial. The verdict-only return decides the
+    # same way, or by a reduced decision whose factors' product times such a
+    # monomial is the cross-multiplication, or is `_HELD` alone where the
+    # cross-multiplication is zero. Nothing is left to cancel: each sum or
+    # difference is over its operands' least common denominator, each
+    # nested decision's two multipliers share no factor, and the guard names
     # each factor of the divisors' numerators that is not a denominator once.
     body = ast.parse("\n".join(_generated_body(identity, "_build_kernel", case))).body
     at = next(i for i, statement in enumerate(body)
               if isinstance(statement, ast.If) and ast.unparse(statement.test) == "verdict_only")
     (shared, *late, built), divides = body[at:], any(
         getattr(case, role) is BinOp.DIV for _, _, role, _, _ in _STEPS)
-    early, guards = body[:at - divides], body[at - divides:at]
-    assert all(isinstance(guard, ast.If) for guard in guards) and not shared.orelse, case.label
+    guards = [i for i, statement in enumerate(body[:at]) if isinstance(statement, ast.If)]
+    assert len(guards) == divides and not shared.orelse, case.label
+    split = guards[0] if divides else at
+    first, guards, mid = body[:split], body[split:split + divides], body[split + divides:at]
 
-    slots = dict(SLOT_NAMES)
-    assigned = _assigned(early, slots)
-    decided = dict(slots)
+    env = _components()
+    assigned = _assigned(first, env)
+    guarded, guard_names = {}, set()
     for guard in guards:
         *missing, undefined = guard.body
-        guarded = dict(slots)
-        _assert_steps(case, guarded, assigned + _assigned(missing, guarded))
+        guarded = dict(env)
+        _assert_steps(case, guarded, assigned + _assigned(missing, guarded), complete=True)
         dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
         assert ast.unparse(undefined) == f"return _undefined_result(({dens}), nlhs, nrhs)"
         assert isinstance(guard.test, ast.UnaryOp) and isinstance(guard.test.op, ast.Not)
         tested = guard.test.operand
         names = tested.values if isinstance(tested, ast.BoolOp) else [tested]
         assert isinstance(tested, ast.Name) or isinstance(tested.op, ast.And), ast.unparse(guard)
+        guard_names = {ast.unparse(name) for name in names}
         divisions = [guarded["d" + out] for _, out, role, _, _ in _STEPS
                      if getattr(case, role) is BinOp.DIV]
-        assert (_non_denominator_factors(eval(ast.unparse(name), {}, decided) for name in names)
+        assert (_non_denominator_factors(eval(ast.unparse(name), {}, env) for name in names)
                 == _non_denominator_factors(divisions)), (case.label, ast.unparse(guard))
         # Each name is one of the distinct factors of the divisors' numerators
         # that are not denominators, and every such factor is named.
-        named = [_factors(eval(ast.unparse(name), {}, decided)) for name in names]
+        named = [_factors(eval(ast.unparse(name), {}, env)) for name in names]
         assert all(len(factors) == 1 for factors in named), (case.label, ast.unparse(guard))
         assert len({f for f, in named}) == len(names), (case.label, ast.unparse(guard))
         assert ({f for f, in named} == _non_denominator_factors(_slot_divisors(case))
                 ), (case.label, ast.unparse(guard))
-    _assert_steps(case, slots, assigned + _assigned(late, slots))
+    assigned += _assigned(mid, env)
+    *verdict_lines, shared_return = shared.body
+    tests = [guard.test for guard in guards]
+    for guard in guards:
+        _assert_each_assignment_is_read([*first, guard.test, *guard.body], case.label)
+    _assert_each_assignment_is_read([*first, *tests, *mid, *shared.body], case.label)
+    _assert_each_assignment_is_read([*first, *tests, *mid, *late, built], case.label)
+    decided, full = dict(env), dict(env)
+    verdict_assigned = assigned + _assigned(verdict_lines, decided)
+    assert len(verdict_assigned) == len(set(verdict_assigned)), (case.label, verdict_assigned)
+    _assert_steps(case, full, assigned + _assigned(late, full), complete=False)
 
     # Each ADD or SUB step is `n{x} * A +/- n{y} * B` over the least common
     # denominator: A and B are products of names that share no factor.
@@ -284,29 +361,40 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
             assert isinstance(value.op, (ast.Add, ast.Sub)), (case.label, site)
             (nx, *a), (ny, *b) = _product_names(value.left), _product_names(value.right)
             assert (nx, ny) == ("n" + x, "n" + y), (case.label, site)
-            _assert_coprime(a, b, slots, f"{case.label} {site}")
+            _assert_coprime(a, b, {**guarded, **full}, f"{case.label} {site}")
 
-    (shared_return,) = shared.body
     (result,) = built.value.args
     assert ast.unparse(built.value.func) == "CheckResult", ast.unparse(built)
     assert ast.unparse(ast.Tuple(result.elts[1:])) == "(nlhs, dlhs, nrhs, drhs, None)"
-    # The verdict-only decision reads only what is assigned before it.
-    returns = [(*_decision(shared_return.value), decided), (*_decision(result.elts[0]), slots)]
-    assert [verdicts for verdicts, _, _ in returns] == [("_HELD", "_FAILED"), ("_HOLDS", "_FAILS")]
-    # Each decision is `nlhs * P == nrhs * Q`, P and Q products of atoms (the
-    # slot integers and step numerators) that share no factor.
-    for choice, env in ((shared_return.value, decided), (result.elts[0], slots)):
+    cross = sp.expand(full["nlhs"] * full["drhs"] - full["nrhs"] * full["dlhs"])
+    numerator = _derive(case)[1]
+    allowed = {*DENOMINATORS, *(f for g in _slot_divisors(case) for f in _factors(g))}
+    # The verdict-only decision reads only what its path assigns. It is
+    # reduced where that costs fewer slot loads and operations than nested.
+    nested, choice = [(result.elts[0], full)], shared_return.value
+    assert (case.label in REDUCED) is not ast.unparse(choice).startswith("_HELD if nlhs"), case.label
+    if isinstance(choice, ast.Name):
+        assert choice.id == "_HELD" and cross == 0, ast.unparse(shared_return)
+    elif ast.unparse(choice.test).startswith("nlhs"):
+        nested.append((choice, decided))
+    else:
+        assert (choice.body.id, choice.orelse.id) == ("_HELD", "_FAILED"), ast.unparse(choice)
+        factors = _reduced_factors(choice.test, decided, guard_names, case.label)
+        _assert_nonzero_monomial(sp.cancel(cross / sp.Mul(*factors)), allowed, ast.unparse(choice))
+    returns = [(*_decision(choice), env) for choice, env in nested]
+    assert [verdicts for verdicts, _, _ in returns] == [("_HOLDS", "_FAILS"), ("_HELD", "_FAILED")
+                                                        ][:len(returns)]
+    # Each nested decision is `nlhs * P == nrhs * Q`, P and Q products of
+    # atoms (the slot integers and step numerators) that share no factor.
+    for choice, env in nested:
         (lhs, *p), (rhs, *q) = map(_product_names, (choice.test.left, *choice.test.comparators))
         assert (lhs, rhs) == ("nlhs", "nrhs"), ast.unparse(choice)
         assert all(name in SLOT_NAMES or name[0] == "n" for name in p + q), ast.unparse(choice)
         _assert_coprime(p, q, env, case.label)
-    cross = sp.expand(slots["nlhs"] * slots["drhs"] - slots["nrhs"] * slots["dlhs"])
-    numerator = _derive(case)[1]
     if case.label in ("L1", "L2"):
         assert (numerator, cross) == (0, 0)
         assert all(sp.expand(eval(decision, {}, env)) == 0 for _, decision, env in returns)
         return
-    allowed = {*DENOMINATORS, *(f for g in _slot_divisors(case) for f in _factors(g))}
     for _, decision, env in returns:
         _assert_nonzero_monomial(sp.cancel(cross / eval(decision, {}, env)), allowed, decision)
     _assert_nonzero_monomial(sp.cancel(cross / numerator.subs(AS_SLOTS)), allowed, case.label)

@@ -10,6 +10,7 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -259,15 +260,64 @@ def test_a_verdict_only_check_agrees_and_shares_its_decided_results(r1, r2, r3):
 
 
 def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
-    values = enumerate_rationals(SearchBounds(2, 2))
-    assert 0 in values
+    # Full and verdict-only: a decided verdict-only result is one of the two
+    # shared results, and an UNDEFINED one is the full result, site included.
+    for bounds in (SearchBounds(2, 2), SearchBounds(3, 2)):
+        values = enumerate_rationals(bounds)
+        assert 0 in values
+        for case in ALL_CASES:
+            kernel = identity._KERNELS[case]
+            for t in product(values, repeat=3):
+                t = Triple(*t)
+                expected = _reference_check(case, t)
+                assert _as_reference(kernel(t)) == expected, (case.label, t)
+                bare = kernel(t, True)
+                if expected[0] is Verdict.UNDEFINED:
+                    assert _as_reference(bare) == expected, (case.label, t)
+                else:
+                    decided = identity._HELD if expected[0] is Verdict.HOLDS else identity._FAILED
+                    assert bare is decided, (case.label, t)
+
+
+# The slot integers that each case's verdict-only path loads: those its
+# decision and its guard read. Cases 9, 10 and 12 to 14 decide by the nested
+# cross-multiplication, which costs less there than the reduced polynomial.
+VERDICT_READS = {
+    **dict.fromkeys(["1", "2", "5", "6"], "n1"),
+    **dict.fromkeys(["3", "4", "7", "8"], "n1 d1 n2 n3"),
+    **dict.fromkeys(["9", "10"], "n1 n2 d2 n3 d3"),
+    **dict.fromkeys(["11", "12", "13", "14"], "n1 d1 n2 d2 n3 d3"),
+    **dict.fromkeys(["L1", "L2"], ""),
+}
+
+
+def _recording(q: Fraction, i: str, reads: list):
+    """A component whose slots read those of `q`, appending each read to `reads`."""
+
+    class Component:
+        @property
+        def _numerator(self):
+            reads.append("n" + i)
+            return q._numerator
+
+        @property
+        def _denominator(self):
+            reads.append("d" + i)
+            return q._denominator
+
+    return Component()
+
+
+def test_each_path_of_a_kernel_loads_each_slot_it_reads_once_and_no_other():
+    t, every = (Fraction(2, 3), Fraction(-5, 7), Fraction(4, 5)), "n1 d1 n2 d2 n3 d3"
     for case in ALL_CASES:
-        kernel = identity._KERNELS[case]
-        for r1 in values:
-            for r2 in values:
-                for r3 in values:
-                    t = Triple(r1, r2, r3)
-                    assert _as_reference(kernel(t)) == _reference_check(case, t), (case.label, t)
+        for verdict_only, expected in ((True, VERDICT_READS[case.label]), (False, every)):
+            reads = []
+            recorded = tuple(_recording(q, i, reads) for i, q in zip("123", t))
+            assert identity._KERNELS[case](recorded, verdict_only) == check(case, t, verdict_only)
+            assert sorted(reads) == sorted(expected.split()), (case.label, verdict_only)
+    # L1's and L2's verdict-only paths read no slot, so they take any components.
+    assert check(case_from_label("L1"), (1, 2, 3), True) is identity._HELD
 
 
 def test_importing_the_package_builds_no_kernel():
