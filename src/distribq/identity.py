@@ -25,8 +25,13 @@ cross-multiplies (case 12 decides by `nlhs * d1 == nrhs`, case 1 by
 definedness is tested on those that are not denominators: case 8 guards
 on `n2 and n3`.
 A grid scan, which reads only the verdict, calls `check` with
-`verdict_only` and gets one of two shared results that carry no sides, so
-it builds no result per triple. Such a call may decide by the reduced form
+`verdict_only` and gets one of seven shared results that carry no sides,
+`_HELD`, `_FAILED` or its site's UNDEFINED result in `_UNDEFINED_AT`, so it
+builds no result per triple. Before the guard a kernel computes only what
+the guard reads. Where the guard fails, such a call picks the site by
+testing, in `_STEPS` order, the guard atoms of each site's denominator that
+no earlier site tested: case 13 answers `_UNDEFINED_AT[0] if not n3 else
+_UNDEFINED_AT[4]`. Where it passes, such a call may decide by the reduced form
 of that cross-multiplication instead: `left - right`, expanded over the
 kernel's own step texts into a polynomial in n1, ..., d3, with its monomial
 content divided out. The content's atoms that are neither denominators nor
@@ -233,11 +238,12 @@ def _from_coprime_ints(n: int, d: int = 1) -> Fraction:
 class CheckResult(tuple):
     """Outcome of evaluating both sides of the identity.
 
-    HOLDS and FAILS carry both side values, except for `_HELD` and
-    `_FAILED`, the shared results of `check(case, t, verdict_only=True)`,
-    which carry none. UNDEFINED carries the description of the first
-    undefined sub-operation, plus whichever side values could still be
-    computed.
+    A full result that HOLDS or FAILS carries both side values; one that is
+    UNDEFINED carries the description of the first undefined sub-operation,
+    plus whichever side values could still be computed. The results of
+    `check(case, t, verdict_only=True)` carry a verdict, the UNDEFINED site
+    and no sides, whatever the verdict: they are seven shared objects,
+    `_HELD`, `_FAILED` and the five of `_UNDEFINED_AT`, one per site.
 
     `check` builds it from one flat tuple (verdict, lhs_n, lhs_d, rhs_n,
     rhs_d, undefined_site) in which each side is the integer numerator and
@@ -301,6 +307,10 @@ _STEPS = (
     ("inner of rhs", "rhs", "inner", "ab", "ac"),
 )
 _SITES = tuple(step[0] for step in _STEPS)
+
+# The UNDEFINED results of `check(case, t, verdict_only=True)`, one per site in
+# `_SITES` order: shared like `_HELD` and `_FAILED`, they carry no sides.
+_UNDEFINED_AT = tuple(CheckResult((_UNDEFINED, None, None, None, None, site)) for site in _SITES)
 
 # x op y on the kernel's (n{x}, d{x}) and (n{y}, d{y}), as the source text
 # of the result's numerator and of its denominator. In a sum or difference,
@@ -421,7 +431,9 @@ def _build_kernel(case: CaseId):
     `_TEMPLATES`. Each step's numerator and denominator are also kept as the
     list of atoms each is the product of: n1, d1, ..., d3 and the numerators
     of ADD and SUB steps. The verdict-only path decides by the reduced or
-    the nested form, whichever counts fewer slot loads and operations."""
+    the nested form, whichever counts fewer slot loads and operations, and
+    where the guard fails returns the shared result of the first site whose
+    denominator has a zero atom."""
     nums, dens = {v: [f"n{v}"] for v in "123"}, {v: [f"d{v}"] for v in "123"}
     texts = {}  # each step's n{out} and d{out}: the source text of its value
     for _, out, role, x, y in _STEPS:
@@ -472,15 +484,28 @@ def _build_kernel(case: CaseId):
         return [indent + (_LOADS.get(name) or f"{name} = {texts[name]}")
                 for name in (*_LOADS, *texts) if name in names]
 
-    # Each path assigns only what it reads: what every path reads first, then
-    # the guard, what the verdict and the full path share, and each one's own.
+    # Each path assigns only what it reads: what every path reads first (in a
+    # case that divides, what the guard reads), then the guard, what the
+    # verdict and the full path share, and each one's own.
     shared = first = verdict_reads & full
     body = []
     if guard:
+        # The first site whose denominator has a zero atom is the first
+        # undefined one: each site tests the atoms no earlier site tested,
+        # and the last site with any needs no test.
+        tested, sites = set(), []
+        for at, (_, out, *_) in enumerate(_STEPS):
+            atoms = [atom for atom in guard if atom in dens[out] and atom not in tested]
+            tested.update(atoms)
+            if atoms:
+                sites.append((f"_UNDEFINED_AT[{at}]", " and ".join(atoms)))
+        chain = "".join(f"{site} if not ({atoms}) else " for site, atoms in sites[:-1])
         step_dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
         undefined = reads("nlhs nrhs", step_dens)
-        first = reads(*guard) | (shared & undefined)
-        body = [f"if not ({' and '.join(guard)}):", *assign(undefined - first, "    "),
+        first = reads(*guard)
+        body = [f"if not ({' and '.join(guard)}):",
+                "    if verdict_only:", f"        return {chain}{sites[-1][0]}",
+                *assign(undefined - first, "    "),
                 f"    return _undefined_result(({step_dens}), nlhs, nrhs)"]
     done = first | shared
     returned = "return _HELD" if verdict == "True" else f"return _HELD if {verdict} else _FAILED"
@@ -514,7 +539,7 @@ _KERNELS = _Kernels()
 def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     """Evaluate r1 outer (r2 inner r3) against (r1 outer r2) inner (r1 outer r3).
 
-    Both sides are always attempted; if any sub-operation divides by zero
+    A full call always attempts both sides; if any sub-operation divides by zero
     the verdict is UNDEFINED and the first failing site (in the fixed order
     lhs-inner, lhs-outer, rhs-outer-left, rhs-outer-right, rhs-inner) is
     reported.
@@ -526,15 +551,18 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     denominators share cancelled. The result keeps each side's numerator and
     denominator and builds its Fraction when `lhs` or `rhs` is read.
 
-    With `verdict_only` true, a HOLDS or FAILS result is one of two shared
-    results, `_HELD` and `_FAILED`, that carry no sides: a grid scan, which
-    reads only the verdict, allocates no result per triple. Such a call
+    With `verdict_only` true, the result is one of seven shared results
+    that carry no sides, `_HELD`, `_FAILED` and one UNDEFINED result per
+    site in `_UNDEFINED_AT`: a grid scan, which reads only the verdict,
+    allocates no result per triple. Its verdict and `undefined_site` are
+    those of the full result. An UNDEFINED call computes only what the
+    guard reads and picks its site from the guard's atoms. A decided call
     decides by the reduced polynomial of `left - right`, its monomial
     content divided out, where that costs fewer slot loads and operations
     than the nested cross-multiplication (cases 1 to 8, 11, L1 and L2), and
     loads only the slots its guard and decision read: case 1 reads only
     `n1`, and L1 none. Both forms are derived from `_STEPS` and `_TEMPLATES`
-    alone. An UNDEFINED result is the same as without it.
+    alone.
     """
     last, kernel = _KERNELS.last
     if last is not case:

@@ -280,11 +280,14 @@ REDUCED = {"1", "2", "3", "4", "5", "6", "7", "8", "11", "L1", "L2"}
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
 def test_check_kernel_steps_are_the_identity_s_operations(case):
-    # The kernel is: what every path reads; the UNDEFINED guard, if the case
-    # divides, whose branch assigns the rest and returns `_undefined_result`;
-    # what the verdict and the full path share; `if verdict_only:`, whose
-    # branch assigns what its decision reads and returns `_HELD` or
-    # `_FAILED`; the full path's own assignments; the full `CheckResult`.
+    # The kernel is: what every path reads, which in a case that divides is
+    # only what its UNDEFINED guard reads; the guard, whose branch returns,
+    # under `if verdict_only:`, the shared UNDEFINED result of the first site
+    # whose denominator has a zero name, and otherwise assigns the rest and
+    # returns `_undefined_result`; what the verdict and the full path share;
+    # `if verdict_only:`, whose branch assigns what its decision reads and
+    # returns `_HELD` or `_FAILED`; the full path's own assignments; the full
+    # `CheckResult`.
     # Each path loads each slot integer it reads and assigns each name once.
     # On the UNDEFINED path every step is its `_STEPS` operation; on the full
     # path each step assigned whole is, and both sides are. The guard's names
@@ -313,7 +316,7 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
     assigned = _assigned(first, env)
     guarded, guard_names = {}, set()
     for guard in guards:
-        *missing, undefined = guard.body
+        pick, *missing, undefined = guard.body
         guarded = dict(env)
         _assert_steps(case, guarded, assigned + _assigned(missing, guarded), complete=True)
         dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
@@ -334,11 +337,26 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
         assert len({f for f, in named}) == len(names), (case.label, ast.unparse(guard))
         assert ({f for f, in named} == _non_denominator_factors(_slot_divisors(case))
                 ), (case.label, ast.unparse(guard))
+        # For each zero/nonzero pattern of the names with a zero, the verdict-only
+        # chain picks the first site whose denominator has a zero name's factor;
+        # it reads nothing but the names.
+        assert ast.unparse(pick.test) == "verdict_only" and not pick.orelse, ast.unparse(pick)
+        (chain,) = pick.body
+        assert isinstance(chain, ast.Return), ast.unparse(chain)
+        zero_at = [_non_denominator_factors([guarded["d" + out]]) for _, out, *_ in _STEPS]
+        for zeros in product((False, True), repeat=len(names)):
+            if any(zeros):
+                zero = {f for (f,), z in zip(named, zeros) if z}
+                values = {ast.unparse(name): int(not z) for name, z in zip(names, zeros)}
+                site = eval(ast.unparse(chain.value), {"_UNDEFINED_AT": _SITES}, values)
+                assert site == _SITES[next(at for at, f in enumerate(zero_at) if f & zero)], (
+                    case.label, values, site)
+        _assert_each_assignment_is_read([*first, guard.test, chain], case.label)
     assigned += _assigned(mid, env)
     *verdict_lines, shared_return = shared.body
     tests = [guard.test for guard in guards]
     for guard in guards:
-        _assert_each_assignment_is_read([*first, guard.test, *guard.body], case.label)
+        _assert_each_assignment_is_read([*first, guard.test, *guard.body[1:]], case.label)
     _assert_each_assignment_is_read([*first, *tests, *mid, *shared.body], case.label)
     _assert_each_assignment_is_read([*first, *tests, *mid, *late, built], case.label)
     decided, full = dict(env), dict(env)

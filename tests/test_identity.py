@@ -242,26 +242,32 @@ def test_check_reads_a_plain_tuple_as_it_reads_a_triple(r1, r2, r3):
         assert check(case, tuple(t)) == check(case, t), case.label
 
 
+def _shared(verdict: Verdict, site: str | None) -> CheckResult:
+    """The result that a verdict-only check shares for `verdict` and `site`:
+    one of seven, one that holds, one that fails and one UNDEFINED per site."""
+    if verdict is Verdict.UNDEFINED:
+        return identity._UNDEFINED_AT[identity._SITES.index(site)]
+    return identity._HELD if verdict is Verdict.HOLDS else identity._FAILED
+
+
 @settings(max_examples=300)
 @given(components, components, components)
 def test_a_verdict_only_check_agrees_and_shares_its_decided_results(r1, r2, r3):
-    # The grid scans ask for the verdict only: the same verdict and site, but
-    # a decided result is one of two shared objects with no sides.
+    # The grid scans ask for the verdict only: the same verdict and site, in
+    # one of the seven shared results, which carry no sides.
     t = Triple(r1, r2, r3)
     for case in ALL_CASES:
         full, bare = check(case, t), check(case, t, True)
-        assert (bare.verdict, bare.undefined_site) == (full.verdict, full.undefined_site)
-        if full.verdict is Verdict.UNDEFINED:
-            assert bare == full, case.label
-            continue
-        assert bare is (identity._HELD if full.verdict is Verdict.HOLDS else identity._FAILED)
-        assert (bare.lhs, bare.rhs) == (None, None), case.label
-        assert full.lhs is not None and full.rhs is not None, case.label
+        assert bare is _shared(full.verdict, full.undefined_site), case.label
+        assert (bare.verdict, bare.undefined_site, bare.lhs, bare.rhs) == (
+            full.verdict, full.undefined_site, None, None), case.label
+        if full.verdict is not Verdict.UNDEFINED:
+            assert full.lhs is not None and full.rhs is not None, case.label
 
 
 def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
-    # Full and verdict-only: a decided verdict-only result is one of the two
-    # shared results, and an UNDEFINED one is the full result, site included.
+    # Full and verdict-only: a verdict-only result is the shared one of the
+    # reference's verdict and site.
     for bounds in (SearchBounds(2, 2), SearchBounds(3, 2)):
         values = enumerate_rationals(bounds)
         assert 0 in values
@@ -271,12 +277,7 @@ def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
                 t = Triple(*t)
                 expected = _reference_check(case, t)
                 assert _as_reference(kernel(t)) == expected, (case.label, t)
-                bare = kernel(t, True)
-                if expected[0] is Verdict.UNDEFINED:
-                    assert _as_reference(bare) == expected, (case.label, t)
-                else:
-                    decided = identity._HELD if expected[0] is Verdict.HOLDS else identity._FAILED
-                    assert bare is decided, (case.label, t)
+                assert kernel(t, True) is _shared(expected[0], expected[3]), (case.label, t)
 
 
 # The slot integers that each case's verdict-only path loads: those its
@@ -288,6 +289,14 @@ VERDICT_READS = {
     **dict.fromkeys(["9", "10"], "n1 n2 d2 n3 d3"),
     **dict.fromkeys(["11", "12", "13", "14"], "n1 d1 n2 d2 n3 d3"),
     **dict.fromkeys(["L1", "L2"], ""),
+}
+
+# The slot integers that each dividing case's guard reads: all that its
+# verdict-only path loads on an UNDEFINED triple.
+GUARD_READS = {
+    "4": "n1 n3", "7": "n1 n2 n3", "8": "n2 n3",
+    **dict.fromkeys(["9", "10"], "n2 d2 n3 d3"),
+    **dict.fromkeys(["13", "14"], "n1 d1 n3 d3"),
 }
 
 
@@ -309,13 +318,20 @@ def _recording(q: Fraction, i: str, reads: list):
 
 
 def test_each_path_of_a_kernel_loads_each_slot_it_reads_once_and_no_other():
-    t, every = (Fraction(2, 3), Fraction(-5, 7), Fraction(4, 5)), "n1 d1 n2 d2 n3 d3"
-    for case in ALL_CASES:
-        for verdict_only, expected in ((True, VERDICT_READS[case.label]), (False, every)):
-            reads = []
-            recorded = tuple(_recording(q, i, reads) for i, q in zip("123", t))
-            assert identity._KERNELS[case](recorded, verdict_only) == check(case, t, verdict_only)
-            assert sorted(reads) == sorted(expected.split()), (case.label, verdict_only)
+    # The first triple is decided in every case; the second, with r3 = 0, is
+    # UNDEFINED in every case that divides and decided in the others.
+    every = "n1 d1 n2 d2 n3 d3"
+    for r3 in (Fraction(4, 5), Fraction(0)):
+        t = (Fraction(2, 3), Fraction(-5, 7), r3)
+        for case in ALL_CASES:
+            undefined = check(case, t).verdict is Verdict.UNDEFINED
+            assert undefined is (not r3 and case.label in GUARD_READS), case.label
+            bare = (GUARD_READS if undefined else VERDICT_READS)[case.label]
+            for verdict_only, expected in ((True, bare), (False, every)):
+                reads = []
+                recorded = tuple(_recording(q, i, reads) for i, q in zip("123", t))
+                assert identity._KERNELS[case](recorded, verdict_only) == check(case, t, verdict_only)
+                assert sorted(reads) == sorted(expected.split()), (case.label, r3, verdict_only)
     # L1's and L2's verdict-only paths read no slot, so they take any components.
     assert check(case_from_label("L1"), (1, 2, 3), True) is identity._HELD
 
@@ -372,10 +388,10 @@ def test_the_last_case_s_kernel_never_answers_for_another_case(calls):
                   "pickled": pickle.loads(pickle.dumps(case))}[form]
         t = Triple(r1, r2, r3)
         kernel = identity._build_kernel(case)
-        assert check(passed, t) == kernel(t), (case.label, form, t)
-        bare = kernel(t, True)
-        assert check(passed, t, True) == bare, (case.label, form, t)
-        assert (check(passed, t, True) is bare) is (bare.verdict is not Verdict.UNDEFINED)
+        full = kernel(t)
+        assert check(passed, t) == full, (case.label, form, t)
+        bare = _shared(full.verdict, full.undefined_site)
+        assert check(passed, t, True) is kernel(t, True) is bare, (case.label, form, t)
         assert catalog.member(passed, t) == catalog._build_member(case)(t), (case.label, form, t)
 
 

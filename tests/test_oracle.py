@@ -175,8 +175,8 @@ def test_search_calls_check_once_per_triple_and_never_member(monkeypatch, label)
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
 def test_scans_allocate_no_decided_check_result(monkeypatch, case):
-    # Both scans read only the verdict, so every HOLDS or FAILS result they
-    # get is one of the two shared results; UNDEFINED ones are still built.
+    # Both scans read only the verdict, so every result they get is one of
+    # the seven shared results: `_HELD`, `_FAILED` and one UNDEFINED per site.
     results = []
     original = oracle.check
 
@@ -190,8 +190,10 @@ def test_scans_allocate_no_decided_check_result(monkeypatch, case):
     search_solutions(case, bounds, jobs=1)
     verify_characterization(case, bounds, jobs=1)
     assert len(results) == 2 * len(enumerate_rationals(bounds)) ** 3
+    shared = {id(r) for r in (identity._HELD, identity._FAILED, *identity._UNDEFINED_AT)}
+    assert all(id(r) in shared for r in results)
     decided = [r for r in results if r.verdict is not Verdict.UNDEFINED]
-    assert decided and all(r is identity._HELD or r is identity._FAILED for r in decided)
+    assert decided
     # A case that divides is undefined somewhere on a grid with zeros.
     assert (len(decided) < len(results)) == (BinOp.DIV in case)
 
