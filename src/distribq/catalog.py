@@ -22,7 +22,14 @@ case's divisors are read once from the identity's steps (`_divisors`, from
 it. `member` runs one straight-line kernel per case, generated from both
 the first time the case is tested, as `identity.check` is: it tests
 coef*n2 + const*d2 == 0 on the components' slot integers, then that each
-divisor's numerator is nonzero, and builds no Fraction. `_LINEAR` (the
+divisor's numerator is nonzero, and builds no Fraction. Where it costs
+fewer slot loads and operations (cases 11 to 14), the equation is
+expanded into a polynomial and tested as its part in n3 and d3, whose
+coefficients the kernel computes once per row of r1 and r2 objects and
+keeps with that row, as `identity.check`'s hoisted kernels do: case 12
+tests `k0 * d3 == k1 * n3`. That transformation is `_forms`' code, shared
+with `check`, so in those cases `verify`'s agreement does not test it; the
+test suite proves each hoisted kernel identical to its equation. `_LINEAR` (the
 pair as a function, which the test suite certifies against the identity
 with sympy) and `_zero_divisor` (the first zero divisor's text) are
 generated from the same two, and `solve_r2` reads them: it returns
@@ -47,7 +54,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, NamedTuple
 
-from . import _EXPORTS
+from . import _EXPORTS, _forms
 from .identity import (
     BinOp,
     CaseId,
@@ -59,6 +66,7 @@ from .identity import (
     _define,
     _divisor_operands,
     _Kernels,
+    _reads,
     _STEPS,
     _TEMPLATES,
     case_from_label,
@@ -127,12 +135,22 @@ def _divisors(case: CaseId) -> list[tuple[str, str]]:
 
 
 def _build_member(case: CaseId):
-    """Generate `member` for one case: the equation, then each divisor."""
-    terms = [f"({c}) * {v}" for c, v in zip(_EQUATIONS[case], ("n2", "d2")) if c != "0"]
-    tests = [" + ".join(terms) + " == 0"] if terms else []
-    tests += [f"({numerator}) != 0" for _, numerator in _divisors(case)]
-    body = "return " + (" and ".join(tests) or "True")
-    return _define(f"member_case_{case.label}", [body], {})
+    """Generate `member` for one case: the equation, then each divisor. The
+    equation is tested on r3's slots alone where a row hit of the memo costs
+    fewer slot loads and operations: `coef*n2 + const*d2` is expanded into a
+    polynomial, and r1's and r2's part of it kept per row."""
+    coef, const = _EQUATIONS[case]
+    terms = [f"({c}) * {v}" for c, v in ((coef, "n2"), (const, "d2")) if c != "0"]
+    tests = [f"({numerator}) != 0" for _, numerator in _divisors(case)]
+    line = " and ".join([" + ".join(terms) + " == 0"] * bool(terms) + tests) or "True"
+    poly = _forms.expand({"coef": coef, "const": const, "equation": "coef * n2 + const * d2"})
+    if poly:
+        coefficients, decision = _forms.hoisted(poly)
+        hit = " and ".join([decision, *tests])
+        if _forms.cost({}, hit, hit=True) < _forms.cost({}, line):
+            lines, row = _forms.memo(_reads({}, hit), coefficients)
+            return _define(f"member_case_{case.label}", [*lines, f"return {hit}"], {}, row)
+    return _define(f"member_case_{case.label}", [f"return {line}"], {})
 
 
 def _build_zero_divisor(case: CaseId):

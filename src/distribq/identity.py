@@ -27,31 +27,41 @@ on `n2 and n3`.
 A grid scan, which reads only the verdict, calls `check` with
 `verdict_only` and gets one of seven shared results that carry no sides,
 `_HELD`, `_FAILED` or its site's UNDEFINED result in `_UNDEFINED_AT`, so it
-builds no result per triple. Before the guard a kernel computes only what
-the guard reads. Where the guard fails, such a call picks the site by
-testing, in `_STEPS` order, the guard atoms of each site's denominator that
-no earlier site tested: case 13 answers `_UNDEFINED_AT[0] if not n3 else
-_UNDEFINED_AT[4]`. Where it passes, such a call may decide by the reduced form
-of that cross-multiplication instead: `left - right`, expanded over the
-kernel's own step texts into a polynomial in n1, ..., d3, with its monomial
-content divided out. The content's atoms that are neither denominators nor
-guarded are tested as `not (n1 and ...)`, and the rest is compared as its
-positive terms against its negative ones. Case 1 decides by `not n1`,
-case 7 by `n1 == d1`, case 11 by `not n1 or d1 * d2 * d3 == ...`, and L1
-and L2, whose polynomial is zero, return `_HELD` at once. The reduced form
-is used where it costs fewer slot loads and operations than the nested
-one: in cases 1 to 8, 11, L1 and L2, and not in 9, 10 or 12 to 14. Either
-way the decision comes from `_STEPS` and `_TEMPLATES` alone, never from
-`catalog`'s equations, so `verify` still compares two independent
-derivations. Each of the verdict, full and UNDEFINED paths loads and
-computes only what it reads. Any other result is one flat tuple
-`(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as its
-unreduced numerator and denominator and builds the side's Fraction when it
-is read.
+builds no result per triple. A kernel's verdict-only path comes first.
+Where the guard fails, it picks the site by testing, in `_STEPS` order, the
+guard atoms of each site's denominator that no earlier site tested: case 13
+answers `_UNDEFINED_AT[0] if not n3 else _UNDEFINED_AT[4]`. Where it
+passes, the path decides by a form of the nested `left - right`, expanded
+over the kernel's own step texts into a polynomial in n1, ..., d3 (see
+`_forms`). The reduced form divides out the polynomial's monomial content,
+tests the content's atoms that are neither denominators nor guarded as
+`not (n1 and ...)`, and compares the rest as its positive terms against its
+negative ones: case 1 decides by `not n1`, case 7 by `n1 == d1`, and L1 and
+L2, whose polynomial is zero, return `_HELD` at once. The hoisted form
+groups the monomials by their part in n3 and d3. A scan walks
+`product((r1,), values, values)`, so r1 and r2 stay the same objects for
+V - 1 of every V triples; a hoisted kernel keeps in one closure cell the
+last row's r1 and r2 with the coefficients, and the slots, that it computed
+from them, and on a row hit loads only r3's slots: case 12 decides by
+`k0 * d3 == k1 * n3`, cases 13 and 14 by `(k0 * d3 + k1 * n3) * d3 ==
+k2 * n3 * n3`. Each case takes the form that costs the fewest slot loads
+and operations, a row hit charged `_forms.HIT`: the reduced one in cases 1
+to 8, L1 and L2, the nested cross-multiplication in 9 and 10, the hoisted
+one in 11 to 14. Every form comes from `_STEPS` and `_TEMPLATES` alone,
+never from `catalog`'s equations, so `verify` compares two independently
+derived equations; in cases 11 to 14, though, `member`'s decision passes
+through the same `_forms` code as `check`'s, so `verify`'s agreement there
+does not test that code, and the test suite proves each hoisted kernel
+identical to its polynomial instead. Each of the verdict, full and
+UNDEFINED paths loads and computes only what it reads. Any other result is one flat
+tuple `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as
+its unreduced numerator and denominator and builds the side's Fraction when
+it is read.
 `catalog` generates its per-case `member` kernels with the same templates,
-the same slot loads and the same lazy table. Each table keeps the case and
-kernel it served last, so a scan, which checks one case object triple
-after triple, finds its kernel without hashing the CaseId.
+the same slot loads, the same row memo where it pays, and the same kind of
+table, which builds a case's kernel when the case is first looked up. Each
+table keeps the case and kernel it served last, so a scan, which checks one
+case object triple after triple, finds its kernel without hashing the CaseId.
 Nothing uses floating point.
 Divisions by zero never raise out of this module: `check` reports an
 UNDEFINED verdict that records which sub-operation failed. `DomainError`,
@@ -334,21 +344,26 @@ _LOADS = {f"{v}{i}": f"{v}{i} = r{i}.{slot}" for i in "123"
           for v, slot in (("n", "_numerator"), ("d", "_denominator"))}
 
 
-def _define(name: str, body: list[str], namespace: dict):
+def _define(name: str, body: list[str], namespace: dict, row: int = 0):
     """Compile `def name(t)` with the lines `body` in the globals `namespace`,
     or `def name(t, verdict_only=False)` if the body names `verdict_only`.
     The function first unpacks `r1, r2, r3 = t`, then loads each slot integer
     whose name the body contains (no other name in a body contains one) and
     whose load the body does not contain: a body that loads a slot itself
-    loads it on each path that reads it."""
+    loads it on each path that reads it. With `row`, the function keeps the
+    closure cell `row` that `_forms.memo` reads, a tuple of `row` items, at first
+    a fresh object that no component is."""
     text = "\n".join(body)
     params = "t, verdict_only=False" if "verdict_only" in text else "t"
-    lines = [f"def {name}({params}):", "    r1, r2, r3 = t"]
+    lines = [f"def {name}({params}):", *["    nonlocal row"] * bool(row), "    r1, r2, r3 = t"]
     lines += ["    " + load for slot, load in _LOADS.items() if slot in text and load not in text]
     lines += ["    " + line for line in body]
+    if row:
+        lines = ["def make():", f"    row = (object(),) * {row}",
+                 *("    " + line for line in lines), f"    return {name}"]
     defined: dict = {}
     exec("\n".join(lines), namespace, defined)
-    return defined[name]
+    return defined["make"]() if row else defined[name]
 
 
 # The lhs is computed from the steps up to its own, and the rhs, the last
@@ -372,68 +387,25 @@ def _divisor_operands(case: CaseId) -> list[str]:
     return [*dict.fromkeys(y for _, _, role, _, y in _STEPS if getattr(case, role) is BinOp.DIV)]
 
 
-class _Poly(Counter):
-    """A polynomial in the slot integers: {the sorted atoms of a monomial:
-    its coefficient}, with the three operations of the step texts."""
-
-    def __add__(self, other):
-        total = _Poly(self)
-        total.update(other)
-        return total
-
-    def __sub__(self, other):
-        total = _Poly(self)
-        total.subtract(other)
-        return total
-
-    def __mul__(self, other):
-        product = _Poly()
-        for m, a in self.items():
-            for k, b in other.items():
-                product[tuple(sorted(m + k))] += a * b
-        return product
-
-
-def _reduced_decision(texts: dict, difference: str, guard: list[str]) -> str:
-    """The test that the text `difference` is zero once the guard has passed,
-    from its expansion over the step `texts` into a polynomial in the slot
-    integers. The polynomial's monomial content is divided out: its atoms that
-    may be zero, those neither a denominator nor guarded, are tested as
-    `not (n1 and ...)`, and the rest is zero when its positive terms equal its
-    negative ones. "True" if the polynomial is identically zero."""
-    env = {slot: _Poly({(slot,): 1}) for slot in _LOADS}
-    exec("\n".join([*(f"{name} = {text}" for name, text in texts.items()),
-                     f"difference = {difference}"]), {}, env)
-    poly = {monomial: c for monomial, c in env["difference"].items() if c}
-    if not poly:
-        return "True"
-    content = Counter(min(poly))
-    for monomial in poly:
-        content &= Counter(monomial)
-    tests = " and ".join(atom for atom in _LOADS
-                         if content[atom] and atom[0] == "n" and atom not in guard)
-    parts = [f"not ({tests})" if " " in tests else f"not {tests}"] if tests else []
-    if len(poly) > 1:
-        sides = ([], [])
-        for monomial, c in sorted(poly.items()):
-            atoms = [*(Counter(monomial) - content).elements()]
-            sides[c < 0].append(" * ".join([str(abs(c))] * (abs(c) != 1) + atoms))
-        parts.append(" == ".join(" + ".join(side) or "0" for side in sides))
-    return " or ".join(parts)
-
-
-def _operations(text: str) -> int:
-    return sum(word in ("*", "+", "-", "==", "not", "and", "or") for word in text.split())
+def _reads(texts: dict, *roots: str) -> set:
+    """The slot integers and step values that the texts `roots` read,
+    directly or through the step `texts` they read."""
+    read = {word.strip("(),-") for root in roots for word in root.split()}
+    for name in reversed(texts):
+        if name in read:
+            read.update(texts[name].split())
+    return read & {*_LOADS, *texts}
 
 
 def _build_kernel(case: CaseId):
     """Generate the straight-line `check` for one case from `_STEPS` and
     `_TEMPLATES`. Each step's numerator and denominator are also kept as the
     list of atoms each is the product of: n1, d1, ..., d3 and the numerators
-    of ADD and SUB steps. The verdict-only path decides by the reduced or
-    the nested form, whichever counts fewer slot loads and operations, and
-    where the guard fails returns the shared result of the first site whose
-    denominator has a zero atom."""
+    of ADD and SUB steps. The verdict-only path comes first. It decides by
+    the nested cross-multiplication, the reduced polynomial or, on a row hit
+    of its memo, the polynomial's r3 part, whichever counts the fewest slot
+    loads and operations, and where the guard fails returns the shared
+    result of the first site whose denominator has a zero atom."""
     nums, dens = {v: [f"n{v}"] for v in "123"}, {v: [f"d{v}"] for v in "123"}
     texts = {}  # each step's n{out} and d{out}: the source text of its value
     for _, out, role, x, y in _STEPS:
@@ -460,35 +432,13 @@ def _build_kernel(case: CaseId):
                    for n, extra in (("nlhs", rhs - lhs), ("nrhs", lhs - rhs)))
     nested = f"{left} == {right}"
 
-    def reads(*roots: str) -> set:
-        """The slot integers and step values that the texts `roots` read,
-        directly or through the steps they read."""
-        read = {word.strip("(),") for root in roots for word in root.split()}
-        for name in reversed(texts):
-            if name in read:
-                read.update(texts[name].split())
-        return read & {*_LOADS, *texts}
-
-    def cost(decision: str) -> int:
-        """Slot loads and operations on the verdict path that decides by `decision`."""
-        return _operations(decision) + sum(
-            1 if name in _LOADS else _operations(texts[name]) for name in reads(*guard, decision))
-
-    # A verdict-only call decides by the reduced polynomial where that costs
-    # less, and by the nested cross-multiplication, as a full call does, otherwise.
-    reduced = _reduced_decision(texts, f"{left} - ({right})", guard)
-    verdict = reduced if cost(reduced) < cost(nested) else nested
-    verdict_reads, full = reads(verdict), reads("nlhs dlhs nrhs drhs", nested)
-
     def assign(names: set, indent: str = "") -> list[str]:
         return [indent + (_LOADS.get(name) or f"{name} = {texts[name]}")
                 for name in (*_LOADS, *texts) if name in names]
 
-    # Each path assigns only what it reads: what every path reads first (in a
-    # case that divides, what the guard reads), then the guard, what the
-    # verdict and the full path share, and each one's own.
-    shared = first = verdict_reads & full
-    body = []
+    # Each path loads and computes only what it reads, and the full path
+    # first what its guard reads.
+    first, test, undefined = _reads(texts, *guard), [], []
     if guard:
         # The first site whose denominator has a zero atom is the first
         # undefined one: each site tests the atoms no earlier site tested,
@@ -500,19 +450,35 @@ def _build_kernel(case: CaseId):
             if atoms:
                 sites.append((f"_UNDEFINED_AT[{at}]", " and ".join(atoms)))
         chain = "".join(f"{site} if not ({atoms}) else " for site, atoms in sites[:-1])
+        test = [f"if not ({' and '.join(guard)}):", f"    return {chain}{sites[-1][0]}"]
         step_dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
-        undefined = reads("nlhs nrhs", step_dens)
-        first = reads(*guard)
-        body = [f"if not ({' and '.join(guard)}):",
-                "    if verdict_only:", f"        return {chain}{sites[-1][0]}",
-                *assign(undefined - first, "    "),
-                f"    return _undefined_result(({step_dens}), nlhs, nrhs)"]
-    done = first | shared
-    returned = "return _HELD" if verdict == "True" else f"return _HELD if {verdict} else _FAILED"
-    body = [*assign(first), *body, *assign(shared - first), "if verdict_only:",
-            *assign(verdict_reads - done, "    "), "    " + returned, *assign(full - done),
+        undefined = [test[0], *assign(_reads(texts, "nlhs nrhs", step_dens) - first, "    "),
+                     f"    return _undefined_result(({step_dens}), nlhs, nrhs)"]
+
+    # A verdict-only call decides by the nested cross-multiplication, by the
+    # reduced polynomial of `left - right` or, on a row hit of its memo, by
+    # the polynomial's r3 part, whichever costs the fewest slot loads and
+    # operations.
+    from . import _forms
+
+    poly = _forms.expand({**texts, "difference": f"{left} - ({right})"})
+    reduced = _forms.reduced(poly, guard)
+    verdict = min(nested, reduced, key=lambda form: _forms.cost(texts, *guard, form))
+    coefficients, rowed = _forms.hoisted(poly) if poly else ({}, verdict)
+    memo = 0
+    if _forms.cost(texts, *guard, rowed, hit=True) < _forms.cost(texts, *guard, verdict):
+        hit = _reads(texts, *guard, rowed)
+        lines, memo = _forms.memo(hit, coefficients)
+        path = [*lines, *assign(hit - {*_forms.ROW}), *test,
+                f"return _HELD if {rowed} else _FAILED"]
+    else:
+        returned = "_HELD" if verdict == "True" else f"_HELD if {verdict} else _FAILED"
+        path = [*assign(first), *test, *assign(_reads(texts, verdict) - first),
+                f"return {returned}"]
+    body = ["if verdict_only:", *("    " + line for line in path), *assign(first), *undefined,
+            *assign(_reads(texts, "nlhs dlhs nrhs drhs", nested) - first),
             f"return CheckResult((_HOLDS if {nested} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]
-    return _define(f"check_case_{case.label}", body, globals())
+    return _define(f"check_case_{case.label}", body, globals(), memo)
 
 
 class _Kernels(dict):
@@ -558,11 +524,14 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     those of the full result. An UNDEFINED call computes only what the
     guard reads and picks its site from the guard's atoms. A decided call
     decides by the reduced polynomial of `left - right`, its monomial
-    content divided out, where that costs fewer slot loads and operations
-    than the nested cross-multiplication (cases 1 to 8, 11, L1 and L2), and
+    content divided out (cases 1 to 8, L1 and L2), by the nested
+    cross-multiplication (9 and 10) or, in cases 11 to 14, by that
+    polynomial's part in n3 and d3, whose coefficients the kernel computes
+    once per row of r1 and r2 objects and keeps with that row. Each path
     loads only the slots its guard and decision read: case 1 reads only
-    `n1`, and L1 none. Both forms are derived from `_STEPS` and `_TEMPLATES`
-    alone.
+    `n1`, L1 none, and case 12, along a row, `n3` and `d3`. Every form is
+    derived from `_STEPS` and `_TEMPLATES` alone. The full path does not
+    read the memo.
     """
     last, kernel = _KERNELS.last
     if last is not case:

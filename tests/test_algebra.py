@@ -144,7 +144,7 @@ def _generated_body(module, builder, case) -> list[str]:
     """The body lines that `builder` hands `_define` in `module` for the case."""
     bodies = []
     original = module._define
-    module._define = lambda name, body, namespace: bodies.append(body)
+    module._define = lambda name, body, namespace, row=0: bodies.append(body)
     try:
         getattr(module, builder)(case)
     finally:
@@ -274,20 +274,25 @@ def _reduced_factors(test, env: dict, guard: set[str], label: str) -> list:
     return factors
 
 
-# The cases whose verdict-only decision is reduced; the others' is nested.
-REDUCED = {"1", "2", "3", "4", "5", "6", "7", "8", "11", "L1", "L2"}
+# The cases whose verdict-only decision is taken on a row hit of the memo
+# from r3's part of the polynomial (see
+# `test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial`), and those
+# whose decision is the full path's nested one; the others' is reduced.
+HOISTED = {"11", "12", "13", "14"}
+NESTED = {"9", "10"}
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
 def test_check_kernel_steps_are_the_identity_s_operations(case):
-    # The kernel is: what every path reads, which in a case that divides is
-    # only what its UNDEFINED guard reads; the guard, whose branch returns,
-    # under `if verdict_only:`, the shared UNDEFINED result of the first site
-    # whose denominator has a zero name, and otherwise assigns the rest and
-    # returns `_undefined_result`; what the verdict and the full path share;
-    # `if verdict_only:`, whose branch assigns what its decision reads and
-    # returns `_HELD` or `_FAILED`; the full path's own assignments; the full
-    # `CheckResult`.
+    # The kernel is: `if verdict_only:`, whose branch is the verdict-only
+    # path; what the full path's guard reads, all of it in a case that does
+    # not divide; the guard, whose branch assigns the rest and returns
+    # `_undefined_result`; the full path's own assignments; the full
+    # `CheckResult`. The verdict-only path assigns what its guard reads, tests
+    # the guard, whose branch returns the shared UNDEFINED result of the
+    # first site whose denominator has a zero name, assigns what its
+    # decision reads and returns `_HELD` or `_FAILED`; a hoisted one takes
+    # r1's and r2's part from its memo first.
     # Each path loads each slot integer it reads and assigns each name once.
     # On the UNDEFINED path every step is its `_STEPS` operation; on the full
     # path each step assigned whole is, and both sides are. The guard's names
@@ -295,28 +300,30 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
     # return decides by an equality `nlhs * P == nrhs * Q` whose
     # `left - right` times a nonzero monomial, in denominators and divisor
     # numerators, is the full cross-multiplication, which is the identity's
-    # numerator times such a monomial. The verdict-only return decides the
-    # same way, or by a reduced decision whose factors' product times such a
-    # monomial is the cross-multiplication, or is `_HELD` alone where the
-    # cross-multiplication is zero. Nothing is left to cancel: each sum or
-    # difference is over its operands' least common denominator, each
-    # nested decision's two multipliers share no factor, and the guard names
-    # each factor of the divisors' numerators that is not a denominator once.
-    body = ast.parse("\n".join(_generated_body(identity, "_build_kernel", case))).body
-    at = next(i for i, statement in enumerate(body)
-              if isinstance(statement, ast.If) and ast.unparse(statement.test) == "verdict_only")
-    (shared, *late, built), divides = body[at:], any(
-        getattr(case, role) is BinOp.DIV for _, _, role, _, _ in _STEPS)
-    guards = [i for i, statement in enumerate(body[:at]) if isinstance(statement, ast.If)]
-    assert len(guards) == divides and not shared.orelse, case.label
-    split = guards[0] if divides else at
-    first, guards, mid = body[:split], body[split:split + divides], body[split + divides:at]
+    # numerator times such a monomial. A verdict-only return that is not
+    # hoisted decides the same way, or by a reduced decision whose factors'
+    # product times such a monomial is the cross-multiplication, or is
+    # `_HELD` alone where the cross-multiplication is zero. Nothing is left
+    # to cancel: each sum or difference is over its operands' least common
+    # denominator, each nested decision's two multipliers share no factor,
+    # and the guard names each factor of the divisors' numerators that is
+    # not a denominator once.
+    verdict, *body = ast.parse("\n".join(_generated_body(identity, "_build_kernel", case))).body
+    assert ast.unparse(verdict.test) == "verdict_only" and not verdict.orelse, case.label
+    hoisted = ast.unparse(verdict.body[0]).endswith(" = row")
+    assert hoisted is (case.label in HOISTED), case.label
+    divides = any(getattr(case, role) is BinOp.DIV for _, _, role, _, _ in _STEPS)
+    guards = [i for i, statement in enumerate(body) if isinstance(statement, ast.If)]
+    assert len(guards) == divides, case.label
+    split = guards[0] if divides else 0
+    first, guards = body[:split], body[split:split + divides]
+    *late, built = body[split + divides:]
 
     env = _components()
     assigned = _assigned(first, env)
     guarded, guard_names = {}, set()
     for guard in guards:
-        pick, *missing, undefined = guard.body
+        *missing, undefined = guard.body
         guarded = dict(env)
         _assert_steps(case, guarded, assigned + _assigned(missing, guarded), complete=True)
         dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
@@ -337,12 +344,14 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
         assert len({f for f, in named}) == len(names), (case.label, ast.unparse(guard))
         assert ({f for f, in named} == _non_denominator_factors(_slot_divisors(case))
                 ), (case.label, ast.unparse(guard))
-        # For each zero/nonzero pattern of the names with a zero, the verdict-only
-        # chain picks the first site whose denominator has a zero name's factor;
-        # it reads nothing but the names.
-        assert ast.unparse(pick.test) == "verdict_only" and not pick.orelse, ast.unparse(pick)
+        # The verdict-only path tests the same guard. For each zero/nonzero
+        # pattern of the names with a zero, its chain picks the first site
+        # whose denominator has a zero name's factor; it reads nothing but
+        # the names.
+        (pick,) = [statement for statement in verdict.body if isinstance(statement, ast.If)
+                   and ast.unparse(statement.test) == ast.unparse(guard.test)]
         (chain,) = pick.body
-        assert isinstance(chain, ast.Return), ast.unparse(chain)
+        assert isinstance(chain, ast.Return) and not pick.orelse, ast.unparse(pick)
         zero_at = [_non_denominator_factors([guarded["d" + out]]) for _, out, *_ in _STEPS]
         for zeros in product((False, True), repeat=len(names)):
             if any(zeros):
@@ -352,17 +361,18 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
                 assert site == _SITES[next(at for at, f in enumerate(zero_at) if f & zero)], (
                     case.label, values, site)
         _assert_each_assignment_is_read([*first, guard.test, chain], case.label)
-    assigned += _assigned(mid, env)
-    *verdict_lines, shared_return = shared.body
-    tests = [guard.test for guard in guards]
-    for guard in guards:
-        _assert_each_assignment_is_read([*first, guard.test, *guard.body[1:]], case.label)
-    _assert_each_assignment_is_read([*first, *tests, *mid, *shared.body], case.label)
-    _assert_each_assignment_is_read([*first, *tests, *mid, *late, built], case.label)
-    decided, full = dict(env), dict(env)
-    verdict_assigned = assigned + _assigned(verdict_lines, decided)
-    assert len(verdict_assigned) == len(set(verdict_assigned)), (case.label, verdict_assigned)
+        _assert_each_assignment_is_read([*first, guard.test, *guard.body], case.label)
+    _assert_each_assignment_is_read([*first, *(guard.test for guard in guards), *late, built],
+                                    case.label)
+    full = dict(env)
     _assert_steps(case, full, assigned + _assigned(late, full), complete=False)
+    decided = _components()
+    if not hoisted:
+        *verdict_lines, shared_return = verdict.body
+        _assert_each_assignment_is_read(verdict.body, case.label)
+        verdict_assigned = _assigned([statement for statement in verdict_lines
+                                      if not isinstance(statement, ast.If)], decided)
+        assert len(verdict_assigned) == len(set(verdict_assigned)), (case.label, verdict_assigned)
 
     # Each ADD or SUB step is `n{x} * A +/- n{y} * B` over the least common
     # denominator: A and B are products of names that share no factor.
@@ -387,15 +397,17 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
     cross = sp.expand(full["nlhs"] * full["drhs"] - full["nrhs"] * full["dlhs"])
     numerator = _derive(case)[1]
     allowed = {*DENOMINATORS, *(f for g in _slot_divisors(case) for f in _factors(g))}
-    # The verdict-only decision reads only what its path assigns. It is
-    # reduced where that costs fewer slot loads and operations than nested.
-    nested, choice = [(result.elts[0], full)], shared_return.value
-    assert (case.label in REDUCED) is not ast.unparse(choice).startswith("_HELD if nlhs"), case.label
+    # A verdict-only decision that is not hoisted reads only what its path
+    # assigns. It is nested where that costs fewer slot loads and operations
+    # than reduced.
+    nested, choice = [(result.elts[0], full)], None if hoisted else shared_return.value
+    assert (case.label in NESTED) is (
+        choice is not None and ast.unparse(choice).startswith("_HELD if nlhs")), case.label
     if isinstance(choice, ast.Name):
         assert choice.id == "_HELD" and cross == 0, ast.unparse(shared_return)
-    elif ast.unparse(choice.test).startswith("nlhs"):
+    elif case.label in NESTED:
         nested.append((choice, decided))
-    else:
+    elif not hoisted:
         assert (choice.body.id, choice.orelse.id) == ("_HELD", "_FAILED"), ast.unparse(choice)
         factors = _reduced_factors(choice.test, decided, guard_names, case.label)
         _assert_nonzero_monomial(sp.cancel(cross / sp.Mul(*factors)), allowed, ast.unparse(choice))
@@ -422,7 +434,8 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
 def test_member_kernel_tests_exactly_the_identity_s_divisors(case):
     # The divisor tests that `member` compiles are those of `_divisors`, and
     # each one's numerator and one of the identity's divisors are zero together.
-    (line,) = _generated_body(catalog, "_build_member", case)
+    # A hoisted kernel returns them after its memo's lines.
+    line = _generated_body(catalog, "_build_member", case)[-1]
     tests = line.removeprefix("return ").split(" and ")
     numerators = [test.removesuffix(" != 0") for test in tests if test.endswith(" != 0")]
     assert numerators == [f"({numerator})" for _, numerator in catalog._divisors(case)]
@@ -432,6 +445,112 @@ def test_member_kernel_tests_exactly_the_identity_s_divisors(case):
         assert any(_is_denominator_monomial(numerator / g) for g in derived), numerator
     for g in derived:
         assert any(_is_denominator_monomial(numerator / g) for numerator in tested), g
+
+
+# The cases whose `member` kernel tests the equation on a row hit of the memo.
+HOISTED_MEMBERS = {"11", "12", "13", "14"}
+
+
+@pytest.mark.parametrize("builder, case", [
+    *(("_build_kernel", case) for case in ALL_CASES if case.label in HOISTED),
+    *(("_build_member", case) for case in ALL_CASES if case.label in HOISTED_MEMBERS),
+], ids=lambda value: getattr(value, "label", value))
+def test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial(builder, case):
+    # A hoisted kernel (`check`'s verdict-only path, or `member`) first
+    # unpacks the closure cell `row`: the objects r1 and r2 it was filled
+    # from, the slot integers of theirs that the rest reads, and the
+    # coefficients k0, k1, .... Unless r1 and r2 are both those objects, it
+    # loads their slots, computes the coefficients and stores all of them
+    # back as one tuple. Each coefficient reads only n1, d1, n2 and d2; the
+    # path after the memo loads no slot of r1 or r2 and reads no name of
+    # theirs that the row does not hold. Its decision `L == R` is
+    # `Σ k_i * m_i`, each m a monomial in n3 and d3, and with the
+    # coefficients' values `L - R` is identically the polynomial it stands
+    # for: the full path's nested `left - right` (`check`), or
+    # `coef*n2 + const*d2` of `_EQUATIONS` (`member`).
+    module = identity if builder == "_build_kernel" else catalog
+    lines = _generated_body(module, builder, case)
+    body = ast.parse("\n".join(lines)).body
+    if module is identity:
+        hoisted, *full = body
+        assert ast.unparse(hoisted.test) == "verdict_only" and not hoisted.orelse, case.label
+        body = hoisted.body
+    unpack, miss, *hit = body
+    (target,) = unpack.targets
+    assert ast.unparse(unpack.value) == "row" and isinstance(target, ast.Tuple), ast.unparse(unpack)
+    last1, last2, *names = [name.id for name in target.elts]
+    assert (last1, last2) == ("last1", "last2") and len(set(names)) == len(names), names
+    assert ast.unparse(miss.test) == "last1 is not r1 or last2 is not r2" and not miss.orelse
+    *computed, store = miss.body
+    assert ast.unparse(store) == f"row = ({', '.join(['r1', 'r2', *names])})", ast.unparse(store)
+
+    row_slots = set(SLOTS) - {N3, D3}
+    env = _components()
+    assert set(names) <= set(_assigned(computed, env)), (case.label, names)
+    coefficients = [name for name in names if name not in SLOT_NAMES]
+    assert set(names) - set(coefficients) <= {"n1", "d1", "n2", "d2"}, names
+    assert coefficients and all(sp.sympify(env[name]).free_symbols <= row_slots
+                                for name in coefficients), case.label
+    # The miss reads r1's and r2's slots, and the rest of the kernel r3's
+    # alone: every slot of r1 or r2 that the body names, it loads itself, so
+    # the loads that `_define` puts before the memo are r3's.
+    for statements, components in ((computed, {"r1", "r2"}), (hit, {"r3"})):
+        for node in ast.walk(ast.Module(statements, [])):
+            if isinstance(node, ast.Attribute):
+                assert node.value.id in components, (case.label, ast.unparse(node))
+    text = "\n".join(lines)
+    prologue = [slot for slot, load in identity._LOADS.items() if slot in text and load not in text]
+    assert set(prologue) <= {"n3", "d3"}, (case.label, prologue)
+
+    # The hit path reads only the row's names, r3's slots and what it
+    # assigns itself. Run on those alone: coefficients as symbols first, to
+    # read the decision's form, then as their values.
+    *steps, returned = hit
+    guards = [statement for statement in steps if isinstance(statement, ast.If)]
+    names_read = {node.id for node in ast.walk(ast.Module(hit, []))
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assigned_here = {target.id for statement in steps if isinstance(statement, ast.Assign)
+                     for target in statement.targets}
+    assert names_read <= {*names, *prologue, *assigned_here, "r3", "_HELD", "_FAILED",
+                          "_UNDEFINED_AT"}, (case.label, names_read)
+    symbols = {name: sp.Symbol(name) for name in coefficients}
+    decisions = []
+    for values in (symbols, env):
+        hit_env = {"r3": _components()["r3"], **{slot: SLOT_NAMES[slot] for slot in prologue},
+                   **{name: values.get(name, env[name]) for name in names}}
+        _assigned([statement for statement in steps if statement not in guards], hit_env)
+        decision = returned.value if module is catalog else returned.value.test
+        if isinstance(decision, ast.BoolOp):
+            decision = decision.values[0]
+        (op,), (right,) = decision.ops, decision.comparators
+        assert isinstance(op, ast.Eq), ast.unparse(decision)
+        decisions.append(sp.expand(eval(f"({ast.unparse(decision.left)}) - ({ast.unparse(right)})",
+                                        {}, hit_env)))
+    form, difference = decisions
+    for monomial in sp.Poly(form, *symbols.values(), N3, D3).monoms():
+        assert sum(monomial[:len(symbols)]) == 1, (case.label, form)
+    assert form.free_symbols <= {*symbols.values(), N3, D3}, (case.label, form)
+
+    if module is catalog:
+        assert ast.unparse(returned).startswith(f"return {ast.unparse(decision)}"), case.label
+        coef, const = (eval(side, {}, dict(SLOT_NAMES)) for side in catalog._EQUATIONS[case])
+        expected = coef * N2 + const * D2
+    else:
+        assert ast.unparse(returned) == f"return _HELD if {ast.unparse(decision)} else _FAILED"
+        # The guard and the steps it reads are the full path's.
+        full_text = {ast.unparse(statement) for statement in ast.walk(ast.Module(full, []))
+                     if isinstance(statement, ast.Assign)}
+        full_guards = {ast.unparse(statement.test) for statement in full
+                       if isinstance(statement, ast.If)}
+        assert all(ast.unparse(statement) in full_text for statement in steps
+                   if statement not in guards), case.label
+        assert {ast.unparse(guard.test) for guard in guards} == full_guards, case.label
+        full_env = _components()
+        _assigned([statement for statement in full if isinstance(statement, ast.Assign)], full_env)
+        nested = full[-1].value.args[0].elts[0].test
+        expected = eval(f"({ast.unparse(nested.left)}) - ({ast.unparse(nested.comparators[0])})",
+                        {}, full_env)
+    assert sp.expand(difference - expected) == 0, (case.label, difference, expected)
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)

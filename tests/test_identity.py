@@ -28,7 +28,12 @@ from distribq.identity import (
     case_from_label,
     check,
 )
-from distribq.oracle import SearchBounds, enumerate_rationals, search_solutions
+from distribq.oracle import (
+    SearchBounds,
+    enumerate_rationals,
+    search_solutions,
+    verify_characterization,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 triples = st.builds(Triple, rationals, rationals, rationals)
@@ -280,9 +285,10 @@ def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
                 assert kernel(t, True) is _shared(expected[0], expected[3]), (case.label, t)
 
 
-# The slot integers that each case's verdict-only path loads: those its
-# decision and its guard read. Cases 9, 10 and 12 to 14 decide by the nested
-# cross-multiplication, which costs less there than the reduced polynomial.
+# The slot integers that each case's verdict-only path loads on a row miss:
+# those its decision and its guard read, or, in cases 11 to 14, those its
+# guard and the coefficients of its memo read. Cases 1 to 10, L1 and L2 keep
+# no memo and load the same on every call.
 VERDICT_READS = {
     **dict.fromkeys(["1", "2", "5", "6"], "n1"),
     **dict.fromkeys(["3", "4", "7", "8"], "n1 d1 n2 n3"),
@@ -291,13 +297,18 @@ VERDICT_READS = {
     **dict.fromkeys(["L1", "L2"], ""),
 }
 
-# The slot integers that each dividing case's guard reads: all that its
-# verdict-only path loads on an UNDEFINED triple.
+# The slot integers that each dividing case's verdict-only path loads on an
+# UNDEFINED triple and a row miss: those its guard reads, and in cases 13
+# and 14 those its coefficients read.
 GUARD_READS = {
     "4": "n1 n3", "7": "n1 n2 n3", "8": "n2 n3",
     **dict.fromkeys(["9", "10"], "n2 d2 n3 d3"),
-    **dict.fromkeys(["13", "14"], "n1 d1 n3 d3"),
+    **dict.fromkeys(["13", "14"], "n1 d1 n2 d2 n3 d3"),
 }
+
+# On a row hit, r1 and r2 being the objects of the call before, a hoisted
+# verdict-only path loads only r3's slots, decided or UNDEFINED.
+HIT_READS = dict.fromkeys(["11", "12", "13", "14"], "n3 d3")
 
 
 def _recording(q: Fraction, i: str, reads: list):
@@ -319,7 +330,9 @@ def _recording(q: Fraction, i: str, reads: list):
 
 def test_each_path_of_a_kernel_loads_each_slot_it_reads_once_and_no_other():
     # The first triple is decided in every case; the second, with r3 = 0, is
-    # UNDEFINED in every case that divides and decided in the others.
+    # UNDEFINED in every case that divides and decided in the others. Each
+    # is checked twice by a fresh kernel: a row miss, then a hit with the
+    # same r1 and r2 objects and a new r3.
     every = "n1 d1 n2 d2 n3 d3"
     for r3 in (Fraction(4, 5), Fraction(0)):
         t = (Fraction(2, 3), Fraction(-5, 7), r3)
@@ -327,11 +340,16 @@ def test_each_path_of_a_kernel_loads_each_slot_it_reads_once_and_no_other():
             undefined = check(case, t).verdict is Verdict.UNDEFINED
             assert undefined is (not r3 and case.label in GUARD_READS), case.label
             bare = (GUARD_READS if undefined else VERDICT_READS)[case.label]
-            for verdict_only, expected in ((True, bare), (False, every)):
+            hit = HIT_READS.get(case.label, bare)
+            for verdict_only, miss, again in ((True, bare, hit), (False, every, every)):
                 reads = []
-                recorded = tuple(_recording(q, i, reads) for i, q in zip("123", t))
-                assert identity._KERNELS[case](recorded, verdict_only) == check(case, t, verdict_only)
-                assert sorted(reads) == sorted(expected.split()), (case.label, r3, verdict_only)
+                kernel = identity._build_kernel(case)
+                recorded = [_recording(q, i, reads) for i, q in zip("123", t)]
+                for expected in (miss, again):
+                    assert kernel(tuple(recorded), verdict_only) == check(case, t, verdict_only)
+                    assert sorted(reads) == sorted(expected.split()), (case.label, r3, verdict_only)
+                    reads.clear()
+                    recorded[2] = _recording(r3, "3", reads)
     # L1's and L2's verdict-only paths read no slot, so they take any components.
     assert check(case_from_label("L1"), (1, 2, 3), True) is identity._HELD
 
@@ -416,6 +434,77 @@ def test_threads_scanning_different_cases_get_their_own_case_s_results():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert found == {case: [expected[case]] * rounds for case in cases}
+
+
+def _copy(q: Fraction) -> Fraction:
+    """A Fraction equal to q that is not q."""
+    return Fraction(q.numerator, q.denominator)
+
+
+_rows = st.lists(components, min_size=1, max_size=3)
+_picks = st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                            st.integers(min_value=0, max_value=8),
+                            st.lists(components, min_size=1, max_size=3)),
+                  min_size=2, max_size=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rows, _rows, _picks)
+def test_a_kernel_s_row_memo_answers_as_a_fresh_kernel_and_the_reference(firsts, seconds, picks):
+    # The check (verdict-only) and member kernels of cases 11 to 14 keep the
+    # last row's r1 and r2 objects and what they computed from them; every
+    # case's kernels run, so those without a memo are checked too. Through
+    # one sequence of triples whose r1 and r2 are picked among equal but
+    # distinct objects (the Fraction, a copy, a recording component), each
+    # pick for one to three r3, so that rows repeat, alternate and change,
+    # every answer is that of a kernel whose memo never matches, and that of
+    # the Fraction reference.
+    reads = []
+    pools = [[(made, q) for q in values
+              for made in (q, _copy(q), _recording(q, i, reads))] for i, values in
+             (("1", firsts), ("2", seconds))]
+    kernels = {case: (identity._build_kernel(case), catalog._build_member(case))
+               for case in ALL_CASES}
+    fresh = {case: (identity._build_kernel(case), catalog._build_member(case))
+             for case in ALL_CASES}
+    for i, j, r3s in picks:
+        (a, q1), (b, q2) = pools[0][i % len(pools[0])], pools[1][j % len(pools[1])]
+        for r3, case in product(r3s, ALL_CASES):
+            (kernel, member), (fresh_kernel, fresh_member) = kernels[case], fresh[case]
+            verdict, _, _, site = _reference_check(case, Triple(q1, q2, r3))
+            copies = (_copy(q1), _copy(q2), r3)
+            assert kernel((a, b, r3), True) is fresh_kernel(copies, True) is _shared(
+                verdict, site), (case.label, q1, q2, r3)
+            assert member((a, b, r3)) is fresh_member(copies) is (verdict is Verdict.HOLDS), (
+                case.label, q1, q2, r3)
+
+
+def test_threads_scanning_one_case_on_different_grids_get_their_own_results():
+    # Three threads scan the same case, so they share its kernels and each
+    # kernel's row memo, on grids whose rows are different objects; each scan
+    # still equals a scan run alone.
+    case, rounds = case_from_label("13"), 20
+    grids = (SearchBounds(3, 2), SearchBounds(2, 3), SearchBounds(3, 1))
+
+    def scan(bounds):
+        return search_solutions(case, bounds), verify_characterization(case, bounds)
+
+    expected = {bounds: scan(bounds) for bounds in grids}
+    assert len({repr(report) for report in expected.values()}) == len(grids)
+    found = {bounds: [] for bounds in grids}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda bounds=bounds: found[bounds].extend(
+            scan(bounds) for _ in range(rounds))) for bounds in grids]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == {bounds: [expected[bounds]] * rounds for bounds in grids}
 
 
 @settings(max_examples=200)

@@ -143,7 +143,8 @@ def test_importing_the_package_imports_none_of_its_modules():
         [sys.executable, "-c", f"import sys, distribq; {loaded}; distribq.oracle; {loaded}"],
         env=_fresh_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout.splitlines()) == (0, [
-        "[]", "['distribq.catalog', 'distribq.identity', 'distribq.oracle']"]), done.stderr
+        "[]", "['distribq._forms', 'distribq.catalog', 'distribq.identity', 'distribq.oracle']"
+    ]), done.stderr
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["search", "--num"]])
