@@ -3,18 +3,27 @@
 `identity`'s `check` kernels and `catalog`'s `member` kernels decide by an
 integer equation in the six slot integers n1, d1, ..., d3 of a triple.
 Expanded into a polynomial (`expand`, over the kernel's own source texts),
-the equation can be written in other forms: `reduced` divides out the
-monomial content and tests the atoms that may be zero, and `hoisted` groups
-the monomials by their r3 part, so that a row of a grid scan, along which
-r1 and r2 stay the same objects, computes their coefficients once (`memo`)
-and each triple only its r3 part. `cost` prices a form in slot loads and
-operations, and the kernel builders keep the cheapest. `catalog` imports
-the module, and `identity` when it first builds a kernel.
+the equation can be written in other forms. `reduced` divides out the
+monomial content and tests the atoms that may be zero. `hoisted` reads the
+polynomial, homogeneous in n3 and d3 of degree 1 or 2, as one in x = n3/d3
+whose coefficients read only r1's and r2's slots. Along a row of a grid
+scan r1 and r2 stay the same objects, so `rooted` and `memo` write a
+kernel that solves that polynomial over the rationals once per row
+(`zeros`, by `math.isqrt` of the discriminant and `gcd`), keeps its zeros
+with the row, and decides each triple by comparing r3's slots with them.
+That relies on every Fraction keeping its slots in lowest terms with a
+positive denominator, which
+`tests/test_identity.py::test_fraction_keeps_its_integers_in_its_slots`
+pins. `cost` prices a form in slot loads and operations, and the kernel
+builders keep the cheapest. `catalog` imports the module, and `identity`
+when it first builds a kernel.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd, inf, isqrt
+from typing import Callable
 
 from .identity import _LOADS, _reads
 
@@ -47,11 +56,14 @@ class Poly(Counter):
 
 def expand(texts: dict) -> dict:
     """The last of `texts`, {name: source text in the slot integers and the
-    names before it}, expanded by one `exec` into a polynomial in the slot
-    integers: {sorted atoms: nonzero coefficient}."""
+    names before it}, expanded by one `exec` of it and the texts it reads
+    into a polynomial in the slot integers: {sorted atoms: nonzero coefficient}."""
+    last = [*texts][-1]
+    read = _reads(texts, texts[last])
     env = {slot: Poly({(slot,): 1}) for slot in _LOADS}
-    exec("\n".join(f"{name} = {text}" for name, text in texts.items()), {}, env)
-    return {monomial: c for monomial, c in env[[*texts][-1]].items() if c}
+    exec("\n".join(f"{name} = {text}" for name, text in texts.items()
+                   if name in read or name == last), {}, env)
+    return {monomial: c for monomial, c in env[last].items() if c}
 
 
 # The slot integers of r1 and r2, which a scan's row of triples keeps the same
@@ -82,54 +94,140 @@ def horner(poly: dict) -> str:
     return f"({inner}) * " + " * ".join(content.elements())
 
 
-def hoisted(poly: dict) -> tuple[dict, str]:
-    """`poly` == 0, `poly` a polynomial in the slot integers, as a decision
-    on n3 and d3 whose coefficients read only r1's and r2's slots: the
-    coefficients {k0: its text, ...}, one per monomial m(n3, d3), and the
-    decision `Σ k_i * m_i == k_j * m_j`, k_j minus the last monomial's
-    coefficient, or `k0 * m_0 == 0`."""
+def _by_r3(poly: dict) -> dict:
+    """The monomials of `poly` grouped by their part in n3 and d3: {the
+    sorted atoms of that part: {the rest of a monomial's atoms: its coefficient}}."""
     groups: dict = {}
     for monomial, c in poly.items():
         r3 = tuple(atom for atom in monomial if atom[1] == "3")
         groups.setdefault(r3, {})[tuple(atom for atom in monomial if atom[1] != "3")] = c
-    coefficients, terms = {}, []
-    for at, r3 in enumerate(sorted(groups)):
-        # The last of two or more terms moves to the right side, negated.
-        sign = -1 if at and at == len(groups) - 1 else 1
-        coefficients[f"k{at}"] = horner({m: sign * c for m, c in groups[r3].items()})
-        terms.append((f"k{at}", *r3))
-    *rest, last = terms
-    right = horner({last: 1})
-    return coefficients, f"{horner(dict.fromkeys(rest, 1))} == {right}" if rest else (
-        f"{right} == 0")
+    return groups
+
+
+def hoisted(poly: dict) -> list[str] | None:
+    """The source texts of the coefficients c_0, ..., c_k of `poly`, a
+    polynomial in the slot integers homogeneous of degree k = 1 or 2 in n3
+    and d3, in x = n3/d3: `poly` = Σ c_i * n3**(k - i) * d3**i, so, d3 being
+    nonzero, `poly` is zero exactly where Σ c_i * x**(k - i) is. Each c_i
+    reads only r1's and r2's slots. None if `poly` has no such form."""
+    groups = _by_r3(poly)
+    degree, *others = {len(r3) for r3 in groups} or {0}
+    if others or not 0 < degree <= 2:
+        return None
+    # The sorted atoms of n3**(k - i) * d3**i: d3 sorts before n3.
+    parts = [("d3",) * i + ("n3",) * (degree - i) for i in range(degree + 1)]
+    return [horner(groups[part]) if part in groups else "0" for part in parts]
+
+
+def zeros(a: int, b: int, c: int | None = None) -> tuple:
+    """The rational zeros x of a * x + b, or with `c` of a * x**2 + b * x + c:
+    (every, n, d, ...), `every` whether every x is one, that is whether every
+    coefficient is zero, then one pair per degree: each zero n/d in lowest
+    terms with d > 0, as a Fraction keeps its slots, and (0, 0) for each pair
+    left over, which no Fraction's slots equal. No Fraction is built."""
+    if c is None:
+        if not a:
+            return not b, 0, 0
+        # -b/a with the gcd divided out and the sign moved to the numerator.
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        return False, -b // g, a // g
+    if not a:
+        return (*zeros(b, c), 0, 0)
+    # The zeros (-b ± s) / 2a are rational exactly where the discriminant is
+    # a square s * s; each is the zero of 2a * x + b ∓ s.
+    discriminant = b * b - 4 * a * c
+    s = isqrt(discriminant) if discriminant >= 0 else -1
+    if s * s != discriminant:
+        return False, 0, 0, 0, 0
+    return False, *zeros(2 * a, b - s)[1:], *(zeros(2 * a, b + s)[1:] if s else (0, 0))
+
+
+def _root(atom: dict) -> tuple[str, str] | None:
+    """The source texts (n, d) of the one zero n/d of `atom` in x = n3/d3,
+    `atom` a polynomial in the slot integers that is ±d_i * n3 ± n_i * d3
+    for one component i: n is n_i or -n_i and d is d_i, in lowest terms with
+    d > 0 as the component's Fraction keeps them. None if `atom` has another
+    form."""
+    groups = _by_r3(atom)
+    if set(groups) == {("n3",), ("d3",)} and all(len(group) == 1 for group in groups.values()):
+        ((den, s),), ((num, t),) = groups[("n3",)].items(), groups[("d3",)].items()
+        i = "".join(den)[1:]
+        if den == (f"d{i}",) and num == (f"n{i}",) and abs(s) == abs(t) == 1:
+            # s * d_i * n3 + t * n_i * d3 is zero where x = -(s * t) * n_i / d_i.
+            return "-" * (s == t) + num[0], den[0]
+    return None
+
+
+def rooted(poly: dict, atoms: list, answer: Callable[[str], str]) -> tuple[dict, list, float]:
+    """`poly` == 0 and the `atoms` nonzero as a decision on r3's slots alone,
+    given what the memo computes from r1 and r2 once per row. `poly` is the
+    decision's polynomial in the slot integers, homogeneous of degree k = 1
+    or 2 in n3 and d3 (see `hoisted`). `atoms` are (the result where it is
+    zero, its polynomial) for each atom of the guard, in the order they are
+    tested: n3 itself, tested as `not n3`, or ±d_i * n3 ± n_i * d3, which is
+    zero exactly where r3 equals its one zero (see `_root`); no atom n3 may
+    follow one of the second kind. `answer` makes a return from the
+    decision's test. The memo keeps `zeros`' answer on the coefficients of
+    `poly` as `every, a1, b1, ...`, and each atom's zero as `g1, h1, ...`.
+    A hit loads n3. Where n3 equals no numerator of those, the decision
+    holds exactly on a row where every r3 holds, and no atom of the second
+    kind is zero; else it loads d3 and compares both slots with each pair,
+    which equal a zero's only where r3 is that zero.
+    (the names the memo computes, {names: text}; the hit's lines; the hit's
+    `cost` on an r3 that is no stored zero), or `inf` for that cost if
+    `poly` or an atom has another form."""
+    coefficients = hoisted(poly)
+    if coefficients is None:
+        return {}, [], inf
+    pairs = [(f"a{i}", f"b{i}") for i in range(1, len(coefficients))]
+    values = {", ".join(["every", *(name for pair in pairs for name in pair)]):
+              f"zeros({', '.join(coefficients)})"}
+    first, last, roots = [], [], []
+    for zero, atom in atoms:
+        if atom == {("n3",): 1} and not roots:
+            first += ["if not n3:", f"    return {zero}"]
+            continue
+        root = _root(atom)
+        if root is None:
+            return {}, [], inf
+        g, h = f"g{len(roots) + 1}", f"h{len(roots) + 1}"
+        roots.append((g, h))
+        values[f"{g}, {h}"] = ", ".join(root)
+        last += [f"if n3 == {g} and d3 == {h}:", f"    return {zero}"]
+    split = " and ".join(f"n3 != {n}" for n, _ in pairs + roots)
+    decision = " or ".join(["every", *(f"n3 == {n} and d3 == {d}" for n, d in pairs)])
+    hit = ["n3 = r3._numerator", *first, f"if {split}:", f"    return {answer('every')}",
+           "d3 = r3._denominator", *last, f"return {answer(decision)}"]
+    return values, hit, cost({}, *["not n3"] * (len(first) // 2), split, answer("every"), hit=True)
 
 
 MEMO_TEST = "last1 is not r1 or last2 is not r2"
 
 
-def memo(read: set, coefficients: dict) -> tuple[list[str], int]:
-    """The lines that set the `coefficients` {name: text}, and the slot
-    integers of r1 and r2 among the names `read` that the rest of a kernel
-    reads: unpacked from the closure cell `row` where r1 and r2 are its two
-    objects, as along a scan's row of triples, else loaded, computed and
-    stored back in `row` as one tuple, so that no thread pairs one row's
-    objects with another's numbers. Then the length of that tuple."""
-    slots = [slot for slot in ROW if slot in read]
-    names = ", ".join([*slots, *coefficients])
-    loads = _reads({}, *slots, *coefficients.values())
+def memo(values: dict) -> tuple[list[str], int]:
+    """The lines that set the names of `values`, {names: text}, from the
+    closure cell `row` where r1 and r2 are its first two objects, as along a
+    scan's row of triples, else load the slots of r1 and r2 that the texts
+    read, compute them and store them back in `row` with r1 and r2 as one
+    tuple, so that no thread pairs one row's objects with another's numbers.
+    Then the length of that tuple."""
+    names = ", ".join(values)
+    loads = _reads({}, *values.values())
     return [f"last1, last2, {names} = row", f"if {MEMO_TEST}:",
             *(f"    {load}" for slot, load in _LOADS.items() if slot in loads),
-            *(f"    {name} = {text}" for name, text in coefficients.items()),
-            f"    row = r1, r2, {names}"], 2 + len(slots) + len(coefficients)
+            *(f"    {targets} = {text}" for targets, text in values.items()),
+            f"    row = r1, r2, {names}"], 3 + names.count(",")
 
 
 # What a row hit of a `memo` adds to a path's price: the cell's load, the
 # row's unpack into its names and the two `is` tests, counted as 8. Set from
 # timings along scan rows against the cheaper memo-free form: it keeps the
 # memo where a hit saved a tenth to a half of a call (cases 11 to 14), and
-# leaves it out where a hit saved less than a tenth (check 9 and 10, member
-# 8), a gain that a row's miss, dearer than the memo-free path, and a call
-# outside a scan, which always misses, would eat.
+# leaves it out where a hit saved less than a tenth, a gain that a row's
+# miss, dearer than the memo-free path, and a call outside a scan, which
+# always misses, would eat. With `rooted`'s hit, any charge from 8 to 15
+# keeps exactly cases 11 to 14; below 8, case 3, whose reduced decision
+# reads four slots, would take a memo too.
 HIT = 8
 
 

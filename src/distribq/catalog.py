@@ -24,14 +24,18 @@ the first time the case is tested, as `identity.check` is: it tests
 coef*n2 + const*d2 == 0 on the components' slot integers, then that each
 divisor's numerator is nonzero, and builds no Fraction. Where it costs
 fewer slot loads and operations (cases 11 to 14), the equation is
-expanded into a polynomial and tested as its part in n3 and d3, whose
-coefficients the kernel computes once per row of r1 and r2 objects and
-keeps with that row, as `identity.check`'s hoisted kernels do: case 12
-tests `k0 * d3 == k1 * n3`. That transformation is `_forms`' code, shared
-with `check`, so in those cases `verify`'s agreement does not test it; the
-test suite proves each hoisted kernel identical to its equation. `_LINEAR` (the
-pair as a function, which the test suite certifies against the identity
-with sympy) and `_zero_divisor` (the first zero divisor's text) are
+expanded into a polynomial in r3 alone for each row of r1 and r2 objects,
+and the kernel keeps with that row its rational zeros in r3 and those of
+each divisor that reads r3, as `identity.check`'s hoisted kernels do: a row
+hit compares r3's slots with them, which relies on a Fraction's slots being
+in lowest terms with a positive denominator (pinned by
+`tests/test_identity.py::test_fraction_keeps_its_integers_in_its_slots`).
+Case 12 returns `every` where n3 equals no kept numerator, else
+`every or n3 == a1 and d3 == b1`. That transformation is `_forms`' code,
+shared with `check`, so in those cases `verify`'s agreement does not test
+it; the test suite proves each hoisted kernel identical to its equation.
+`_LINEAR` (the pair as a function, which the test suite certifies against
+the identity with sympy) and `_zero_divisor` (the first zero divisor's text) are
 generated from the same two, and `solve_r2` reads them: it returns
 -const/coef for cases 12, 13 and 14 (or ALL or NONE when coef vanishes).
 Nothing uses floating point.
@@ -66,7 +70,6 @@ from .identity import (
     _define,
     _divisor_operands,
     _Kernels,
-    _reads,
     _STEPS,
     _TEMPLATES,
     case_from_label,
@@ -138,18 +141,17 @@ def _build_member(case: CaseId):
     """Generate `member` for one case: the equation, then each divisor. The
     equation is tested on r3's slots alone where a row hit of the memo costs
     fewer slot loads and operations: `coef*n2 + const*d2` is expanded into a
-    polynomial, and r1's and r2's part of it kept per row."""
+    polynomial, and its rational zeros in r3, and the divisors', kept per row."""
     coef, const = _EQUATIONS[case]
     terms = [f"({c}) * {v}" for c, v in ((coef, "n2"), (const, "d2")) if c != "0"]
     tests = [f"({numerator}) != 0" for _, numerator in _divisors(case)]
     line = " and ".join([" + ".join(terms) + " == 0"] * bool(terms) + tests) or "True"
     poly = _forms.expand({"coef": coef, "const": const, "equation": "coef * n2 + const * d2"})
-    if poly:
-        coefficients, decision = _forms.hoisted(poly)
-        hit = " and ".join([decision, *tests])
-        if _forms.cost({}, hit, hit=True) < _forms.cost({}, line):
-            lines, row = _forms.memo(_reads({}, hit), coefficients)
-            return _define(f"member_case_{case.label}", [*lines, f"return {hit}"], {}, row)
+    atoms = [("False", _forms.expand({"divisor": numerator})) for _, numerator in _divisors(case)]
+    values, hit, price = _forms.rooted(poly, atoms, str)
+    if price < _forms.cost({}, line):
+        lines, row = _forms.memo(values)
+        return _define(f"member_case_{case.label}", [*lines, *hit], {"zeros": _forms.zeros}, row)
     return _define(f"member_case_{case.label}", [f"return {line}"], {})
 
 

@@ -40,20 +40,31 @@ negative ones: case 1 decides by `not n1`, case 7 by `n1 == d1`, and L1 and
 L2, whose polynomial is zero, return `_HELD` at once. The hoisted form
 groups the monomials by their part in n3 and d3. A scan walks
 `product((r1,), values, values)`, so r1 and r2 stay the same objects for
-V - 1 of every V triples; a hoisted kernel keeps in one closure cell the
-last row's r1 and r2 with the coefficients, and the slots, that it computed
-from them, and on a row hit loads only r3's slots: case 12 decides by
-`k0 * d3 == k1 * n3`, cases 13 and 14 by `(k0 * d3 + k1 * n3) * d3 ==
-k2 * n3 * n3`. Each case takes the form that costs the fewest slot loads
-and operations, a row hit charged `_forms.HIT`: the reduced one in cases 1
-to 8, L1 and L2, the nested cross-multiplication in 9 and 10, the hoisted
-one in 11 to 14. Every form comes from `_STEPS` and `_TEMPLATES` alone,
-never from `catalog`'s equations, so `verify` compares two independently
-derived equations; in cases 11 to 14, though, `member`'s decision passes
-through the same `_forms` code as `check`'s, so `verify`'s agreement there
-does not test that code, and the test suite proves each hoisted kernel
-identical to its polynomial instead. Each of the verdict, full and
-UNDEFINED paths loads and computes only what it reads. Any other result is one flat
+V - 1 of every V triples, and along such a row the polynomial is one in r3
+alone, homogeneous in n3 and d3 of degree 1 (cases 11 and 12) or 2 (13 and
+14): the paper solves the same equations for r2 in closed form. A hoisted
+kernel keeps in one closure cell the last row's r1 and r2 with the
+polynomial's rational zeros in r3, which `_forms.zeros` solves once per row
+with `math.isqrt` and `gcd`: a flag for a row on which every r3 is one, and
+at most two pairs (n, d), in lowest terms with d > 0, unused ones (0, 0).
+It keeps the zero of each guard atom that reads r3 too: case 13's `nac`
+vanishes exactly at r3 = -r1, kept as `(-n1, d1)`. A row hit then compares
+r3's slots with those. It loads n3, and d3 only where n3 equals a kept
+numerator: case 13 answers most triples by `not n3`, three `!=` tests and
+the flag, and a zero by `n3 == a1 and d3 == b1`. Comparing slots relies on
+a Fraction keeping its slots in lowest terms with d > 0, which
+`tests/test_identity.py::test_fraction_keeps_its_integers_in_its_slots`
+pins. Each case takes the form that costs the fewest slot loads and
+operations, a row hit charged `_forms.HIT`: the reduced one in cases 1 to
+8, L1 and L2, the nested cross-multiplication in 9 and 10, the hoisted one
+in 11 to 14. Every form comes from `_STEPS` and `_TEMPLATES` alone, never
+from `catalog`'s equations, so `verify` compares two independently derived
+equations; in cases 11 to 14, though, `member`'s decision passes through the
+same `_forms` code as `check`'s, so `verify`'s agreement there does not test
+that code, and the test suite proves each hoisted kernel equal to its
+polynomial instead, and `_forms.zeros` to sympy's rational zeros. Each of
+the verdict, full and UNDEFINED paths loads and computes only what it
+reads. Any other result is one flat
 tuple `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as
 its unreduced numerator and denominator and builds the side's Fraction when
 it is read.
@@ -390,7 +401,7 @@ def _divisor_operands(case: CaseId) -> list[str]:
 def _reads(texts: dict, *roots: str) -> set:
     """The slot integers and step values that the texts `roots` read,
     directly or through the step `texts` they read."""
-    read = {word.strip("(),-") for root in roots for word in root.split()}
+    read = {word.strip("(),-") for root in roots for word in root.replace("(", " ").split()}
     for name in reversed(texts):
         if name in read:
             read.update(texts[name].split())
@@ -403,9 +414,10 @@ def _build_kernel(case: CaseId):
     list of atoms each is the product of: n1, d1, ..., d3 and the numerators
     of ADD and SUB steps. The verdict-only path comes first. It decides by
     the nested cross-multiplication, the reduced polynomial or, on a row hit
-    of its memo, the polynomial's r3 part, whichever counts the fewest slot
-    loads and operations, and where the guard fails returns the shared
-    result of the first site whose denominator has a zero atom."""
+    of its memo, by r3's slots compared with the polynomial's rational zeros
+    in r3, whichever counts the fewest slot loads and operations, and where
+    the guard fails returns the shared result of the first site whose
+    denominator has a zero atom."""
     nums, dens = {v: [f"n{v}"] for v in "123"}, {v: [f"d{v}"] for v in "123"}
     texts = {}  # each step's n{out} and d{out}: the source text of its value
     for _, out, role, x, y in _STEPS:
@@ -438,18 +450,19 @@ def _build_kernel(case: CaseId):
 
     # Each path loads and computes only what it reads, and the full path
     # first what its guard reads.
-    first, test, undefined = _reads(texts, *guard), [], []
+    first, test, undefined, atoms = _reads(texts, *guard), [], [], []
     if guard:
         # The first site whose denominator has a zero atom is the first
         # undefined one: each site tests the atoms no earlier site tested,
         # and the last site with any needs no test.
         tested, sites = set(), []
         for at, (_, out, *_) in enumerate(_STEPS):
-            atoms = [atom for atom in guard if atom in dens[out] and atom not in tested]
-            tested.update(atoms)
-            if atoms:
-                sites.append((f"_UNDEFINED_AT[{at}]", " and ".join(atoms)))
-        chain = "".join(f"{site} if not ({atoms}) else " for site, atoms in sites[:-1])
+            new = [atom for atom in guard if atom in dens[out] and atom not in tested]
+            tested.update(new)
+            if new:
+                sites.append((f"_UNDEFINED_AT[{at}]", " and ".join(new)))
+                atoms += [(sites[-1][0], atom) for atom in new]
+        chain = "".join(f"{site} if not ({new}) else " for site, new in sites[:-1])
         test = [f"if not ({' and '.join(guard)}):", f"    return {chain}{sites[-1][0]}"]
         step_dens = ", ".join(f"d{out}" for _, out, *_ in _STEPS)
         undefined = [test[0], *assign(_reads(texts, "nlhs nrhs", step_dens) - first, "    "),
@@ -457,20 +470,20 @@ def _build_kernel(case: CaseId):
 
     # A verdict-only call decides by the nested cross-multiplication, by the
     # reduced polynomial of `left - right` or, on a row hit of its memo, by
-    # the polynomial's r3 part, whichever costs the fewest slot loads and
-    # operations.
+    # comparing r3's slots with the polynomial's rational zeros in r3,
+    # whichever costs the fewest slot loads and operations.
     from . import _forms
 
     poly = _forms.expand({**texts, "difference": f"{left} - ({right})"})
     reduced = _forms.reduced(poly, guard)
     verdict = min(nested, reduced, key=lambda form: _forms.cost(texts, *guard, form))
-    coefficients, rowed = _forms.hoisted(poly) if poly else ({}, verdict)
-    memo = 0
-    if _forms.cost(texts, *guard, rowed, hit=True) < _forms.cost(texts, *guard, verdict):
-        hit = _reads(texts, *guard, rowed)
-        lines, memo = _forms.memo(hit, coefficients)
-        path = [*lines, *assign(hit - {*_forms.ROW}), *test,
-                f"return _HELD if {rowed} else _FAILED"]
+    values, hit, price = _forms.rooted(
+        poly, [(site, _forms.expand({**texts, "atom": atom})) for site, atom in atoms],
+        lambda test: f"_HELD if {test} else _FAILED")
+    memo, namespace = 0, globals()
+    if price < _forms.cost(texts, *guard, verdict):
+        lines, memo = _forms.memo(values)
+        path, namespace = [*lines, *hit], {**namespace, "zeros": _forms.zeros}
     else:
         returned = "_HELD" if verdict == "True" else f"_HELD if {verdict} else _FAILED"
         path = [*assign(first), *test, *assign(_reads(texts, verdict) - first),
@@ -478,7 +491,7 @@ def _build_kernel(case: CaseId):
     body = ["if verdict_only:", *("    " + line for line in path), *assign(first), *undefined,
             *assign(_reads(texts, "nlhs dlhs nrhs drhs", nested) - first),
             f"return CheckResult((_HOLDS if {nested} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]
-    return _define(f"check_case_{case.label}", body, globals(), memo)
+    return _define(f"check_case_{case.label}", body, namespace, memo)
 
 
 class _Kernels(dict):
@@ -525,13 +538,15 @@ def check(case: CaseId, t: Triple, verdict_only: bool = False) -> CheckResult:
     guard reads and picks its site from the guard's atoms. A decided call
     decides by the reduced polynomial of `left - right`, its monomial
     content divided out (cases 1 to 8, L1 and L2), by the nested
-    cross-multiplication (9 and 10) or, in cases 11 to 14, by that
-    polynomial's part in n3 and d3, whose coefficients the kernel computes
-    once per row of r1 and r2 objects and keeps with that row. Each path
-    loads only the slots its guard and decision read: case 1 reads only
-    `n1`, L1 none, and case 12, along a row, `n3` and `d3`. Every form is
-    derived from `_STEPS` and `_TEMPLATES` alone. The full path does not
-    read the memo.
+    cross-multiplication (9 and 10) or, in cases 11 to 14, by comparing
+    r3's slots with the rational zeros in r3 of that polynomial and of the
+    guard's atoms, which the kernel solves once per row of r1 and r2
+    objects and keeps with that row. Comparing slots relies on every
+    Fraction keeping its slots in lowest terms with a positive denominator.
+    Each path loads only the slots its guard and decision read: case 1
+    reads only `n1`, L1 none, and case 12, along a row, `n3`, and `d3` only
+    where `n3` equals a kept zero's numerator. Every form is derived from
+    `_STEPS` and `_TEMPLATES` alone. The full path does not read the memo.
     """
     last, kernel = _KERNELS.last
     if last is not case:

@@ -26,7 +26,10 @@ for the library entry points `search_solutions` and
 and, for each of missing, spurious and coverage gap, the category's count
 and its first `list_limit` positions. A pool gets the case, the grid and
 the partition function once per worker, through its initializer, and
-tasks are first-component positions. The process-pool machinery is
+tasks are first-component positions. Before the pool starts, the parent
+builds the case's `check` kernel, and for verify its `member` kernel, so
+that workers started by fork inherit them rather than build each again.
+The process-pool machinery is
 imported only when a pool starts, and `array` by the first search
 partition, so one-shot commands and `--jobs 1` runs never load the pool.
 
@@ -44,7 +47,7 @@ from itertools import product, repeat
 from math import gcd
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from . import _EXPORTS
+from . import _EXPORTS, catalog, identity
 from .catalog import family_union_member, member
 from .identity import DEFAULT_LIST_LIMIT, _HELD, CaseId, DomainError, Triple, _as_int, check
 
@@ -142,8 +145,9 @@ def _pool_partition(i: int):
     return worker(case, values[i], values)
 
 
-def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int):
-    """Yield `worker(case, r1, values)` for each r1 of the grid, in order."""
+def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int, tables: tuple):
+    """Yield `worker(case, r1, values)` for each r1 of the grid, in order.
+    `tables` are the kernel tables whose case kernels the worker calls."""
     # The CPUs this process may run on; taskset or a container can pin fewer.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(jobs, cpus or 1, len(values))
@@ -151,6 +155,11 @@ def _run_partitions(worker, case: CaseId, values: list[Fraction], jobs: int):
         yield from map(worker, repeat(case), values, repeat(values))
         return
     from concurrent.futures import ProcessPoolExecutor
+
+    # Built here, before the pool forks, the case's kernels are inherited by
+    # every worker rather than built again in each.
+    for table in tables:
+        table[case]
 
     # About four chunks per worker: few round trips, yet an even finish.
     chunksize = -(-len(values) // (4 * workers))
@@ -169,7 +178,7 @@ def search_positions(
     iterator is exhausted; `jobs` is checked before it is made."""
     jobs = _count(jobs, "jobs", 1)
     values = enumerate_rationals(bounds)
-    return values, _run_partitions(_search_partition, case, values, jobs)
+    return values, _run_partitions(_search_partition, case, values, jobs, (identity._KERNELS,))
 
 
 def search_solutions(case: CaseId, bounds: SearchBounds, jobs: int = 1) -> list[Triple]:
@@ -216,7 +225,8 @@ def verify_characterization(
         list_limit = _count(list_limit, "list_limit", 0)
     values = enumerate_rationals(bounds)
     holds, *listings = zip(*_run_partitions(
-        partial(_verify_partition, list_limit=list_limit), case, values, jobs
+        partial(_verify_partition, list_limit=list_limit), case, values, jobs,
+        (identity._KERNELS, catalog._MEMBERS)
     ))
 
     def merge(listing) -> tuple[int, tuple[Triple, ...]]:

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from distribq import catalog, identity
+from distribq import _forms, catalog, identity
 from distribq.catalog import _LINEAR, FamilyId, families_for, generate, member
 from distribq.identity import _SITES, _STEPS, ALL_CASES, BinOp, Triple, case_from_label
 from distribq.number_theory import case12_enumerate
@@ -246,6 +246,12 @@ def _assert_each_assignment_is_read(path: list, label: str):
                        for later in path[at + 1:] for name in ast.walk(later)), (label, target.id)
 
 
+def _zero_at(env: dict) -> list[set]:
+    """For each step in `_STEPS` order, the factors of its denominator,
+    valued in `env`, that may be zero: a site is undefined where one is."""
+    return [_non_denominator_factors([env["d" + out]]) for _, out, *_ in _STEPS]
+
+
 def _reduced_factors(test, env: dict, guard: set[str], label: str) -> list:
     """The factors of a reduced decision `not (a and ...) or L == R`, either
     part of which may stand alone: each tested atom a, and L - R. The
@@ -275,11 +281,13 @@ def _reduced_factors(test, env: dict, guard: set[str], label: str) -> list:
 
 
 # The cases whose verdict-only decision is taken on a row hit of the memo
-# from r3's part of the polynomial (see
+# by comparing r3's slots with the zeros in r3 that the memo keeps (see
 # `test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial`), and those
 # whose decision is the full path's nested one; the others' is reduced.
 HOISTED = {"11", "12", "13", "14"}
 NESTED = {"9", "10"}
+# The cases whose `member` kernel tests the equation on a row hit of the memo.
+HOISTED_MEMBERS = {"11", "12", "13", "14"}
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)
@@ -291,8 +299,9 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
     # `CheckResult`. The verdict-only path assigns what its guard reads, tests
     # the guard, whose branch returns the shared UNDEFINED result of the
     # first site whose denominator has a zero name, assigns what its
-    # decision reads and returns `_HELD` or `_FAILED`; a hoisted one takes
-    # r1's and r2's part from its memo first.
+    # decision reads and returns `_HELD` or `_FAILED`; a hoisted one instead
+    # compares r3's slots with the zeros its memo keeps, which
+    # `test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial` proves.
     # Each path loads each slot integer it reads and assigns each name once.
     # On the UNDEFINED path every step is its `_STEPS` operation; on the full
     # path each step assigned whole is, and both sides are. The guard's names
@@ -344,6 +353,11 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
         assert len({f for f, in named}) == len(names), (case.label, ast.unparse(guard))
         assert ({f for f, in named} == _non_denominator_factors(_slot_divisors(case))
                 ), (case.label, ast.unparse(guard))
+        _assert_each_assignment_is_read([*first, guard.test, *guard.body], case.label)
+        if hoisted:
+            # `test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial`
+            # proves a hoisted path's guard.
+            continue
         # The verdict-only path tests the same guard. For each zero/nonzero
         # pattern of the names with a zero, its chain picks the first site
         # whose denominator has a zero name's factor; it reads nothing but
@@ -352,7 +366,7 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
                    and ast.unparse(statement.test) == ast.unparse(guard.test)]
         (chain,) = pick.body
         assert isinstance(chain, ast.Return) and not pick.orelse, ast.unparse(pick)
-        zero_at = [_non_denominator_factors([guarded["d" + out]]) for _, out, *_ in _STEPS]
+        zero_at = _zero_at(guarded)
         for zeros in product((False, True), repeat=len(names)):
             if any(zeros):
                 zero = {f for (f,), z in zip(named, zeros) if z}
@@ -361,7 +375,6 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
                 assert site == _SITES[next(at for at, f in enumerate(zero_at) if f & zero)], (
                     case.label, values, site)
         _assert_each_assignment_is_read([*first, guard.test, chain], case.label)
-        _assert_each_assignment_is_read([*first, guard.test, *guard.body], case.label)
     _assert_each_assignment_is_read([*first, *(guard.test for guard in guards), *late, built],
                                     case.label)
     full = dict(env)
@@ -434,12 +447,25 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
 def test_member_kernel_tests_exactly_the_identity_s_divisors(case):
     # The divisor tests that `member` compiles are those of `_divisors`, and
     # each one's numerator and one of the identity's divisors are zero together.
-    # A hoisted kernel returns them after its memo's lines.
-    line = _generated_body(catalog, "_build_member", case)[-1]
-    tests = line.removeprefix("return ").split(" and ")
-    numerators = [test.removesuffix(" != 0") for test in tests if test.endswith(" != 0")]
-    assert numerators == [f"({numerator})" for _, numerator in catalog._divisors(case)]
-    tested = [eval(numerator, {}, SLOT_NAMES) for numerator in numerators]
+    # A hoisted kernel tests `not n3`, and `n3 == g and d3 == h` for a divisor
+    # h * n3 - g * d3 whose zero g/h its memo keeps.
+    if case.label in HOISTED_MEMBERS:
+        parts = _hoisted(catalog, "_build_member", case)
+        tested = []
+        for statement in parts.hit:
+            if isinstance(statement, ast.If) and ast.unparse(statement.test) == "not n3":
+                tested.append(N3)
+            elif isinstance(statement, ast.If) and ast.unparse(statement.test).startswith("n3 =="):
+                g, h = (parts.env[ast.unparse(comparison.comparators[0])]
+                        for comparison in statement.test.values)
+                tested.append(h * N3 - g * D3)
+        assert len(tested) == len(catalog._divisors(case)), case.label
+    else:
+        line = _generated_body(catalog, "_build_member", case)[-1]
+        tests = line.removeprefix("return ").split(" and ")
+        numerators = [test.removesuffix(" != 0") for test in tests if test.endswith(" != 0")]
+        assert numerators == [f"({numerator})" for _, numerator in catalog._divisors(case)]
+        tested = [eval(numerator, {}, SLOT_NAMES) for numerator in numerators]
     derived = _slot_divisors(case)
     for numerator in tested:
         assert any(_is_denominator_monomial(numerator / g) for g in derived), numerator
@@ -447,34 +473,21 @@ def test_member_kernel_tests_exactly_the_identity_s_divisors(case):
         assert any(_is_denominator_monomial(numerator / g) for numerator in tested), g
 
 
-# The cases whose `member` kernel tests the equation on a row hit of the memo.
-HOISTED_MEMBERS = {"11", "12", "13", "14"}
-
-
-@pytest.mark.parametrize("builder, case", [
-    *(("_build_kernel", case) for case in ALL_CASES if case.label in HOISTED),
-    *(("_build_member", case) for case in ALL_CASES if case.label in HOISTED_MEMBERS),
-], ids=lambda value: getattr(value, "label", value))
-def test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial(builder, case):
-    # A hoisted kernel (`check`'s verdict-only path, or `member`) first
-    # unpacks the closure cell `row`: the objects r1 and r2 it was filled
-    # from, the slot integers of theirs that the rest reads, and the
-    # coefficients k0, k1, .... Unless r1 and r2 are both those objects, it
-    # loads their slots, computes the coefficients and stores all of them
-    # back as one tuple. Each coefficient reads only n1, d1, n2 and d2; the
-    # path after the memo loads no slot of r1 or r2 and reads no name of
-    # theirs that the row does not hold. Its decision `L == R` is
-    # `Σ k_i * m_i`, each m a monomial in n3 and d3, and with the
-    # coefficients' values `L - R` is identically the polynomial it stands
-    # for: the full path's nested `left - right` (`check`), or
-    # `coef*n2 + const*d2` of `_EQUATIONS` (`member`).
-    module = identity if builder == "_build_kernel" else catalog
+def _hoisted(module, builder, case) -> SimpleNamespace:
+    """The parts of a hoisted kernel (`check`'s verdict-only path, or
+    `member`): the names its memo keeps after r1 and r2; the miss's loads and
+    assignments and its call of `zeros`; the hit's statements; the full path
+    (`check`'s, else empty); the values of the miss's names, and the
+    arguments of `zeros`, on the slot symbols. Checks the memo's layout on
+    the way: it unpacks the closure cell `row` as `last1, last2, names`, and
+    unless r1 and r2 are both those objects it loads their slots, computes
+    the names and stores all of them back as one tuple."""
     lines = _generated_body(module, builder, case)
-    body = ast.parse("\n".join(lines)).body
+    body, full = ast.parse("\n".join(lines)).body, []
     if module is identity:
-        hoisted, *full = body
-        assert ast.unparse(hoisted.test) == "verdict_only" and not hoisted.orelse, case.label
-        body = hoisted.body
+        verdict, *full = body
+        assert ast.unparse(verdict.test) == "verdict_only" and not verdict.orelse, case.label
+        body = verdict.body
     unpack, miss, *hit = body
     (target,) = unpack.targets
     assert ast.unparse(unpack.value) == "row" and isinstance(target, ast.Tuple), ast.unparse(unpack)
@@ -483,74 +496,215 @@ def test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial(builder, case):
     assert ast.unparse(miss.test) == "last1 is not r1 or last2 is not r2" and not miss.orelse
     *computed, store = miss.body
     assert ast.unparse(store) == f"row = ({', '.join(['r1', 'r2', *names])})", ast.unparse(store)
-
-    row_slots = set(SLOTS) - {N3, D3}
+    (solve,) = [statement for statement in computed if isinstance(statement.value, ast.Call)]
+    assert ast.unparse(solve.value.func) == "zeros", ast.unparse(solve)
     env = _components()
-    assert set(names) <= set(_assigned(computed, env)), (case.label, names)
-    coefficients = [name for name in names if name not in SLOT_NAMES]
-    assert set(names) - set(coefficients) <= {"n1", "d1", "n2", "d2"}, names
-    assert coefficients and all(sp.sympify(env[name]).free_symbols <= row_slots
-                                for name in coefficients), case.label
-    # The miss reads r1's and r2's slots, and the rest of the kernel r3's
-    # alone: every slot of r1 or r2 that the body names, it loads itself, so
-    # the loads that `_define` puts before the memo are r3's.
-    for statements, components in ((computed, {"r1", "r2"}), (hit, {"r3"})):
+    assigned = _assigned([statement for statement in computed if statement is not solve], env)
+    arguments = [sp.expand(eval(ast.unparse(argument), {}, env)) for argument in solve.value.args]
+    (solved,) = solve.targets
+    # Every slot of r1 or r2 that the body names, the miss loads itself, and
+    # a hit loads r3's: `_define` adds no load.
+    text = "\n".join(lines)
+    assert all(load in text for slot, load in identity._LOADS.items() if slot in text), case.label
+    return SimpleNamespace(names=names, computed=computed, solve=solve, hit=hit, full=full,
+                           env=env, arguments=arguments, assigned=assigned + [
+                               name.id for name in solved.elts])
+
+
+def _polynomial_and_atoms(module, case, full: list) -> tuple:
+    """What a hoisted kernel's hit stands for, in the slot symbols: the
+    polynomial whose zero it decides, the full path's nested `left - right`
+    (`check`) or `coef*n2 + const*d2` of `_EQUATIONS` (`member`), and the
+    atoms that must be nonzero, the full path's guard names (`check`) or
+    the numerators of `_divisors` (`member`), in the order the full path's
+    guard names them."""
+    if module is catalog:
+        coef, const = (eval(side, {}, dict(SLOT_NAMES)) for side in catalog._EQUATIONS[case])
+        atoms = [eval(numerator, {}, dict(SLOT_NAMES)) for _, numerator in catalog._divisors(case)]
+        return sp.expand(coef * N2 + const * D2), atoms, None
+    env = _components()
+    _assigned([statement for statement in full if isinstance(statement, ast.Assign)], env)
+    nested = full[-1].value.args[0].elts[0].test
+    polynomial = eval(f"({ast.unparse(nested.left)}) - ({ast.unparse(nested.comparators[0])})",
+                      {}, env)
+    guards = [statement.test for statement in full if isinstance(statement, ast.If)]
+    names = [ast.unparse(name) for guard in guards for name in (
+        guard.operand.values if isinstance(guard.operand, ast.BoolOp) else [guard.operand])]
+    # The guard's branch computes the rest of the steps: every denominator.
+    for guard in full:
+        if isinstance(guard, ast.If):
+            _assigned(guard.body[:-1], env)
+    return sp.expand(polynomial), [sp.expand(env[name]) for name in names], env
+
+
+def _rational_zeros(coefficients: list) -> list[tuple[int, int]]:
+    """The distinct rational zeros n/d of Σ c_i * x**(k - i), by sympy, as
+    (n, d) in lowest terms with d > 0, sorted."""
+    x = sp.Symbol("x")
+    polynomial = sp.Poly(sum(c * x ** (len(coefficients) - 1 - i)
+                             for i, c in enumerate(coefficients)), x)
+    return sorted(sp.fraction(zero) for zero in sp.roots(polynomial, filter="Q"))
+
+
+# Rows (r1, r2) for `zeros` on a kernel's coefficients: for each r1, the r2
+# that makes each r3 of _ZERO_AT a zero of the row (r1 = 0 gives the rows of
+# cases 13 and 14 on which every r3 is one), and a few rows with no rational
+# zero at all. r1 < 0 makes the leading coefficient of 13 negative, r1 > 0
+# that of 11 and 14, and every zero has a common factor to divide out.
+_ROW_R1 = [Fraction(2, 3), Fraction(-3, 5), Fraction(0), Fraction(1), Fraction(-2)]
+_ZERO_AT = [Fraction(1, 2), Fraction(-2, 7), Fraction(0), Fraction(3)]
+_ROW_R2 = [Fraction(-5, 7), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("builder, case", [
+    *(("_build_kernel", case) for case in ALL_CASES if case.label in HOISTED),
+    *(("_build_member", case) for case in ALL_CASES if case.label in HOISTED_MEMBERS),
+], ids=lambda value: getattr(value, "label", value))
+def test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial(builder, case):
+    # A hoisted kernel (`check`'s verdict-only path, or `member`) keeps in
+    # its memo, per row of r1 and r2 objects, `zeros`' answer on the
+    # coefficients of its polynomial in r3, `every, a1, b1, ...`, and the
+    # zero `g, h` of each atom of its guard that is not n3 itself; a hit
+    # compares r3's slots with those. This proves, for each such kernel:
+    # - the memo is keyed on both objects and stored whole (`_hoisted`), and
+    #   what the miss computes reads only r1's and r2's slots, the hit only
+    #   r3's;
+    # - the polynomial is homogeneous in n3 and d3 of degree k = 1 or 2, and
+    #   the arguments of `zeros` are its coefficients, highest power of n3
+    #   first, so it is zero exactly where their polynomial in x = n3/d3 is;
+    # - `zeros` answers sympy's rational zeros of that polynomial, each in
+    #   lowest terms with a positive denominator, on rows with two, one and
+    #   no rational zeros, and with all of them;
+    # - each stored atom zero is exactly the zeros of one guard atom, whose
+    #   n3 coefficient is a nonzero denominator monomial: g/h is -n_i/d_i or
+    #   n_i/d_i, so in lowest terms with h > 0, and the atom vanishes there;
+    #   the other atom is n3 itself, tested as `not n3`;
+    # - for any values of the memo's names, the hit answers as the full path
+    #   would on an r3 whose atoms are zero exactly where r3's slots equal
+    #   their stored zero: the site of the first denominator with a zero atom
+    #   (`check`) or False (`member`), else whether every r3 is a zero or r3's
+    #   slots equal a stored pair; and it reads d3 only where n3 equals a
+    #   stored numerator, each slot once.
+    module = identity if builder == "_build_kernel" else catalog
+    parts = _hoisted(module, builder, case)
+    polynomial, atoms, full_env = _polynomial_and_atoms(module, case, parts.full)
+    row_slots = set(SLOTS) - {N3, D3}
+    assert set(parts.names) <= set(parts.assigned), (case.label, parts.names)
+    for statements, components in ((parts.computed, {"r1", "r2"}), (parts.hit, {"r3"})):
         for node in ast.walk(ast.Module(statements, [])):
             if isinstance(node, ast.Attribute):
                 assert node.value.id in components, (case.label, ast.unparse(node))
-    text = "\n".join(lines)
-    prologue = [slot for slot, load in identity._LOADS.items() if slot in text and load not in text]
-    assert set(prologue) <= {"n3", "d3"}, (case.label, prologue)
 
-    # The hit path reads only the row's names, r3's slots and what it
-    # assigns itself. Run on those alone: coefficients as symbols first, to
-    # read the decision's form, then as their values.
-    *steps, returned = hit
-    guards = [statement for statement in steps if isinstance(statement, ast.If)]
-    names_read = {node.id for node in ast.walk(ast.Module(hit, []))
-                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    assigned_here = {target.id for statement in steps if isinstance(statement, ast.Assign)
-                     for target in statement.targets}
-    assert names_read <= {*names, *prologue, *assigned_here, "r3", "_HELD", "_FAILED",
-                          "_UNDEFINED_AT"}, (case.label, names_read)
-    symbols = {name: sp.Symbol(name) for name in coefficients}
-    decisions = []
-    for values in (symbols, env):
-        hit_env = {"r3": _components()["r3"], **{slot: SLOT_NAMES[slot] for slot in prologue},
-                   **{name: values.get(name, env[name]) for name in names}}
-        _assigned([statement for statement in steps if statement not in guards], hit_env)
-        decision = returned.value if module is catalog else returned.value.test
-        if isinstance(decision, ast.BoolOp):
-            decision = decision.values[0]
-        (op,), (right,) = decision.ops, decision.comparators
-        assert isinstance(op, ast.Eq), ast.unparse(decision)
-        decisions.append(sp.expand(eval(f"({ast.unparse(decision.left)}) - ({ast.unparse(right)})",
-                                        {}, hit_env)))
-    form, difference = decisions
-    for monomial in sp.Poly(form, *symbols.values(), N3, D3).monoms():
-        assert sum(monomial[:len(symbols)]) == 1, (case.label, form)
-    assert form.free_symbols <= {*symbols.values(), N3, D3}, (case.label, form)
+    # The polynomial, and the arguments of `zeros`.
+    coefficients = parts.arguments
+    degree = len(coefficients) - 1
+    pairs = [(f"a{i}", f"b{i}") for i in range(1, degree + 1)]
+    (solved,) = parts.solve.targets
+    assert [name.id for name in solved.elts] == ["every", *(name for pair in pairs
+                                                            for name in pair)], case.label
+    assert 1 <= degree <= 2 and all(c.free_symbols <= row_slots for c in coefficients), case.label
+    assert {sum(monomial) for monomial in sp.Poly(polynomial, N3, D3).monoms()} == {degree}, (
+        case.label, polynomial)
+    assert sp.expand(polynomial - sum(c * N3 ** (degree - i) * D3 ** i
+                                      for i, c in enumerate(coefficients))) == 0, case.label
+    for r1, r2 in _rows(polynomial, coefficients):
+        values = {N1: r1.numerator, D1: r1.denominator, N2: r2.numerator, D2: r2.denominator}
+        at_row = [int(c.subs(values)) for c in coefficients]
+        every, *found = _forms.zeros(*at_row)
+        zeros = sorted(zip(found[::2], found[1::2]))
+        expected = [] if not any(at_row) else _rational_zeros(at_row)
+        assert every is (not any(at_row)), (case.label, r1, r2)
+        assert zeros == sorted(expected + [(0, 0)] * (degree - len(expected))), (
+            case.label, r1, r2, zeros, expected)
 
-    if module is catalog:
-        assert ast.unparse(returned).startswith(f"return {ast.unparse(decision)}"), case.label
-        coef, const = (eval(side, {}, dict(SLOT_NAMES)) for side in catalog._EQUATIONS[case])
-        expected = coef * N2 + const * D2
-    else:
-        assert ast.unparse(returned) == f"return _HELD if {ast.unparse(decision)} else _FAILED"
-        # The guard and the steps it reads are the full path's.
-        full_text = {ast.unparse(statement) for statement in ast.walk(ast.Module(full, []))
-                     if isinstance(statement, ast.Assign)}
-        full_guards = {ast.unparse(statement.test) for statement in full
-                       if isinstance(statement, ast.If)}
-        assert all(ast.unparse(statement) in full_text for statement in steps
-                   if statement not in guards), case.label
-        assert {ast.unparse(guard.test) for guard in guards} == full_guards, case.label
-        full_env = _components()
-        _assigned([statement for statement in full if isinstance(statement, ast.Assign)], full_env)
-        nested = full[-1].value.args[0].elts[0].test
-        expected = eval(f"({ast.unparse(nested.left)}) - ({ast.unparse(nested.comparators[0])})",
-                        {}, full_env)
-    assert sp.expand(difference - expected) == 0, (case.label, difference, expected)
+    # The atoms: n3 itself, tested as `not n3`, and one stored zero for each
+    # other guard atom.
+    tests = [statement for statement in parts.hit if isinstance(statement, ast.If)]
+    bare = [test for test in tests if ast.unparse(test.test) == "not n3"]
+    stored = [test for test in tests if ast.unparse(test.test).startswith("n3 == ")]
+    assert len(bare) == (N3 in atoms) and len(stored) == len(atoms) - len(bare), case.label
+    zero_of = {N3: None}
+    for test in stored:
+        g, h = (ast.unparse(comparison.comparators[0]) for comparison in test.test.values)
+        assert ast.unparse(test.test) == f"n3 == {g} and d3 == {h}", ast.unparse(test)
+        numerator, denominator = parts.env[g], parts.env[h]
+        at_zero = {N3: numerator, D3: denominator}
+        (atom,) = [atom for atom in atoms
+                   if atom != N3 and sp.expand(atom.subs(at_zero, simultaneous=True)) == 0]
+        assert {sum(monomial) for monomial in sp.Poly(atom, N3, D3).monoms()} == {1}, atom
+        assert _is_denominator_monomial(sp.Poly(atom, N3, D3).coeff_monomial(N3)), atom
+        i = str(denominator)[1:]
+        assert str(denominator) in ("d1", "d2") and numerator in (SLOT_NAMES["n" + i],
+                                                                   -SLOT_NAMES["n" + i]), (g, h)
+        zero_of[atom] = (g, h)
+    assert set(zero_of) == set(atoms) | {N3}, case.label
+
+    # The hit, for any values of the memo's names.
+    results = {"_HELD": "held", "_FAILED": "failed", "_UNDEFINED_AT": _SITES}
+    source = "def hit(r3):\n" + "\n".join(
+        "    " + line for line in ast.unparse(ast.Module(parts.hit, [])).splitlines())
+    kept = [(0, 0), (2, 1), (3, 4), (3, 5)]
+    for every, decided, guarded in product((False, True), product(kept, repeat=degree),
+                                           product([(0, 1), (2, 1), (-3, 4)], repeat=len(stored))):
+        memo = {"every": every, **{name: value for pair, values in zip(pairs, decided)
+                                   for name, value in zip(pair, values)}}
+        atom_zeros = dict(zip([atom for atom in atoms if atom != N3], guarded))
+        for atom, (g, h) in zip(atom_zeros, guarded):
+            memo.update(zip(zero_of[atom], (g, h)))
+        namespace = {**results, **memo}
+        exec(source, namespace)
+        numerators = [value for value, _ in (*decided, *guarded)]
+        for n3, d3 in product((0, 2, 3, -3, 5), (1, 4, 5)):
+            reads = []
+            r3 = _Recording(n3, d3, reads)
+            zero = {atom for atom in atoms
+                    if (not n3 if atom == N3 else (n3, d3) == atom_zeros[atom])}
+            if module is catalog:
+                expected = not zero and (every or (n3, d3) in decided)
+            elif zero:
+                expected = _SITES[next(at for at, factors in enumerate(_zero_at(full_env))
+                                       if factors & {f for atom in zero for f in _factors(atom)})]
+            else:
+                expected = "held" if every or (n3, d3) in decided else "failed"
+            answer = namespace["hit"](r3)
+            assert answer is expected if module is catalog else answer == expected, (
+                case.label, memo, n3, d3, answer)
+            assert reads[:1] == ["n3"] and len(reads) == len(set(reads)), reads
+            assert "d3" not in reads or n3 in numerators, (case.label, memo, n3, reads)
+
+
+class _Recording:
+    """r3 with the slots n3 and d3, recording each read in `reads`."""
+
+    def __init__(self, n3: int, d3: int, reads: list):
+        self._slots, self._reads = (n3, d3), reads
+
+    @property
+    def _numerator(self):
+        self._reads.append("n3")
+        return self._slots[0]
+
+    @property
+    def _denominator(self):
+        self._reads.append("d3")
+        return self._slots[1]
+
+
+def _rows(polynomial, coefficients) -> list[tuple[Fraction, Fraction]]:
+    """`_ROW_R1` × (the r2 that makes each of `_ZERO_AT` a zero of the row,
+    where one does, and `_ROW_R2`)."""
+    rows = []
+    for r1 in _ROW_R1:
+        slots = {N1: r1.numerator, D1: r1.denominator}
+        for r3 in _ZERO_AT:
+            # The polynomial is linear in n2 and d2: α * n2 + β * d2.
+            at = sp.Poly(sp.expand(polynomial.subs({**slots, N3: r3.numerator,
+                                                    D3: r3.denominator})), N2, D2)
+            alpha, beta = at.coeff_monomial(N2), at.coeff_monomial(D2)
+            if alpha:
+                rows.append((r1, Fraction(int(-beta), int(alpha))))
+        rows += [(r1, r2) for r2 in _ROW_R2]
+    return rows
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.label)

@@ -1,6 +1,7 @@
 """The identity checker: operation pairings, verdicts, and undefinedness."""
 
 import copy
+import math
 import operator
 import os
 import pickle
@@ -14,7 +15,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distribq import catalog, identity
@@ -286,29 +287,44 @@ def test_every_kernel_matches_the_fraction_reference_on_a_grid_with_zeros():
 
 
 # The slot integers that each case's verdict-only path loads on a row miss:
-# those its decision and its guard read, or, in cases 11 to 14, those its
-# guard and the coefficients of its memo read. Cases 1 to 10, L1 and L2 keep
-# no memo and load the same on every call.
+# those its decision and its guard read, or, in cases 11 to 14, those that
+# the coefficients of its memo read, and then what a row hit reads (see
+# HIT_NUMERATORS). Cases 1 to 10, L1 and L2 keep no memo and load the same
+# on every call.
 VERDICT_READS = {
     **dict.fromkeys(["1", "2", "5", "6"], "n1"),
     **dict.fromkeys(["3", "4", "7", "8"], "n1 d1 n2 n3"),
     **dict.fromkeys(["9", "10"], "n1 n2 d2 n3 d3"),
-    **dict.fromkeys(["11", "12", "13", "14"], "n1 d1 n2 d2 n3 d3"),
+    **dict.fromkeys(["11", "12", "13", "14"], "n1 d1 n2 d2"),
     **dict.fromkeys(["L1", "L2"], ""),
 }
 
 # The slot integers that each dividing case's verdict-only path loads on an
-# UNDEFINED triple and a row miss: those its guard reads, and in cases 13
-# and 14 those its coefficients read.
+# UNDEFINED triple and a row miss: those its guard reads, or in cases 13
+# and 14 those its coefficients read, and then what a row hit reads.
 GUARD_READS = {
     "4": "n1 n3", "7": "n1 n2 n3", "8": "n2 n3",
     **dict.fromkeys(["9", "10"], "n2 d2 n3 d3"),
-    **dict.fromkeys(["13", "14"], "n1 d1 n2 d2 n3 d3"),
+    **dict.fromkeys(["13", "14"], "n1 d1 n2 d2"),
 }
 
 # On a row hit, r1 and r2 being the objects of the call before, a hoisted
-# verdict-only path loads only r3's slots, decided or UNDEFINED.
-HIT_READS = dict.fromkeys(["11", "12", "13", "14"], "n3 d3")
+# verdict-only path (cases 11 to 14) loads only r3's slots, decided or
+# UNDEFINED: n3, and d3 only where n3 equals the numerator of a zero that its
+# row keeps, one of its polynomial's rational zeros in r3 or, in cases 13 and
+# 14, the zero of the guard atom nac (-r1 or r1). On the row (2/3, -5/7) those
+# numerators are 22 (11: r3 = 22/21), 4 (12: 4/33), -2 (13: -2/3) and 2
+# (14: 2/3), so r3 = 4/5 reads d3 in case 12 alone. Each triple of HIT_ROOTS
+# has for r3 a zero of its row's polynomial, so it holds and reads d3.
+HIT_NUMERATORS = {"11": 22, "12": 4, "13": -2, "14": 2}
+HIT_ROOTS = {
+    "11": (Fraction(2, 3), Fraction(-5, 7), Fraction(22, 21)),
+    "12": (Fraction(2, 3), Fraction(-5, 7), Fraction(4, 33)),
+    # r3**2 + (r1 - 1)*r3 + r2 has the zeros 1/2 and -1/3.
+    "13": (Fraction(5, 6), Fraction(-1, 6), Fraction(1, 2)),
+    # r1*r3**2 + (r1 - r1**2 - 2*r2)*r3 + r1*r2 has the zeros 1/4 and -1/2.
+    "14": (Fraction(1), Fraction(-1, 8), Fraction(-1, 2)),
+}
 
 
 def _recording(q: Fraction, i: str, reads: list):
@@ -330,26 +346,35 @@ def _recording(q: Fraction, i: str, reads: list):
 
 def test_each_path_of_a_kernel_loads_each_slot_it_reads_once_and_no_other():
     # The first triple is decided in every case; the second, with r3 = 0, is
-    # UNDEFINED in every case that divides and decided in the others. Each
-    # is checked twice by a fresh kernel: a row miss, then a hit with the
-    # same r1 and r2 objects and a new r3.
+    # UNDEFINED in every case that divides and decided in the others; the
+    # third, in cases 11 to 14, holds with r3 a zero of the row. Each is
+    # checked twice by a fresh kernel: a row miss, then a hit with the same
+    # r1 and r2 objects and a new r3.
     every = "n1 d1 n2 d2 n3 d3"
-    for r3 in (Fraction(4, 5), Fraction(0)):
-        t = (Fraction(2, 3), Fraction(-5, 7), r3)
-        for case in ALL_CASES:
+    for case in ALL_CASES:
+        row = (Fraction(2, 3), Fraction(-5, 7))
+        for t in ((*row, Fraction(4, 5)), (*row, Fraction(0)), *[HIT_ROOTS.get(case.label)] * (
+                case.label in HIT_ROOTS)):
+            r3 = t[2]
             undefined = check(case, t).verdict is Verdict.UNDEFINED
             assert undefined is (not r3 and case.label in GUARD_READS), case.label
             bare = (GUARD_READS if undefined else VERDICT_READS)[case.label]
-            hit = HIT_READS.get(case.label, bare)
+            hit = bare
+            if case.label in HIT_NUMERATORS:
+                root = t == HIT_ROOTS[case.label] or r3.numerator == HIT_NUMERATORS[case.label]
+                hit = "n3 d3" if root else "n3"
+                bare += " " + hit
             for verdict_only, miss, again in ((True, bare, hit), (False, every, every)):
                 reads = []
                 kernel = identity._build_kernel(case)
                 recorded = [_recording(q, i, reads) for i, q in zip("123", t)]
                 for expected in (miss, again):
                     assert kernel(tuple(recorded), verdict_only) == check(case, t, verdict_only)
-                    assert sorted(reads) == sorted(expected.split()), (case.label, r3, verdict_only)
+                    assert sorted(reads) == sorted(expected.split()), (case.label, t, verdict_only)
                     reads.clear()
                     recorded[2] = _recording(r3, "3", reads)
+        if case.label in HIT_ROOTS:
+            assert check(case, HIT_ROOTS[case.label]).verdict is Verdict.HOLDS, case.label
     # L1's and L2's verdict-only paths read no slot, so they take any components.
     assert check(case_from_label("L1"), (1, 2, 3), True) is identity._HELD
 
@@ -479,6 +504,88 @@ def test_a_kernel_s_row_memo_answers_as_a_fresh_kernel_and_the_reference(firsts,
                 case.label, q1, q2, r3)
 
 
+HOISTED_CASES = [case_from_label(label) for label in ("11", "12", "13", "14")]
+
+
+def _row_zeros(case, r1: Fraction, r2: Fraction) -> list[Fraction] | None:
+    """The rational r3 that solve the case's equation on the row (r1, r2),
+    from `catalog._LINEAR`'s (coef, const) and Fraction arithmetic: its
+    polynomial in r3, a*r3**2 + b*r3 + c, is read at r3 = 0, 1 and -1. None
+    where every r3 solves it."""
+
+    def at(x: int) -> int:
+        coef, const = catalog._LINEAR[case](r1.numerator, r1.denominator, x, 1)
+        return coef * r2.numerator + const * r2.denominator
+
+    c, plus, minus = at(0), at(1), at(-1)
+    a, b = (plus + minus) // 2 - c, (plus - minus) // 2
+    if not a:
+        return None if not (b or c) else [Fraction(-c, b)] if b else []
+    discriminant = b * b - 4 * a * c
+    s = math.isqrt(discriminant) if discriminant >= 0 else -1
+    if s * s != discriminant:
+        return []
+    return sorted({Fraction(-b + s, 2 * a), Fraction(-b - s, 2 * a)})
+
+
+@st.composite
+def _hoisted_rows(draw):
+    """(case, r1, r2) of cases 11 to 14 whose row has, as drawn, a zero at a
+    drawn r3 (one or two zeros, or all), a double zero (case 13), or any."""
+    case, r1, r2 = draw(st.sampled_from(HOISTED_CASES)), draw(components), draw(components)
+    how = draw(st.sampled_from(["zero at", "double", "any"]))
+    if how == "zero at":
+        r3 = draw(components)
+        coef, const = catalog._LINEAR[case](r1.numerator, r1.denominator, r3.numerator,
+                                            r3.denominator)
+        r2 = Fraction(-const, coef) if coef else r2
+    elif how == "double" and case.label == "13":
+        # r3**2 + (r1 - 1)*r3 + r2 == (r3 + (r1 - 1)/2)**2.
+        r2 = (r1 - 1) ** 2 / 4
+    return case, r1, r2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_hoisted_rows(), min_size=1, max_size=6), st.lists(components, max_size=3))
+@example([(case_from_label("13"), Fraction(0), Fraction(3, 4))], [Fraction(1, 2)])  # every r3
+@example([(case_from_label("14"), Fraction(0), Fraction(-2))], [Fraction(5)])  # every r3
+@example([(case_from_label("13"), Fraction(5, 6), Fraction(-1, 6))], [])  # 1/2 and -1/3
+@example([(case_from_label("14"), Fraction(2), Fraction(1))], [])  # 1, twice
+@example([(case_from_label("14"), Fraction(1), Fraction(0))], [])  # 0, twice
+@example([(case_from_label("12"), Fraction(2, 3), Fraction(1, 3))], [])  # 0
+@example([(case_from_label("11"), Fraction(0), Fraction(1))], [])  # every r3
+@example([(case_from_label("12"), Fraction(2), Fraction(1))], [])  # none: 0*r3 == 2
+@example([(case_from_label("13"), Fraction(1), Fraction(1))], [])  # none: r3**2 == -1
+def test_a_hoisted_kernel_answers_at_its_row_s_zeros_as_a_fresh_kernel_and_the_reference(
+        rows, extra):
+    # The check (verdict-only) and member kernels of cases 11 to 14 keep, per
+    # row of r1 and r2 objects, the rational zeros in r3 of the row's
+    # polynomial, and a hit compares r3's slots with them. Random triples
+    # seldom land on a zero, so each row's candidates for r3 are its zeros,
+    # found with Fractions from `catalog._LINEAR`, the same numerators over
+    # other denominators, 0, r1, -r1 and 1, and a few drawn values. Along
+    # each row, one kernel per case and kind, kept across the rows, answers
+    # as a fresh kernel of the case does on copies, which always miss, and
+    # as the Fraction reference.
+    kernels, fresh = ({case: (identity._build_kernel(case), catalog._build_member(case))
+                       for case in HOISTED_CASES} for _ in range(2))
+    for case, r1, r2 in rows:
+        zeros = _row_zeros(case, r1, r2)
+        near = [Fraction(q.numerator, q.denominator + k) for q in zeros or [] for k in (1, 2)]
+        candidates = [*(zeros or []), *(q for q in near if q.numerator in {
+            zero.numerator for zero in zeros}), Fraction(0), r1, -r1, Fraction(1), *extra]
+        (kernel, member), (fresh_kernel, fresh_member) = kernels[case], fresh[case]
+        for r3 in candidates:
+            verdict, _, _, site = _reference_check(case, Triple(r1, r2, r3))
+            # A zero holds unless the identity is undefined there.
+            assert verdict is not Verdict.FAILS or (zeros is not None and r3 not in zeros)
+            copies = (_copy(r1), _copy(r2), _copy(r3))
+            assert kernel((r1, r2, r3), True) is fresh_kernel(copies, True) is _shared(
+                verdict, site), (case.label, r1, r2, r3)
+            assert member((r1, r2, r3)) is fresh_member(copies) is (verdict is Verdict.HOLDS), (
+                case.label, r1, r2, r3)
+
+
 def test_threads_scanning_one_case_on_different_grids_get_their_own_results():
     # Three threads scan the same case, so they share its kernels and each
     # kernel's row memo, on grids whose rows are different objects; each scan
@@ -594,8 +701,11 @@ def test_fraction_keeps_its_integers_in_its_slots():
     # `_WRITERS` (through `_text` and `_json`) and `_rows` read
     # q._numerator and q._denominator directly (the slots of
     # fractions.Fraction), because as_integer_ratio and the numerator and
-    # denominator properties are Python-level calls. If CPython renames the
-    # slots, this test names the cause.
+    # denominator properties are Python-level calls. The row-hoisted kernels
+    # of cases 11 to 14 also compare r3's slots with zeros kept in lowest
+    # terms with a positive denominator, which finds r3 only if its slots
+    # are in that form too. If CPython renames the slots, or stops keeping
+    # them in lowest terms, this test names the cause.
     from distribq.cli import _text
 
     built = [

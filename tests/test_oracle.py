@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import distribq
-from distribq import identity, oracle
+from distribq import catalog, identity, oracle
 from distribq.identity import ALL_CASES, BinOp, Triple, Verdict, case_from_label
 from distribq.oracle import (
     SearchBounds,
@@ -288,6 +288,28 @@ def test_worker_count_is_clamped_to_cores_and_partitions(
         assert [i for chunk in chunks for i in chunk] == list(range(volume))
         assert all(type(i) is int for chunk in chunks for i in chunk)
         assert workers <= len(chunks) <= 4 * workers
+
+
+def test_a_pool_starts_after_the_parent_has_built_the_case_s_kernels(monkeypatch):
+    # Workers started by fork inherit the parent's kernel tables, so the
+    # parent builds what the scan's partitions call before the pool starts:
+    # the case's check kernel, and for verify its member kernel too. Under
+    # spawn the workers build their own, as before.
+    case, built = case_from_label("13"), []
+
+    class Pool(_RecordingPool):
+        def __init__(self, *args, **kwargs):
+            built.append((case in identity._KERNELS, case in catalog._MEMBERS))
+            super().__init__(*args, **kwargs)
+
+    _record_pools(monkeypatch, cpus=2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    for scan, member_too in ((search_solutions, False), (verify_characterization, True)):
+        monkeypatch.setattr(identity, "_KERNELS", identity._Kernels())
+        monkeypatch.setattr(catalog, "_MEMBERS", identity._Kernels(catalog._build_member))
+        scan(case, SearchBounds(2, 2), jobs=2)
+        assert built.pop() == (True, member_too), scan.__name__
+    assert case in identity._KERNELS and case in catalog._MEMBERS
 
 
 def test_listings_cross_the_pool_as_positions_into_the_parents_grid(monkeypatch):
