@@ -1,4 +1,4 @@
-"""The polynomial forms of a kernel's decision, and their prices.
+"""The polynomial forms of a kernel's decision, and the rule that picks one.
 
 `identity`'s `check` kernels and `catalog`'s `member` kernels decide by an
 integer equation in the six slot integers n1, d1, ..., d3 of a triple.
@@ -7,22 +7,31 @@ the equation can be written in other forms. `reduced` divides out the
 monomial content and tests the atoms that may be zero. `hoisted` reads the
 polynomial, homogeneous in n3 and d3 of degree 1 or 2, as one in x = n3/d3
 whose coefficients read only r1's and r2's slots. Along a row of a grid
-scan r1 and r2 stay the same objects, so `rooted` and `memo` write a
-kernel that solves that polynomial over the rationals once per row
-(`zeros`, by `math.isqrt` of the discriminant and `gcd`), keeps its zeros
-with the row, and decides each triple by comparing r3's slots with them.
-That relies on every Fraction keeping its slots in lowest terms with a
-positive denominator, which
+scan r1 and r2 stay the same objects, so `rooted` writes a kernel that
+solves that polynomial over the rationals once per row (`zeros`, by
+`math.isqrt` of the discriminant and `gcd`), keeps its zeros with the row,
+and decides each triple by comparing r3's slots with them. That relies on
+every Fraction keeping its slots in lowest terms with a positive
+denominator, which
 `tests/test_identity.py::test_fraction_keeps_its_integers_in_its_slots`
-pins. `cost` prices a form in slot loads and operations, and the kernel
-builders keep the cheapest. `catalog` imports the module, and `identity`
-when it first builds a kernel.
+pins.
+
+The polynomial picks its form. Divided by its monomial content, it either
+reads no slot of r3, and the decision is a condition on r1 and r2 with r3
+at most a factor (the paper's cases 1 to 8, L1 and L2): `check` takes the
+reduced form and `member` its plain line. Or it reads r3, and where every
+guard atom is n3 or has one zero in r3 that `_root` solves, the decision is
+one of the paper's polynomial equations (cases 11 to 14), which `rooted`
+hoists. Otherwise the kernel keeps its plain form: `check` the nested
+cross-multiplication, `member` its line. `reduced` and `rooted` each
+return None where the rule picks another form. `catalog` imports the
+module, and `identity` when it first builds a kernel.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd, inf, isqrt
+from math import gcd, isqrt
 from typing import Callable
 
 from .identity import _LOADS, _reads
@@ -66,11 +75,6 @@ def expand(texts: dict) -> dict:
     return {monomial: c for monomial, c in env[last].items() if c}
 
 
-# The slot integers of r1 and r2, which a scan's row of triples keeps the same
-# objects: n1, d1, n2, d2.
-ROW = tuple(slot for slot in _LOADS if slot[1] != "3")
-
-
 def common(poly: dict) -> Counter:
     """The atoms that every monomial of `poly` has, as often as each has them."""
     content = Counter(min(poly))
@@ -102,6 +106,13 @@ def _by_r3(poly: dict) -> dict:
         r3 = tuple(atom for atom in monomial if atom[1] == "3")
         groups.setdefault(r3, {})[tuple(atom for atom in monomial if atom[1] != "3")] = c
     return groups
+
+
+def _reads_r3(poly: dict) -> bool:
+    """Whether `poly` divided by its monomial content reads a slot of r3:
+    it does exactly where its monomials' parts in n3 and d3 differ. The zero
+    polynomial reads none."""
+    return len(_by_r3(poly)) > 1
 
 
 def hoisted(poly: dict) -> list[str] | None:
@@ -158,99 +169,72 @@ def _root(atom: dict) -> tuple[str, str] | None:
     return None
 
 
-def rooted(poly: dict, atoms: list, answer: Callable[[str], str]) -> tuple[dict, list, float]:
+def rooted(poly: dict, atoms: list, answer: Callable[[str], str]) -> tuple[list[str], int] | None:
     """`poly` == 0 and the `atoms` nonzero as a decision on r3's slots alone,
-    given what the memo computes from r1 and r2 once per row. `poly` is the
+    given what a memo computes from r1 and r2 once per row. `poly` is the
     decision's polynomial in the slot integers, homogeneous of degree k = 1
     or 2 in n3 and d3 (see `hoisted`). `atoms` are (the result where it is
-    zero, its polynomial) for each atom of the guard, in the order they are
-    tested: n3 itself, tested as `not n3`, or ±d_i * n3 ± n_i * d3, which is
-    zero exactly where r3 equals its one zero (see `_root`); no atom n3 may
-    follow one of the second kind. `answer` makes a return from the
-    decision's test. The memo keeps `zeros`' answer on the coefficients of
-    `poly` as `every, a1, b1, ...`, and each atom's zero as `g1, h1, ...`.
-    A hit loads n3. Where n3 equals no numerator of those, the decision
-    holds exactly on a row where every r3 holds, and no atom of the second
-    kind is zero; else it loads d3 and compares both slots with each pair,
-    which equal a zero's only where r3 is that zero.
-    (the names the memo computes, {names: text}; the hit's lines; the hit's
-    `cost` on an r3 that is no stored zero), or `inf` for that cost if
-    `poly` or an atom has another form."""
-    coefficients = hoisted(poly)
+    zero, the texts whose last `expand` expands to its polynomial) for each
+    atom of the guard, in the order they are tested: n3 itself, tested as
+    `not n3`, or ±d_i * n3 ± n_i * d3, which is zero exactly where r3 equals
+    its one zero (see `_root`); no atom n3 may follow one of the second
+    kind. `answer` makes a return from the decision's test.
+    The memo reads the closure cell `row`: where r1 and r2 are its first two
+    objects, as along a scan's row of triples, it unpacks the rest, else it
+    loads the slots of r1 and r2 that it reads, computes `zeros`' answer on
+    the coefficients of `poly` as `every, a1, b1, ...` and each atom's zero
+    as `g1, h1, ...`, and stores them back in `row` with r1 and r2 as one
+    tuple, so that no thread pairs one row's objects with another's numbers.
+    The hit then loads n3. Where n3 equals no numerator of those, the
+    decision holds exactly on a row where every r3 holds, and no atom of the
+    second kind is zero; else it loads d3 and compares both slots with each
+    pair, which equal a zero's only where r3 is that zero.
+    (the memo's and the hit's lines, the length of `row`'s tuple), or None
+    where the rule of the module's docstring picks another form: if `poly`
+    without its monomial content reads no slot of r3, or if `poly` or an
+    atom has another form."""
+    coefficients = hoisted(poly) if _reads_r3(poly) else None
     if coefficients is None:
-        return {}, [], inf
+        return None
     pairs = [(f"a{i}", f"b{i}") for i in range(1, len(coefficients))]
     values = {", ".join(["every", *(name for pair in pairs for name in pair)]):
               f"zeros({', '.join(coefficients)})"}
     first, last, roots = [], [], []
-    for zero, atom in atoms:
+    for zero, texts in atoms:
+        atom = expand(texts)
         if atom == {("n3",): 1} and not roots:
             first += ["if not n3:", f"    return {zero}"]
             continue
         root = _root(atom)
         if root is None:
-            return {}, [], inf
+            return None
         g, h = f"g{len(roots) + 1}", f"h{len(roots) + 1}"
         roots.append((g, h))
         values[f"{g}, {h}"] = ", ".join(root)
         last += [f"if n3 == {g} and d3 == {h}:", f"    return {zero}"]
     split = " and ".join(f"n3 != {n}" for n, _ in pairs + roots)
     decision = " or ".join(["every", *(f"n3 == {n} and d3 == {d}" for n, d in pairs)])
-    hit = ["n3 = r3._numerator", *first, f"if {split}:", f"    return {answer('every')}",
-           "d3 = r3._denominator", *last, f"return {answer(decision)}"]
-    return values, hit, cost({}, *["not n3"] * (len(first) // 2), split, answer("every"), hit=True)
-
-
-MEMO_TEST = "last1 is not r1 or last2 is not r2"
-
-
-def memo(values: dict) -> tuple[list[str], int]:
-    """The lines that set the names of `values`, {names: text}, from the
-    closure cell `row` where r1 and r2 are its first two objects, as along a
-    scan's row of triples, else load the slots of r1 and r2 that the texts
-    read, compute them and store them back in `row` with r1 and r2 as one
-    tuple, so that no thread pairs one row's objects with another's numbers.
-    Then the length of that tuple."""
-    names = ", ".join(values)
-    loads = _reads({}, *values.values())
-    return [f"last1, last2, {names} = row", f"if {MEMO_TEST}:",
+    names, loads = ", ".join(values), _reads({}, *values.values())
+    return [f"last1, last2, {names} = row", "if last1 is not r1 or last2 is not r2:",
             *(f"    {load}" for slot, load in _LOADS.items() if slot in loads),
             *(f"    {targets} = {text}" for targets, text in values.items()),
-            f"    row = r1, r2, {names}"], 3 + names.count(",")
+            f"    row = r1, r2, {names}",
+            "n3 = r3._numerator", *first, f"if {split}:", f"    return {answer('every')}",
+            "d3 = r3._denominator", *last, f"return {answer(decision)}"], 3 + names.count(",")
 
 
-# What a row hit of a `memo` adds to a path's price: the cell's load, the
-# row's unpack into its names and the two `is` tests, counted as 8. Set from
-# timings along scan rows against the cheaper memo-free form: it keeps the
-# memo where a hit saved a tenth to a half of a call (cases 11 to 14), and
-# leaves it out where a hit saved less than a tenth, a gain that a row's
-# miss, dearer than the memo-free path, and a call outside a scan, which
-# always misses, would eat. With `rooted`'s hit, any charge from 8 to 15
-# keeps exactly cases 11 to 14; below 8, case 3, whose reduced decision
-# reads four slots, would take a memo too.
-HIT = 8
-
-
-def cost(texts: dict, *roots: str, hit: bool = False) -> int:
-    """Slot loads and operations on a path that evaluates the texts `roots`
-    and the step `texts` they read. With `hit`, on a row hit of a `memo`: it
-    pays `HIT` and loads no slot of r1 or r2. The miss is not priced on its
-    own: along a scan's row of V triples it runs once (1 in 27 on a (6, 3)
-    grid, 1 in 55 on (10, 4)), under one operation a triple."""
-    return hit * HIT + sum(map(operations, roots)) + sum(
-        (not hit or name not in ROW) if name in _LOADS else operations(texts[name])
-        for name in _reads(texts, *roots))
-
-
-def reduced(poly: dict, guard: list[str]) -> str:
+def reduced(poly: dict, guard: list[str]) -> str | None:
     """The test that `poly`, the polynomial in the slot integers of a
     kernel's `left - right`, is zero once the guard has passed. Its monomial
     content is divided out: its atoms that may be zero, those neither a
     denominator nor guarded, are tested as `not (n1 and ...)`, and the rest
     is zero when its positive terms equal its negative ones. "True" if the
-    polynomial is identically zero."""
+    polynomial is identically zero; None if the rest reads a slot of r3, where
+    the rule of the module's docstring picks another form."""
     if not poly:
         return "True"
+    if _reads_r3(poly):
+        return None
     content = common(poly)
     tests = " and ".join(atom for atom in _LOADS
                          if content[atom] and atom[0] == "n" and atom not in guard)
@@ -261,8 +245,3 @@ def reduced(poly: dict, guard: list[str]) -> str:
             sides[c < 0][tuple((Counter(monomial) - content).elements())] = abs(c)
         parts.append(" == ".join(horner(side) if side else "0" for side in sides))
     return " or ".join(parts)
-
-
-def operations(text: str) -> int:
-    return sum(word in ("*", "+", "-", "==", "!=", "is", "not", "and", "or")
-               for word in text.split())

@@ -22,12 +22,12 @@ case's divisors are read once from the identity's steps (`_divisors`, from
 it. `member` runs one straight-line kernel per case, generated from both
 the first time the case is tested, as `identity.check` is: it tests
 coef*n2 + const*d2 == 0 on the components' slot integers, then that each
-divisor's numerator is nonzero, and builds no Fraction. Where it costs
-fewer slot loads and operations (cases 11 to 14), the equation is
-expanded into a polynomial in r3 alone for each row of r1 and r2 objects,
-and the kernel keeps with that row its rational zeros in r3 and those of
-each divisor that reads r3, as `identity.check`'s hoisted kernels do: a row
-hit compares r3's slots with them, which relies on a Fraction's slots being
+divisor's numerator is nonzero, and builds no Fraction. Where `_forms`'
+rule hoists the equation (cases 11 to 14), it is expanded into a
+polynomial in r3 alone for each row of r1 and r2 objects, and the kernel
+keeps with that row its rational zeros in r3 and those of each divisor
+that reads r3, as `identity.check`'s hoisted kernels do: a row hit
+compares r3's slots with them, which relies on a Fraction's slots being
 in lowest terms with a positive denominator (pinned by
 `tests/test_identity.py::test_fraction_keeps_its_integers_in_its_slots`).
 Case 12 returns `every` where n3 equals no kept numerator, else
@@ -138,20 +138,20 @@ def _divisors(case: CaseId) -> list[tuple[str, str]]:
 
 
 def _build_member(case: CaseId):
-    """Generate `member` for one case: the equation, then each divisor. The
-    equation is tested on r3's slots alone where a row hit of the memo costs
-    fewer slot loads and operations: `coef*n2 + const*d2` is expanded into a
-    polynomial, and its rational zeros in r3, and the divisors', kept per row."""
+    """Generate `member` for one case: the equation, then each divisor.
+    `coef*n2 + const*d2` is expanded into a polynomial, and where `_forms`'
+    rule hoists it (cases 11 to 14) the equation is tested on r3's slots
+    alone, against its rational zeros in r3, and the divisors', kept per row."""
     coef, const = _EQUATIONS[case]
+    poly = _forms.expand({"coef": coef, "const": const, "equation": "coef * n2 + const * d2"})
+    hoisted = _forms.rooted(
+        poly, [("False", {"divisor": numerator}) for _, numerator in _divisors(case)], str)
+    if hoisted:
+        lines, row = hoisted
+        return _define(f"member_case_{case.label}", lines, {"zeros": _forms.zeros}, row)
     terms = [f"({c}) * {v}" for c, v in ((coef, "n2"), (const, "d2")) if c != "0"]
     tests = [f"({numerator}) != 0" for _, numerator in _divisors(case)]
     line = " and ".join([" + ".join(terms) + " == 0"] * bool(terms) + tests) or "True"
-    poly = _forms.expand({"coef": coef, "const": const, "equation": "coef * n2 + const * d2"})
-    atoms = [("False", _forms.expand({"divisor": numerator})) for _, numerator in _divisors(case)]
-    values, hit, price = _forms.rooted(poly, atoms, str)
-    if price < _forms.cost({}, line):
-        lines, row = _forms.memo(values)
-        return _define(f"member_case_{case.label}", [*lines, *hit], {"zeros": _forms.zeros}, row)
     return _define(f"member_case_{case.label}", [f"return {line}"], {})
 
 

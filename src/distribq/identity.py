@@ -54,12 +54,14 @@ numerator: case 13 answers most triples by `not n3`, three `!=` tests and
 the flag, and a zero by `n3 == a1 and d3 == b1`. Comparing slots relies on
 a Fraction keeping its slots in lowest terms with d > 0, which
 `tests/test_identity.py::test_fraction_keeps_its_integers_in_its_slots`
-pins. Each case takes the form that costs the fewest slot loads and
-operations, a row hit charged `_forms.HIT`: the reduced one in cases 1 to
-8, L1 and L2, the nested cross-multiplication in 9 and 10, the hoisted one
-in 11 to 14. Every form comes from `_STEPS` and `_TEMPLATES` alone, never
-from `catalog`'s equations, so `verify` compares two independently derived
-equations; in cases 11 to 14, though, `member`'s decision passes through the
+pins. The polynomial picks its form (see `_forms`): with its monomial
+content divided out, it reads no slot of r3 in cases 1 to 8, L1 and L2,
+which take the reduced form; in 11 to 14 it reads r3 and every guard atom
+is n3 or has one zero in r3, so they take the hoisted one; 9 and 10,
+whose guard also tests n2, keep the nested cross-multiplication. Every
+form comes from `_STEPS` and `_TEMPLATES` alone, never from `catalog`'s
+equations, so `verify` compares two independently derived equations; in
+cases 11 to 14, though, `member`'s decision passes through the
 same `_forms` code as `check`'s, so `verify`'s agreement there does not test
 that code, and the test suite proves each hoisted kernel equal to its
 polynomial instead, and `_forms.zeros` to sympy's rational zeros. Each of
@@ -69,7 +71,7 @@ tuple `(verdict, lhs_n, lhs_d, rhs_n, rhs_d, site)` that keeps each side as
 its unreduced numerator and denominator and builds the side's Fraction when
 it is read.
 `catalog` generates its per-case `member` kernels with the same templates,
-the same slot loads, the same row memo where it pays, and the same kind of
+the same slot loads, the same rule and row memo, and the same kind of
 table, which builds a case's kernel when the case is first looked up. Each
 table keeps the case and kernel it served last, so a scan, which checks one
 case object triple after triple, finds its kernel without hashing the CaseId.
@@ -362,8 +364,8 @@ def _define(name: str, body: list[str], namespace: dict, row: int = 0):
     whose name the body contains (no other name in a body contains one) and
     whose load the body does not contain: a body that loads a slot itself
     loads it on each path that reads it. With `row`, the function keeps the
-    closure cell `row` that `_forms.memo` reads, a tuple of `row` items, at first
-    a fresh object that no component is."""
+    closure cell `row` that `_forms.rooted`'s memo reads, a tuple of `row`
+    items, at first a fresh object that no component is."""
     text = "\n".join(body)
     params = "t, verdict_only=False" if "verdict_only" in text else "t"
     lines = [f"def {name}({params}):", *["    nonlocal row"] * bool(row), "    r1, r2, r3 = t"]
@@ -413,11 +415,11 @@ def _build_kernel(case: CaseId):
     `_TEMPLATES`. Each step's numerator and denominator are also kept as the
     list of atoms each is the product of: n1, d1, ..., d3 and the numerators
     of ADD and SUB steps. The verdict-only path comes first. It decides by
-    the nested cross-multiplication, the reduced polynomial or, on a row hit
-    of its memo, by r3's slots compared with the polynomial's rational zeros
-    in r3, whichever counts the fewest slot loads and operations, and where
-    the guard fails returns the shared result of the first site whose
-    denominator has a zero atom."""
+    the form that `_forms`' rule picks from the polynomial: on a row hit of
+    its memo by r3's slots compared with the polynomial's rational zeros in
+    r3, by the reduced polynomial, or by the nested cross-multiplication.
+    Where the guard fails it returns the shared result of the first site
+    whose denominator has a zero atom."""
     nums, dens = {v: [f"n{v}"] for v in "123"}, {v: [f"d{v}"] for v in "123"}
     texts = {}  # each step's n{out} and d{out}: the source text of its value
     for _, out, role, x, y in _STEPS:
@@ -468,26 +470,23 @@ def _build_kernel(case: CaseId):
         undefined = [test[0], *assign(_reads(texts, "nlhs nrhs", step_dens) - first, "    "),
                      f"    return _undefined_result(({step_dens}), nlhs, nrhs)"]
 
-    # A verdict-only call decides by the nested cross-multiplication, by the
-    # reduced polynomial of `left - right` or, on a row hit of its memo, by
-    # comparing r3's slots with the polynomial's rational zeros in r3,
-    # whichever costs the fewest slot loads and operations.
+    # A verdict-only call decides by the form that `_forms`' rule picks from
+    # the polynomial of `left - right`: on a row hit of its memo by comparing
+    # r3's slots with the polynomial's rational zeros in r3, else by the
+    # reduced polynomial or the nested cross-multiplication.
     from . import _forms
 
     poly = _forms.expand({**texts, "difference": f"{left} - ({right})"})
-    reduced = _forms.reduced(poly, guard)
-    verdict = min(nested, reduced, key=lambda form: _forms.cost(texts, *guard, form))
-    values, hit, price = _forms.rooted(
-        poly, [(site, _forms.expand({**texts, "atom": atom})) for site, atom in atoms],
-        lambda test: f"_HELD if {test} else _FAILED")
-    memo, namespace = 0, globals()
-    if price < _forms.cost(texts, *guard, verdict):
-        lines, memo = _forms.memo(values)
-        path, namespace = [*lines, *hit], {**namespace, "zeros": _forms.zeros}
+    hoisted = _forms.rooted(poly, [(site, {**texts, "atom": atom}) for site, atom in atoms],
+                            lambda test: f"_HELD if {test} else _FAILED")
+    if hoisted:
+        (path, memo), namespace = hoisted, {**globals(), "zeros": _forms.zeros}
     else:
+        verdict = _forms.reduced(poly, guard) or nested
         returned = "_HELD" if verdict == "True" else f"_HELD if {verdict} else _FAILED"
         path = [*assign(first), *test, *assign(_reads(texts, verdict) - first),
                 f"return {returned}"]
+        memo, namespace = 0, globals()
     body = ["if verdict_only:", *("    " + line for line in path), *assign(first), *undefined,
             *assign(_reads(texts, "nlhs dlhs nrhs drhs", nested) - first),
             f"return CheckResult((_HOLDS if {nested} else _FAILS, nlhs, dlhs, nrhs, drhs, None))"]

@@ -280,8 +280,9 @@ def _reduced_factors(test, env: dict, guard: set[str], label: str) -> list:
     return factors
 
 
-# The cases whose verdict-only decision is taken on a row hit of the memo
-# by comparing r3's slots with the zeros in r3 that the memo keeps (see
+# The forms that `_forms`' rule picks from each case's polynomial: the cases
+# whose verdict-only decision is taken on a row hit of the memo by comparing
+# r3's slots with the zeros in r3 that the memo keeps (see
 # `test_hoisted_kernels_decide_by_r3_s_part_of_the_polynomial`), and those
 # whose decision is the full path's nested one; the others' is reduced.
 HOISTED = {"11", "12", "13", "14"}
@@ -411,8 +412,8 @@ def test_check_kernel_steps_are_the_identity_s_operations(case):
     numerator = _derive(case)[1]
     allowed = {*DENOMINATORS, *(f for g in _slot_divisors(case) for f in _factors(g))}
     # A verdict-only decision that is not hoisted reads only what its path
-    # assigns. It is nested where that costs fewer slot loads and operations
-    # than reduced.
+    # assigns. It is nested where the polynomial, its monomial content
+    # divided out, reads r3 but the rule does not hoist it.
     nested, choice = [(result.elts[0], full)], None if hoisted else shared_return.value
     assert (case.label in NESTED) is (
         choice is not None and ast.unparse(choice).startswith("_HELD if nlhs")), case.label
